@@ -1,9 +1,8 @@
 // Command ihctl is the operator's client for the ihnetd control
 // plane: inspect topology and usage, admit/evict/verify tenants, read
-// alerts and detections, run diagnostics, advance virtual time, and —
-// against a fleet daemon — place, migrate, and rebalance tenants
-// across hosts. All traffic goes through internal/apiclient and the
-// versioned /api/v1/ surface.
+// alerts and detections, run diagnostics, advance virtual time, and
+// place, migrate, and rebalance tenants across hosts. All traffic goes
+// through internal/apiclient and the versioned /api/v1/ surface.
 //
 // Usage:
 //
@@ -13,7 +12,37 @@
 // token via -token, -token-file, or the IHNET_TOKEN environment
 // variable.
 //
-// Single-host commands:
+// Every daemon is a fleet (a single-host daemon is a one-host fleet),
+// so the fleet-wide commands work in every boot mode:
+//
+//	advance <micros>               advance all hosts to a shared barrier
+//	hosts                          list hosts with pressure and clocks
+//	fleet-report                   placement + utilization summary
+//	place <tenant> <src> <dst> <gbps>   admit on the least-pressured host
+//	evict <tenant>                 evict wherever the tenant runs
+//	migrate <tenant> <host>        move the tenant to the named host
+//	rebalance                      evacuate tenants off anomalous links
+//	solver                         per-host component-solver stats
+//	                               (partition shape, dirty-region
+//	                               accounting, batch coalescing) + totals
+//	state-hash                     state fingerprint: host hashes folded in
+//	                               name order (compare across a
+//	                               kill/restart of a -store-dir daemon)
+//	watch [kind]                   tail the host-tagged event stream (SSE)
+//	health                         daemon health with per-subsystem status
+//	                               (exits 1 if the daemon is degraded)
+//	remedy status                  remediation status + MTTR per host
+//	                               (exits 1 while incidents are open)
+//	remedy policy [file]           show the active policy, or install one
+//	                               on every host
+//	fleet-rollup                   merged metrics snapshot (JSON)
+//	fleet-shards                   sharded engine stats: clocks, epochs, cache
+//	host-snapshot <host> [file]    checkpoint one host
+//	host-journal <host> [file]     download one host's journal
+//	experiment <id>                run one experiment (E1..E12) server-side
+//	version                        print build information
+//
+// Commands on the daemon's only host (single-host daemons):
 //
 //	topology                       summarize the host
 //	report                         per-link utilization + per-tenant usage
@@ -21,52 +50,17 @@
 //	detections                     anomaly detections with suspects
 //	tenants                        list admitted tenants
 //	admit <tenant> <src> <dst> <gbps>   admit a single-pipe tenant
-//	evict <tenant>                 release a tenant's guarantees
 //	verify <tenant>                check guarantees against reality
 //	usage <tenant>                 the tenant's own virtual-link usage
 //	ping <src> <dst>               intra-host ping via the daemon
 //	trace <src> <dst>              intra-host traceroute via the daemon
 //	perf <src> <dst> [tenant]      bandwidth probe via the daemon
-//	advance <micros>               move virtual time forward
 //	batch -f <ops.json>            apply a multi-op mutation batch
 //	                               (one journal entry, one solver settle)
-//	solver                         component-solver stats (partition shape,
-//	                               dirty-region accounting, batch coalescing)
-//	watch [kind]                   tail the live event stream (SSE)
-//	health                         daemon health with per-subsystem status
-//	                               (exits 1 if the daemon is degraded)
-//	remedy status                  remediation controller status + MTTR
-//	                               (exits 1 while incidents are open)
-//	remedy policy [file]           show the active policy, or install one
-//	experiment <id>                run one experiment (E1..E12) server-side
 //	snapshot [file]                checkpoint daemon state (default snapshot.json;
 //	                               also persisted when the daemon runs -store-dir)
 //	restore <file>                 roll the daemon back to a snapshot
 //	journal [file]                 download the command journal (default stdout)
-//	state-hash                     canonical state fingerprint (compare across
-//	                               a kill/restart of a -store-dir daemon)
-//
-// Fleet commands (ihnetd -hosts-dir):
-//
-//	hosts                          list fleet hosts with pressure and clocks
-//	fleet-report                   fleet-wide placement + utilization summary
-//	fleet-advance <micros>         advance all hosts to a shared barrier
-//	place <tenant> <src> <dst> <gbps>   admit on the least-pressured host
-//	fleet-evict <tenant>           evict wherever the tenant runs
-//	migrate <tenant> <host>        move the tenant to the named host
-//	rebalance                      evacuate tenants off anomalous links
-//	host-snapshot <host> [file]    checkpoint one fleet host
-//	host-journal <host> [file]     download one fleet host's journal
-//	fleet watch [kind]             tail the fleet-wide event stream (SSE)
-//	fleet-rollup                   merged fleet metrics snapshot (JSON)
-//	fleet-shards                   sharded engine stats: clocks, epochs, cache
-//	fleet-solver                   per-host solver stats + fleet aggregate
-//	fleet-remedy status            aggregated remediation status per host
-//	fleet-remedy policy [file]     show or install the fleet-wide policy
-//	fleet-state-hash               fleet-wide state fingerprint (host hashes
-//	                               folded in name order)
-//
-//	version                        print build information
 package main
 
 import (
@@ -75,6 +69,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"net/url"
 	"os"
 	"os/signal"
@@ -114,7 +109,7 @@ func main() {
 		os.Exit(2)
 	}
 	api.SetToken(tok)
-	c := command{api: api, ctx: ctx}
+	c := command{api: api, ctx: ctx, out: os.Stdout}
 	if err := c.dispatch(args); err != nil {
 		fmt.Fprintf(os.Stderr, "ihctl: %v\n", err)
 		os.Exit(1)
@@ -146,6 +141,7 @@ func resolveToken(token, tokenFile string) (string, error) {
 type command struct {
 	api *apiclient.Client
 	ctx context.Context
+	out io.Writer // where rendered responses go
 }
 
 // get fetches a v1 path and renders the raw response body.
@@ -196,15 +192,15 @@ func (c command) dispatch(args []string) error {
 	}
 	switch cmd {
 	case "topology":
-		return c.get("/topology", prettyTopology)
+		return c.get("/topology", c.prettyTopology)
 	case "report":
-		return c.get("/report", prettyReport)
+		return c.get("/report", c.prettyReport)
 	case "alerts":
-		return c.get("/alerts", prettyJSON)
+		return c.get("/alerts", c.prettyJSON)
 	case "detections":
-		return c.get("/detections", prettyJSON)
+		return c.get("/detections", c.prettyJSON)
 	case "tenants":
-		return c.get("/tenants", prettyJSON)
+		return c.get("/tenants", c.prettyJSON)
 	case "admit":
 		if err := need(4, "<tenant> <src> <dst> <gbps>"); err != nil {
 			return err
@@ -213,32 +209,32 @@ func (c command) dispatch(args []string) error {
 		if err != nil {
 			return err
 		}
-		return c.post("/tenants", body, prettyJSON)
+		return c.post("/tenants", body, c.prettyJSON)
 	case "evict":
 		if err := need(1, "<tenant>"); err != nil {
 			return err
 		}
-		return c.delete("/tenants/"+url.PathEscape(rest[0]), prettyJSON)
+		return c.delete("/fleet/tenants/"+url.PathEscape(rest[0]), c.prettyJSON)
 	case "verify":
 		if err := need(1, "<tenant>"); err != nil {
 			return err
 		}
-		return c.get("/tenants/"+url.PathEscape(rest[0])+"/verify", prettyJSON)
+		return c.get("/tenants/"+url.PathEscape(rest[0])+"/verify", c.prettyJSON)
 	case "usage":
 		if err := need(1, "<tenant>"); err != nil {
 			return err
 		}
-		return c.get("/tenants/"+url.PathEscape(rest[0])+"/usage", prettyJSON)
+		return c.get("/tenants/"+url.PathEscape(rest[0])+"/usage", c.prettyJSON)
 	case "ping":
 		if err := need(2, "<src> <dst>"); err != nil {
 			return err
 		}
-		return c.get("/diag/ping?src="+url.QueryEscape(rest[0])+"&dst="+url.QueryEscape(rest[1]), prettyJSON)
+		return c.get("/diag/ping?src="+url.QueryEscape(rest[0])+"&dst="+url.QueryEscape(rest[1]), c.prettyJSON)
 	case "trace":
 		if err := need(2, "<src> <dst>"); err != nil {
 			return err
 		}
-		return c.get("/diag/trace?src="+url.QueryEscape(rest[0])+"&dst="+url.QueryEscape(rest[1]), prettyJSON)
+		return c.get("/diag/trace?src="+url.QueryEscape(rest[0])+"&dst="+url.QueryEscape(rest[1]), c.prettyJSON)
 	case "perf":
 		if len(rest) != 2 && len(rest) != 3 {
 			return fmt.Errorf("usage: ihctl perf <src> <dst> [tenant]")
@@ -247,7 +243,7 @@ func (c command) dispatch(args []string) error {
 		if len(rest) == 3 {
 			u += "&tenant=" + url.QueryEscape(rest[2])
 		}
-		return c.get(u, prettyJSON)
+		return c.get(u, c.prettyJSON)
 	case "advance":
 		if err := need(1, "<micros>"); err != nil {
 			return err
@@ -256,21 +252,29 @@ func (c command) dispatch(args []string) error {
 		if err != nil {
 			return fmt.Errorf("bad micros %q", rest[0])
 		}
-		return c.post("/advance", map[string]any{"micros": us}, prettyJSON)
+		return c.post("/fleet/advance", map[string]any{"micros": us}, c.prettyJSON)
 	case "batch":
 		return c.batch(rest)
 	case "solver":
-		st, err := c.api.SolverStats(c.ctx)
+		st, err := c.api.FleetSolverStats(c.ctx)
 		if err != nil {
 			return err
 		}
-		renderSolverStats("", st)
+		names := make([]string, 0, len(st.Hosts))
+		for name := range st.Hosts {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			c.renderSolverStats(name+": ", st.Hosts[name])
+		}
+		c.renderSolverStats("fleet: ", st.Totals)
 		return nil
 	case "experiment":
 		if err := need(1, "<id>"); err != nil {
 			return err
 		}
-		return c.get("/experiments/"+url.PathEscape(rest[0]), prettyExperiment)
+		return c.get("/experiments/"+url.PathEscape(rest[0]), c.prettyExperiment)
 	case "snapshot":
 		out := "snapshot.json"
 		if len(rest) == 1 {
@@ -278,7 +282,7 @@ func (c command) dispatch(args []string) error {
 		} else if len(rest) > 1 {
 			return fmt.Errorf("usage: ihctl snapshot [file]")
 		}
-		return c.post("/snapshot", nil, toFile(out, "snapshot"))
+		return c.post("/snapshot", nil, c.toFile(out, "snapshot"))
 	case "restore":
 		if err := need(1, "<file>"); err != nil {
 			return err
@@ -291,86 +295,48 @@ func (c command) dispatch(args []string) error {
 		if err := c.api.PostRaw(c.ctx, "/restore", data, &resp); err != nil {
 			return err
 		}
-		return prettyJSON(resp)
+		return c.prettyJSON(resp)
 	case "journal":
 		if len(rest) > 1 {
 			return fmt.Errorf("usage: ihctl journal [file]")
 		}
 		if len(rest) == 1 {
-			return c.get("/journal", toFile(rest[0], "journal"))
+			return c.get("/journal", c.toFile(rest[0], "journal"))
 		}
-		return c.get("/journal", prettyJSON)
+		return c.get("/journal", c.prettyJSON)
 	case "state-hash":
-		return c.get("/state/hash", prettyJSON)
-	case "fleet-state-hash":
-		return c.get("/fleet/state/hash", prettyJSON)
+		return c.get("/fleet/state/hash", c.prettyJSON)
 	case "watch":
-		return c.watch("/events", rest)
+		return c.watch(rest)
 	case "health":
 		return c.health()
 	case "remedy":
-		return c.remedy("", rest)
-
-	// Fleet verbs.
-	case "fleet":
-		// "ihctl fleet watch" spelling of the fleet stream tail.
-		if len(rest) >= 1 && rest[0] == "watch" {
-			return c.watch("/fleet/events", rest[1:])
-		}
-		return fmt.Errorf("usage: ihctl fleet watch [kind]")
-	case "fleet-watch":
-		return c.watch("/fleet/events", rest)
-	case "fleet-remedy":
-		return c.remedy("/fleet", rest)
+		return c.remedy(rest)
 	case "fleet-rollup":
-		return c.get("/fleet/metrics/rollup", prettyJSON)
+		return c.get("/fleet/metrics/rollup", c.prettyJSON)
 	case "fleet-shards":
 		st, err := c.api.FleetShards(c.ctx)
 		if err != nil {
 			return err
 		}
-		fmt.Printf("shards: %d (workers/shard %d, inner epoch %v, outer every %d)\n",
+		fmt.Fprintf(c.out, "shards: %d (workers/shard %d, inner epoch %v, outer every %d)\n",
 			len(st.Shards), st.WorkersPerShard, time.Duration(st.InnerEpochNs), st.OuterEvery)
-		fmt.Printf("outer epochs: %d  rollup cache: %d hits / %d misses\n",
+		fmt.Fprintf(c.out, "outer epochs: %d  rollup cache: %d hits / %d misses\n",
 			st.OuterEpochs, st.RollupCacheHits, st.RollupCacheMisses)
 		for _, sh := range st.Shards {
 			dirty := ""
 			if sh.Dirty {
 				dirty = "  dirty"
 			}
-			fmt.Printf("  shard %3d: %4d hosts (%d quarantined)  t=%v  inner %d  advanced %d  refolds %d%s\n",
+			fmt.Fprintf(c.out, "  shard %3d: %4d hosts (%d quarantined)  t=%v  inner %d  advanced %d  refolds %d%s\n",
 				sh.Index, sh.Hosts, sh.Quarantined, time.Duration(sh.VirtualTimeNs),
 				sh.InnerEpochs, sh.HostsAdvanced, sh.RollupRefolds, dirty)
 		}
 		return nil
-	case "fleet-solver":
-		st, err := c.api.FleetSolverStats(c.ctx)
-		if err != nil {
-			return err
-		}
-		names := make([]string, 0, len(st.Hosts))
-		for name := range st.Hosts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			renderSolverStats(name+": ", st.Hosts[name])
-		}
-		renderSolverStats("fleet: ", st.Totals)
-		return nil
 	case "hosts":
-		return c.get("/fleet/hosts", prettyHosts)
+		return c.get("/fleet/hosts", c.prettyHosts)
 	case "fleet-report":
-		return c.get("/fleet/report", prettyJSON)
-	case "fleet-advance":
-		if err := need(1, "<micros>"); err != nil {
-			return err
-		}
-		us, err := strconv.ParseInt(rest[0], 10, 64)
-		if err != nil {
-			return fmt.Errorf("bad micros %q", rest[0])
-		}
-		return c.post("/fleet/advance", map[string]any{"micros": us}, prettyJSON)
+		return c.get("/fleet/report", c.prettyJSON)
 	case "place":
 		if err := need(4, "<tenant> <src> <dst> <gbps>"); err != nil {
 			return err
@@ -379,20 +345,15 @@ func (c command) dispatch(args []string) error {
 		if err != nil {
 			return err
 		}
-		return c.post("/fleet/tenants", body, prettyJSON)
-	case "fleet-evict":
-		if err := need(1, "<tenant>"); err != nil {
-			return err
-		}
-		return c.delete("/fleet/tenants/"+url.PathEscape(rest[0]), prettyJSON)
+		return c.post("/fleet/tenants", body, c.prettyJSON)
 	case "migrate":
 		if err := need(2, "<tenant> <host>"); err != nil {
 			return err
 		}
 		return c.post("/fleet/tenants/"+url.PathEscape(rest[0])+"/migrate",
-			map[string]any{"host": rest[1]}, prettyJSON)
+			map[string]any{"host": rest[1]}, c.prettyJSON)
 	case "rebalance":
-		return c.post("/fleet/rebalance", nil, prettyJSON)
+		return c.post("/fleet/rebalance", nil, c.prettyJSON)
 	case "host-snapshot":
 		if len(rest) != 1 && len(rest) != 2 {
 			return fmt.Errorf("usage: ihctl host-snapshot <host> [file]")
@@ -401,23 +362,24 @@ func (c command) dispatch(args []string) error {
 		if len(rest) == 2 {
 			out = rest[1]
 		}
-		return c.post("/fleet/hosts/"+url.PathEscape(rest[0])+"/snapshot", nil, toFile(out, "snapshot"))
+		return c.post("/fleet/hosts/"+url.PathEscape(rest[0])+"/snapshot", nil, c.toFile(out, "snapshot"))
 	case "host-journal":
 		if len(rest) != 1 && len(rest) != 2 {
 			return fmt.Errorf("usage: ihctl host-journal <host> [file]")
 		}
 		path := "/fleet/hosts/" + url.PathEscape(rest[0]) + "/journal"
 		if len(rest) == 2 {
-			return c.get(path, toFile(rest[1], "journal"))
+			return c.get(path, c.toFile(rest[1], "journal"))
 		}
-		return c.get(path, prettyJSON)
+		return c.get(path, c.prettyJSON)
 	}
 	return fmt.Errorf("unknown command %q", cmd)
 }
 
-// watch tails an SSE event stream, rendering one line per event until
-// interrupted. An optional kind argument filters client-side.
-func (c command) watch(path string, rest []string) error {
+// watch tails the fleet event stream — every host's events, tagged
+// with the host, plus epoch barriers — rendering one line per event
+// until interrupted. An optional kind argument filters client-side.
+func (c command) watch(rest []string) error {
 	if len(rest) > 1 {
 		return fmt.Errorf("usage: ihctl watch [kind]")
 	}
@@ -425,7 +387,7 @@ func (c command) watch(path string, rest []string) error {
 	if len(rest) == 1 {
 		kindFilter = rest[0]
 	}
-	return c.api.Stream(c.ctx, path, 0, func(ev apiclient.StreamEvent) error {
+	return c.api.Stream(c.ctx, "/fleet/events", 0, func(ev apiclient.StreamEvent) error {
 		if kindFilter != "" && ev.Type != kindFilter {
 			return nil
 		}
@@ -456,40 +418,30 @@ func (c command) watch(path string, rest []string) error {
 		if d.Detail != "" {
 			line += "  " + d.Detail
 		}
-		fmt.Println(line)
+		fmt.Fprintln(c.out, line)
 		return nil
 	})
 }
 
-// remedy handles the "remedy" and "fleet-remedy" verb families. prefix
-// is "" against a host daemon and "/fleet" against a fleet daemon.
-func (c command) remedy(prefix string, rest []string) error {
-	family := "remedy"
-	if prefix != "" {
-		family = "fleet-remedy"
-	}
+// remedy handles "remedy status" and "remedy policy [file]" against
+// the fleet remediation routes (one controller per host).
+func (c command) remedy(rest []string) error {
+	const usage = "usage: ihctl remedy status|policy [file]"
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: ihctl %s status|policy [file]", family)
+		return fmt.Errorf(usage)
 	}
 	switch rest[0] {
 	case "status":
-		if prefix != "" {
-			st, err := c.api.FleetRemedyStatus(c.ctx)
-			if err != nil {
-				return err
-			}
-			return renderFleetRemedyStatus(st)
-		}
-		st, err := c.api.RemedyStatus(c.ctx)
+		st, err := c.api.FleetRemedyStatus(c.ctx)
 		if err != nil {
 			return err
 		}
-		return renderRemedyStatus(st)
+		return c.renderRemedyStatus(st)
 	case "policy":
-		path := prefix + "/remedy/policy"
+		const path = "/fleet/remedy/policy"
 		switch len(rest) {
 		case 1:
-			return c.get(path, prettyJSON)
+			return c.get(path, c.prettyJSON)
 		case 2:
 			doc, err := os.ReadFile(rest[1])
 			if err != nil {
@@ -499,11 +451,10 @@ func (c command) remedy(prefix string, rest []string) error {
 			if err := c.api.Put(c.ctx, path, json.RawMessage(doc), &resp); err != nil {
 				return err
 			}
-			return prettyJSON(resp)
+			return c.prettyJSON(resp)
 		}
-		return fmt.Errorf("usage: ihctl %s policy [file]", family)
 	}
-	return fmt.Errorf("usage: ihctl %s status|policy [file]", family)
+	return fmt.Errorf(usage)
 }
 
 func remedySummaryLine(degraded bool, st apiclient.RemedyStatus) string {
@@ -518,26 +469,12 @@ func remedySummaryLine(degraded bool, st apiclient.RemedyStatus) string {
 		st.Stats.Executed, st.Stats.Rejected, st.Stats.Failed, st.Stats.Suppressed, st.Stats.Proposed)
 }
 
-// renderRemedyStatus prints the controller summary and incident ledger,
-// returning a non-nil error (so ihctl exits 1) while incidents are
-// open — scripts can gate on the exit code alone.
-func renderRemedyStatus(st apiclient.RemedyStatus) error {
-	fmt.Println(remedySummaryLine(st.Degraded, st))
-	for _, in := range st.Incidents {
-		state := "open"
-		if in.Resolved {
-			state = "resolved"
-		}
-		fmt.Printf("  %-36s %-10s %-8s actions=%d\n", in.Subject, in.Class, state, len(in.Actions))
-	}
-	if st.Degraded {
-		return fmt.Errorf("remediation in progress: %d open incident(s)", st.Stats.Open)
-	}
-	return nil
-}
-
-func renderFleetRemedyStatus(st apiclient.FleetRemedyStatus) error {
-	fmt.Println(remedySummaryLine(st.Degraded, apiclient.RemedyStatus{
+// renderRemedyStatus prints the summary, one line per host, and the
+// incident ledger of every degraded host, returning a non-nil error (so
+// ihctl exits 1) while incidents are open — scripts can gate on the
+// exit code alone.
+func (c command) renderRemedyStatus(st apiclient.FleetRemedyStatus) error {
+	fmt.Fprintln(c.out, remedySummaryLine(st.Degraded, apiclient.RemedyStatus{
 		Stats: st.Stats, MTTRp50Us: st.MTTRp50Us, MTTRp99Us: st.MTTRp99Us}))
 	names := make([]string, 0, len(st.Hosts))
 	for name := range st.Hosts {
@@ -550,7 +487,14 @@ func renderFleetRemedyStatus(st apiclient.FleetRemedyStatus) error {
 		if hs.Degraded {
 			status = "degraded"
 		}
-		fmt.Printf("  %-20s %-8s open=%d resolved=%d\n", name, status, hs.Stats.Open, hs.Stats.Resolved)
+		fmt.Fprintf(c.out, "  %-20s %-8s open=%d resolved=%d\n", name, status, hs.Stats.Open, hs.Stats.Resolved)
+		for _, in := range hs.Incidents {
+			state := "open"
+			if in.Resolved {
+				state = "resolved"
+			}
+			fmt.Fprintf(c.out, "    %-36s %-10s %-8s actions=%d\n", in.Subject, in.Class, state, len(in.Actions))
+		}
 	}
 	if st.Degraded {
 		return fmt.Errorf("remediation in progress: %d open incident(s)", st.Stats.Open)
@@ -566,17 +510,9 @@ func (c command) health() error {
 	if err != nil {
 		return err
 	}
-	mode := h.Mode
-	if mode == "" {
-		mode = "host"
-	}
-	fmt.Printf("status: %s (%s daemon, version %s, %s)\n", h.Status, mode, h.Version, h.GoVersion)
-	fmt.Printf("uptime: %.1fs  virtual time: %dns\n", h.UptimeSeconds, h.VirtualTimeNs)
-	if h.Mode == "fleet" {
-		fmt.Printf("hosts: %d (%d quarantined)\n", h.Hosts, h.Quarantined)
-	} else {
-		fmt.Printf("tenants: %d\n", h.Tenants)
-	}
+	fmt.Fprintf(c.out, "status: %s (%s daemon, version %s, %s)\n", h.Status, h.Mode, h.Version, h.GoVersion)
+	fmt.Fprintf(c.out, "uptime: %.1fs  virtual time: %dns\n", h.UptimeSeconds, h.VirtualTimeNs)
+	fmt.Fprintf(c.out, "hosts: %d (%d quarantined)  tenants: %d\n", h.Hosts, h.Quarantined, h.Tenants)
 	names := make([]string, 0, len(h.Subsystems))
 	for name := range h.Subsystems {
 		names = append(names, name)
@@ -584,16 +520,16 @@ func (c command) health() error {
 	sort.Strings(names)
 	for _, name := range names {
 		sub := h.Subsystems[name]
-		fmt.Printf("  %-12s %s", name, sub.Status)
+		fmt.Fprintf(c.out, "  %-12s %s", name, sub.Status)
 		keys := make([]string, 0, len(sub.Detail))
 		for k := range sub.Detail {
 			keys = append(keys, k)
 		}
 		sort.Strings(keys)
 		for _, k := range keys {
-			fmt.Printf(" %s=%s", k, sub.Detail[k])
+			fmt.Fprintf(c.out, " %s=%s", k, sub.Detail[k])
 		}
-		fmt.Println()
+		fmt.Fprintln(c.out)
 	}
 	if h.Status != "ok" {
 		return fmt.Errorf("daemon is %s", h.Status)
@@ -628,17 +564,17 @@ func (c command) batch(rest []string) error {
 		if r.Error != "" {
 			line += "  " + r.Error
 		}
-		fmt.Println(line)
+		fmt.Fprintln(c.out, line)
 	}
 	if err == nil {
-		fmt.Printf("%d op(s) applied in %d solver settle(s)\n", len(ops), res.SolverSettles)
+		fmt.Fprintf(c.out, "%d op(s) applied in %d solver settle(s)\n", len(ops), res.SolverSettles)
 	}
 	return err
 }
 
 // renderSolverStats prints one solver snapshot, prefixing each line
 // (fleet output uses the host name).
-func renderSolverStats(prefix string, st fabric.SolverStats) {
+func (c command) renderSolverStats(prefix string, st fabric.SolverStats) {
 	coalesce := 1.0
 	if st.Solves > 0 {
 		coalesce = float64(st.Mutations) / float64(st.Solves)
@@ -647,42 +583,42 @@ func renderSolverStats(prefix string, st fabric.SolverStats) {
 	if st.ParallelWallNs > 0 && st.Workers > 0 {
 		util = float64(st.WorkerBusyNs) / (float64(st.ParallelWallNs) * float64(st.Workers))
 	}
-	fmt.Printf("%scomponents: %d (largest %d of %d flows)\n",
+	fmt.Fprintf(c.out, "%scomponents: %d (largest %d of %d flows)\n",
 		prefix, st.Components, st.LargestComponent, st.Flows)
-	fmt.Printf("%ssolves: %d (+%d noop, %d parallel)  rounds: %d\n",
+	fmt.Fprintf(c.out, "%ssolves: %d (+%d noop, %d parallel)  rounds: %d\n",
 		prefix, st.Solves, st.NoopSolves, st.ParallelSolves, st.Rounds)
-	fmt.Printf("%sdirty region: %d components / %d flows solved, %d flows skipped\n",
+	fmt.Fprintf(c.out, "%sdirty region: %d components / %d flows solved, %d flows skipped\n",
 		prefix, st.ComponentsSolved, st.FlowsSolved, st.FlowsSkipped)
-	fmt.Printf("%smutations: %d (%d batched in %d batches, coalesce %.1fx)\n",
+	fmt.Fprintf(c.out, "%smutations: %d (%d batched in %d batches, coalesce %.1fx)\n",
 		prefix, st.Mutations, st.BatchedMutations, st.Batches, coalesce)
-	fmt.Printf("%sworkers: %d (threshold %d)  utilization: %.0f%%\n",
+	fmt.Fprintf(c.out, "%sworkers: %d (threshold %d)  utilization: %.0f%%\n",
 		prefix, st.Workers, st.ParallelThreshold, util*100)
 }
 
 // toFile renders a response body by writing it to a file, reporting
 // what landed where.
-func toFile(path, what string) func([]byte) error {
+func (c command) toFile(path, what string) func([]byte) error {
 	return func(data []byte) error {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			return err
 		}
-		fmt.Printf("wrote %s (%d bytes) to %s\n", what, len(data), path)
+		fmt.Fprintf(c.out, "wrote %s (%d bytes) to %s\n", what, len(data), path)
 		return nil
 	}
 }
 
-func prettyJSON(data []byte) error {
+func (c command) prettyJSON(data []byte) error {
 	var buf bytes.Buffer
 	if err := json.Indent(&buf, data, "", "  "); err != nil {
-		_, err = os.Stdout.Write(data)
+		_, err = c.out.Write(data)
 		return err
 	}
 	buf.WriteByte('\n')
-	_, err := buf.WriteTo(os.Stdout)
+	_, err := buf.WriteTo(c.out)
 	return err
 }
 
-func prettyTopology(data []byte) error {
+func (c command) prettyTopology(data []byte) error {
 	var t struct {
 		Name       string `json:"name"`
 		Components []struct {
@@ -703,12 +639,12 @@ func prettyTopology(data []byte) error {
 	for _, l := range t.Links {
 		classes[l.Class]++
 	}
-	fmt.Printf("host %q: %d components, %d links\n", t.Name, len(t.Components), len(t.Links))
-	fmt.Printf("  components: %v\n  link classes: %v\n", kinds, classes)
+	fmt.Fprintf(c.out, "host %q: %d components, %d links\n", t.Name, len(t.Components), len(t.Links))
+	fmt.Fprintf(c.out, "  components: %v\n  link classes: %v\n", kinds, classes)
 	return nil
 }
 
-func prettyReport(data []byte) error {
+func (c command) prettyReport(data []byte) error {
 	var r struct {
 		VirtualTimeNs int64 `json:"virtual_time_ns"`
 		Links         []struct {
@@ -721,9 +657,9 @@ func prettyReport(data []byte) error {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return err
 	}
-	fmt.Printf("virtual time: %dns\n", r.VirtualTimeNs)
-	fmt.Printf("congested links: %v\n", r.Congested)
-	fmt.Println("busiest links:")
+	fmt.Fprintf(c.out, "virtual time: %dns\n", r.VirtualTimeNs)
+	fmt.Fprintf(c.out, "congested links: %v\n", r.Congested)
+	fmt.Fprintln(c.out, "busiest links:")
 	// Top 5 by utilization.
 	for i := 0; i < 5; i++ {
 		best, idx := -1.0, -1
@@ -735,16 +671,16 @@ func prettyReport(data []byte) error {
 		if idx < 0 {
 			break
 		}
-		fmt.Printf("  %-48s %5.1f%%\n", r.Links[idx].ID, best*100)
+		fmt.Fprintf(c.out, "  %-48s %5.1f%%\n", r.Links[idx].ID, best*100)
 		r.Links[idx].Utilization = -2
 	}
 	for t, usage := range r.Tenants {
-		fmt.Printf("tenant %s: %v\n", t, usage)
+		fmt.Fprintf(c.out, "tenant %s: %v\n", t, usage)
 	}
 	return nil
 }
 
-func prettyHosts(data []byte) error {
+func (c command) prettyHosts(data []byte) error {
 	var hosts []struct {
 		Name          string  `json:"name"`
 		VirtualTimeNs int64   `json:"virtual_time_ns"`
@@ -756,26 +692,26 @@ func prettyHosts(data []byte) error {
 	if err := json.Unmarshal(data, &hosts); err != nil {
 		return err
 	}
-	fmt.Printf("%-20s %14s %9s %8s %11s  %s\n",
+	fmt.Fprintf(c.out, "%-20s %14s %9s %8s %11s  %s\n",
 		"HOST", "VTIME_NS", "PRESSURE", "TENANTS", "DETECTIONS", "STATUS")
 	for _, h := range hosts {
 		status := "ok"
 		if h.Quarantined != "" {
 			status = "quarantined: " + h.Quarantined
 		}
-		fmt.Printf("%-20s %14d %8.1f%% %8d %11d  %s\n",
+		fmt.Fprintf(c.out, "%-20s %14d %8.1f%% %8d %11d  %s\n",
 			h.Name, h.VirtualTimeNs, h.Pressure*100, h.Tenants, h.Detections, status)
 	}
 	return nil
 }
 
-func prettyExperiment(data []byte) error {
+func (c command) prettyExperiment(data []byte) error {
 	var e struct {
 		Rendered string `json:"rendered"`
 	}
 	if err := json.Unmarshal(data, &e); err != nil {
 		return err
 	}
-	fmt.Print(e.Rendered)
+	fmt.Fprint(c.out, e.Rendered)
 	return nil
 }

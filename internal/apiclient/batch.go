@@ -67,13 +67,6 @@ func (c *Client) Batch(ctx context.Context, ops []BatchOp) (BatchResult, error) 
 	return out, err
 }
 
-// SolverStats fetches the host's component-solver snapshot.
-func (c *Client) SolverStats(ctx context.Context) (fabric.SolverStats, error) {
-	var st fabric.SolverStats
-	err := c.Get(ctx, "/fabric/solver", &st)
-	return st, err
-}
-
 // FleetSolverStats is the typed /fleet/fabric/solver document: the
 // per-host solver snapshots and their fleet-wide aggregate.
 type FleetSolverStats struct {

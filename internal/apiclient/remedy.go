@@ -20,9 +20,9 @@ func (c *Client) Put(ctx context.Context, path string, in, out any) error {
 	return c.do(ctx, http.MethodPut, path, body, out)
 }
 
-// RemedyStatus is the typed /remedy/status document: the controller's
-// cumulative accounting, headline MTTR percentiles (virtual time), and
-// incident ledger.
+// RemedyStatus is the typed per-host /remedy/status document: the
+// controller's cumulative accounting, headline MTTR percentiles
+// (virtual time), and incident ledger.
 type RemedyStatus struct {
 	Enabled   bool              `json:"enabled"`
 	Degraded  bool              `json:"degraded"`
@@ -43,32 +43,10 @@ type FleetRemedyStatus struct {
 	Hosts     map[string]RemedyStatus `json:"hosts"`
 }
 
-// RemedyStatus fetches and decodes /remedy/status.
-func (c *Client) RemedyStatus(ctx context.Context) (RemedyStatus, error) {
-	var st RemedyStatus
-	err := c.Get(ctx, "/remedy/status", &st)
-	return st, err
-}
-
-// FleetRemedyStatus fetches and decodes /fleet/remedy/status.
+// FleetRemedyStatus fetches and decodes /fleet/remedy/status (every
+// boot mode serves it; a single-host daemon is a one-host fleet).
 func (c *Client) FleetRemedyStatus(ctx context.Context) (FleetRemedyStatus, error) {
 	var st FleetRemedyStatus
 	err := c.Get(ctx, "/fleet/remedy/status", &st)
 	return st, err
-}
-
-// RemedyPolicy fetches the active remediation policy.
-func (c *Client) RemedyPolicy(ctx context.Context) (remedy.Policy, error) {
-	var p remedy.Policy
-	err := c.Get(ctx, "/remedy/policy", &p)
-	return p, err
-}
-
-// SetRemedyPolicy replaces the remediation policy with a pre-encoded
-// document (a policy file, say) and returns the policy the daemon
-// actually installed.
-func (c *Client) SetRemedyPolicy(ctx context.Context, doc []byte) (remedy.Policy, error) {
-	var p remedy.Policy
-	err := c.do(ctx, http.MethodPut, "/remedy/policy", doc, &p)
-	return p, err
 }

@@ -110,12 +110,12 @@ func (s *SubsystemStatus) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Health is the typed /healthz document — shared by single-host and
-// fleet daemons (fleet-only fields are zero on a host daemon and vice
-// versa).
+// Health is the typed /healthz document. Every daemon serves the same
+// shape: a single-host daemon is a one-host fleet, reported with Mode
+// "host".
 type Health struct {
 	Status        string                     `json:"status"`
-	Mode          string                     `json:"mode"` // "" (host) or "fleet"
+	Mode          string                     `json:"mode"` // "host" (one host) or "fleet"
 	Version       string                     `json:"version"`
 	GoVersion     string                     `json:"go_version"`
 	UptimeSeconds float64                    `json:"uptime_seconds"`

@@ -20,9 +20,10 @@ import (
 const fleetEpoch = 250 * simtime.Microsecond
 
 // runFleet drives chaos over a fleet of hosts executed by the
-// parallel Runner. Injections happen only between epochs, with every
-// live host parked at the same barrier, so the schedule stays a pure
-// function of the seed even though hosts advance on a worker pool.
+// sharded engine as one shard. Injections happen only between epochs,
+// with every live host parked at the same barrier, so the schedule
+// stays a pure function of the seed even though hosts advance on a
+// worker pool.
 // On top of the per-host oracles it checks one fleet-level invariant:
 // every fleet-placed tenant lives on exactly one host.
 func runFleet(cfg Config) (*Result, error) {
@@ -46,7 +47,7 @@ func runFleet(cfg Config) (*Result, error) {
 		oracles[i] = NewOracle(sess.Manager(), cfg.Oracle)
 		injectors[i] = newInjector(sess, rng)
 	}
-	runner := fleet.NewRunner(flt, fleet.RunnerConfig{Workers: cfg.Workers, Epoch: fleetEpoch})
+	runner := fleet.NewShardedRunner(flt, fleet.ShardConfig{Shards: 1, Workers: cfg.Workers, Epoch: fleetEpoch})
 	ctx := context.Background()
 	res := &Result{Seed: cfg.Seed, Counts: make(map[string]int), Config: cfg.SnapConfig(0)}
 

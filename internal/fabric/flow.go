@@ -301,6 +301,9 @@ func (f *Fabric) markDirty() {
 	f.sc.mutations++
 	if f.batching {
 		f.sc.batchedMutations++
+		if f.met != nil {
+			f.met.solverBatchedOps.Inc()
+		}
 		return
 	}
 	f.recomputeIfDirty()
@@ -319,6 +322,9 @@ func (f *Fabric) Batch(fn func()) {
 		return
 	}
 	f.sc.batches++
+	if f.met != nil {
+		f.met.solverBatches.Inc()
+	}
 	f.batching = true
 	fn()
 	f.batching = false

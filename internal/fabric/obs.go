@@ -120,8 +120,6 @@ func (f *Fabric) observedComputeRates() {
 	f.met.solverFlowsSolved.Add(after.flowsSolved - before.flowsSolved)
 	f.met.solverFlowsSkipped.Add(after.flowsSkipped - before.flowsSkipped)
 	f.met.solverRounds.Add(after.rounds - before.rounds)
-	f.met.solverBatches.Add(after.batches - before.batches)
-	f.met.solverBatchedOps.Add(after.batchedMutations - before.batchedMutations)
 	f.met.solverComponents.Set(float64(f.liveComponents()))
 	f.met.solverWorkers.Set(float64(f.solverWorkers()))
 	if f.met.tracer.Enabled() {

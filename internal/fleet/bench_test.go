@@ -40,7 +40,7 @@ func BenchmarkFleetRunFor(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("hosts=%d/parallel", hosts), func(b *testing.B) {
 			f := benchFleet(b, hosts)
-			r := NewRunner(f, RunnerConfig{Workers: runtime.GOMAXPROCS(0)})
+			r := newRunner(f, runnerConfig{Workers: runtime.GOMAXPROCS(0)})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.RunFor(context.Background(), simtime.Millisecond); err != nil {

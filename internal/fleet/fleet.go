@@ -32,6 +32,15 @@ type Host struct {
 	Sess *snap.Session
 }
 
+// Replace swaps in sess — a session restored from a checkpoint or
+// recovered from a durable store — as the host's state and stops the
+// manager it supersedes.
+func (h *Host) Replace(sess *snap.Session) {
+	old := h.Mgr
+	h.Sess, h.Mgr = sess, sess.Manager()
+	old.Stop()
+}
+
 // admit runs the admission pipeline on this host, journaled when the
 // host records.
 func (h *Host) admit(tenant fabric.TenantID, targets []intent.Target) (*vnet.View, error) {

@@ -14,7 +14,7 @@ import (
 // deterministicRollup drops the wall-clock-derived metric families
 // (encode/epoch timings, command latency) that legitimately vary
 // between runs; everything left is a pure function of the simulation.
-func deterministicRollup(r *Runner) []byte {
+func deterministicRollup(r *runner) []byte {
 	s := r.Rollup().Filter(func(name string) bool {
 		return !strings.HasSuffix(name, "_seconds") &&
 			!strings.HasSuffix(name, "_duration_ns") &&
@@ -36,7 +36,7 @@ func TestRollupDeterministicAcrossWorkers(t *testing.T) {
 	var rollups [][]byte
 	for _, workers := range []int{1, 8} {
 		f := buildFleet(t, 4)
-		r := NewRunner(f, RunnerConfig{Workers: workers, Epoch: 500 * simtime.Microsecond})
+		r := newRunner(f, runnerConfig{Workers: workers, Epoch: 500 * simtime.Microsecond})
 		if _, err := r.RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestRollupDeterministicAcrossWorkers(t *testing.T) {
 // host count matches.
 func TestRollupAggregates(t *testing.T) {
 	f := buildFleet(t, 3)
-	r := NewRunner(f, RunnerConfig{Workers: 2})
+	r := newRunner(f, runnerConfig{Workers: 2})
 	if _, err := r.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestRollupAggregates(t *testing.T) {
 func TestFleetBusFanIn(t *testing.T) {
 	f := buildFleet(t, 3)
 	bus := obs.NewBus(4096)
-	r := NewRunner(f, RunnerConfig{Workers: 2, Bus: bus})
+	r := newRunner(f, runnerConfig{Workers: 2, Bus: bus})
 	sub := bus.Subscribe(4096)
 	defer sub.Close()
 	if _, err := r.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {

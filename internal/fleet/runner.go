@@ -11,8 +11,8 @@ import (
 	"repro/internal/simtime"
 )
 
-// RunnerConfig tunes the parallel fleet execution engine.
-type RunnerConfig struct {
+// runnerConfig tunes the parallel fleet execution engine.
+type runnerConfig struct {
 	// Workers is the number of goroutines advancing hosts. Zero means
 	// GOMAXPROCS; one degenerates to the serial loop (useful as the
 	// baseline in benchmarks and determinism checks).
@@ -85,7 +85,7 @@ type RunReport struct {
 	Aborted bool
 }
 
-// Runner advances every host of a fleet concurrently, one goroutine
+// runner advances every host of a fleet concurrently, one goroutine
 // per worker with hosts sharded across workers, synchronized by epoch
 // barriers. Hosts are independent simulations, so running them on
 // different goroutines cannot change any host's results — the runner's
@@ -94,9 +94,9 @@ type RunReport struct {
 // results are merged in host-name order regardless of which worker
 // finished first.
 //
-// A Runner is not safe for concurrent use; callers (the HTTP fleet
+// A runner is not safe for concurrent use; callers (the HTTP fleet
 // server, the daemon's auto-advance loop) serialize RunFor calls.
-type Runner struct {
+type runner struct {
 	fleet        *Fleet
 	workers      int
 	epoch        simtime.Duration
@@ -121,8 +121,8 @@ type Runner struct {
 	hStragglerX    *obs.Histogram
 }
 
-// NewRunner builds a parallel runner over the fleet.
-func NewRunner(f *Fleet, cfg RunnerConfig) *Runner {
+// newRunner builds a parallel runner over the fleet.
+func newRunner(f *Fleet, cfg runnerConfig) *runner {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -144,7 +144,7 @@ func NewRunner(f *Fleet, cfg RunnerConfig) *Runner {
 	if subject == "" {
 		subject = "fleet"
 	}
-	return &Runner{
+	return &runner{
 		fleet:        f,
 		workers:      workers,
 		epoch:        epoch,
@@ -169,13 +169,13 @@ func NewRunner(f *Fleet, cfg RunnerConfig) *Runner {
 }
 
 // Workers returns the configured worker count.
-func (r *Runner) Workers() int { return r.workers }
+func (r *runner) Workers() int { return r.workers }
 
 // Epoch returns the barrier interval.
-func (r *Runner) Epoch() simtime.Duration { return r.epoch }
+func (r *runner) Epoch() simtime.Duration { return r.epoch }
 
 // Failed returns the quarantined hosts and why, keyed by name.
-func (r *Runner) Failed() map[string]error {
+func (r *runner) Failed() map[string]error {
 	out := make(map[string]error, len(r.failed))
 	for k, v := range r.failed {
 		out[k] = v
@@ -188,7 +188,7 @@ func (r *Runner) Failed() map[string]error {
 // panic quarantine, used to fence a suspect host without stopping the
 // fleet. The host's clock freezes where it is; it keeps its state and
 // journal.
-func (r *Runner) Quarantine(name string, reason error) error {
+func (r *runner) Quarantine(name string, reason error) error {
 	if r.fleet.Host(name) == nil {
 		return fmt.Errorf("fleet: unknown host %q", name)
 	}
@@ -211,7 +211,7 @@ func (r *Runner) Quarantine(name string, reason error) error {
 // catches up at the next barrier (every epoch drives all live hosts to
 // one shared absolute target). Returns false when the host was not
 // quarantined.
-func (r *Runner) Unquarantine(name string) bool {
+func (r *runner) Unquarantine(name string) bool {
 	if _, ok := r.failed[name]; !ok {
 		return false
 	}
@@ -222,7 +222,7 @@ func (r *Runner) Unquarantine(name string) bool {
 // Now returns the fleet's virtual time: the furthest live host's
 // clock. Between RunFor calls all live hosts agree on it (they parked
 // at the same barrier); quarantined hosts may lag behind.
-func (r *Runner) Now() simtime.Time {
+func (r *runner) Now() simtime.Time {
 	var now simtime.Time
 	for _, h := range r.fleet.hostsSorted() {
 		if _, bad := r.failed[h.Name]; bad {
@@ -241,7 +241,7 @@ func (r *Runner) Now() simtime.Time {
 // target time. On context cancellation the run stops cleanly at the
 // last completed barrier — no host is left mid-epoch and no partial
 // results are merged.
-func (r *Runner) RunFor(ctx context.Context, d simtime.Duration) (RunReport, error) {
+func (r *runner) RunFor(ctx context.Context, d simtime.Duration) (RunReport, error) {
 	if d <= 0 {
 		return RunReport{}, fmt.Errorf("fleet: non-positive run duration %v", d)
 	}
@@ -279,7 +279,7 @@ func (r *Runner) RunFor(ctx context.Context, d simtime.Duration) (RunReport, err
 // runEpoch drives every non-quarantined host to the barrier on the
 // worker pool and merges results by name-sorted index. It returns the
 // merged results and how many hosts advanced without error.
-func (r *Runner) runEpoch(barrier simtime.Time) ([]HostResult, int) {
+func (r *runner) runEpoch(barrier simtime.Time) ([]HostResult, int) {
 	all := r.fleet.hostsSorted() // name-sorted, not retained
 	live := all[:0:0]
 	for _, h := range all {
@@ -369,7 +369,7 @@ func (r *Runner) runEpoch(barrier simtime.Time) ([]HostResult, int) {
 // The fold reuses one per-runner scratch accumulator (Reset zeroes
 // only occupied watermark ranges), so scrape allocation cost does not
 // grow with host count; rollupMu serializes concurrent scrapes.
-func (r *Runner) Rollup() obs.Snapshot {
+func (r *runner) Rollup() obs.Snapshot {
 	r.rollupMu.Lock()
 	defer r.rollupMu.Unlock()
 	r.rollupAcc.Reset()
@@ -380,7 +380,7 @@ func (r *Runner) Rollup() obs.Snapshot {
 }
 
 // Bus returns the fleet-level event bus, if configured.
-func (r *Runner) Bus() *obs.Bus { return r.bus }
+func (r *runner) Bus() *obs.Bus { return r.bus }
 
 // advanceHost drives one host to the barrier, converting panics in the
 // host's simulation into a per-host error so one broken host cannot

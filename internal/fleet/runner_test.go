@@ -60,10 +60,10 @@ func hashes(f *Fleet) map[string]string {
 func TestRunnerMatchesSerial(t *testing.T) {
 	serial := buildFleet(t, 4)
 	parallel := buildFleet(t, 4)
-	if _, err := NewRunner(serial, RunnerConfig{Workers: 1}).RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
+	if _, err := newRunner(serial, runnerConfig{Workers: 1}).RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := NewRunner(parallel, RunnerConfig{Workers: 8}).RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
+	if _, err := newRunner(parallel, runnerConfig{Workers: 8}).RunFor(context.Background(), 5*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	want, got := hashes(serial), hashes(parallel)
@@ -79,7 +79,7 @@ func TestRunnerMatchesSerial(t *testing.T) {
 // run: parallelism must not leak into any host's recorded history.
 func TestRunnerDeterminismGate(t *testing.T) {
 	f := buildFleet(t, 3)
-	r := NewRunner(f, RunnerConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
+	r := newRunner(f, runnerConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
 	if _, err := r.RunFor(context.Background(), 3*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestRunnerEpochBarrier(t *testing.T) {
 		t.Fatal(err)
 	}
 	var barriers []EpochStat
-	r := NewRunner(f, RunnerConfig{
+	r := newRunner(f, runnerConfig{
 		Workers: 4,
 		Epoch:   simtime.Millisecond,
 		OnEpoch: func(st EpochStat) { barriers = append(barriers, st) },
@@ -152,7 +152,7 @@ func TestRunnerIsolatesHostFailure(t *testing.T) {
 	bad.Mgr.Engine().After(700*simtime.Microsecond, func() {
 		panic("injected fault")
 	})
-	r := NewRunner(f, RunnerConfig{Workers: 4})
+	r := newRunner(f, runnerConfig{Workers: 4})
 	rep, err := r.RunFor(context.Background(), 4*simtime.Millisecond)
 	if err != nil {
 		t.Fatal(err)
@@ -168,7 +168,7 @@ func TestRunnerIsolatesHostFailure(t *testing.T) {
 	}
 	// ...with exactly the state a failure-free run gives them.
 	control := buildFleet(t, 3)
-	if _, err := NewRunner(control, RunnerConfig{Workers: 1}).RunFor(context.Background(), 4*simtime.Millisecond); err != nil {
+	if _, err := newRunner(control, runnerConfig{Workers: 1}).RunFor(context.Background(), 4*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"a", "c"} {
@@ -191,7 +191,7 @@ func TestRunnerIsolatesHostFailure(t *testing.T) {
 func TestRunnerCancel(t *testing.T) {
 	f := buildFleet(t, 2)
 	ctx, cancel := context.WithCancel(context.Background())
-	r := NewRunner(f, RunnerConfig{
+	r := newRunner(f, runnerConfig{
 		Workers: 2,
 		Epoch:   simtime.Millisecond,
 		OnEpoch: func(st EpochStat) {
@@ -216,7 +216,7 @@ func TestRunnerCancel(t *testing.T) {
 
 func TestRunnerRejectsBadDuration(t *testing.T) {
 	f := buildFleet(t, 1)
-	if _, err := NewRunner(f, RunnerConfig{}).RunFor(context.Background(), 0); err == nil {
+	if _, err := newRunner(f, runnerConfig{}).RunFor(context.Background(), 0); err == nil {
 		t.Fatal("zero-duration run accepted")
 	}
 }
@@ -262,7 +262,7 @@ func TestLoadDir(t *testing.T) {
 // unquarantined one rejoins and catches up to the fleet barrier.
 func TestQuarantineExcludesAndReadmits(t *testing.T) {
 	f := buildFleet(t, 3)
-	r := NewRunner(f, RunnerConfig{Workers: 2, Epoch: 200 * simtime.Microsecond})
+	r := newRunner(f, runnerConfig{Workers: 2, Epoch: 200 * simtime.Microsecond})
 
 	if err := r.Quarantine("nope", nil); err == nil {
 		t.Fatal("unknown host quarantined")

@@ -9,20 +9,21 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 )
 
 // ShardConfig tunes the sharded fleet engine.
 type ShardConfig struct {
 	// Shards is the number of independent shard groups. Zero means
 	// AutoShards(len(hosts)); the count is clamped so no shard is
-	// empty. One shard degenerates to the plain Runner behind the
+	// empty. One shard degenerates to the plain runner behind the
 	// outer-epoch loop.
 	Shards int
 	// Workers is the worker-pool size per shard. Zero spreads
 	// GOMAXPROCS across the shards (at least one per shard).
 	Workers int
 	// Epoch is the inner barrier interval within a shard — the same
-	// quantity as RunnerConfig.Epoch. Zero means 1ms.
+	// quantity as runnerConfig.Epoch. Zero means 1ms.
 	Epoch simtime.Duration
 	// OuterEvery is how many inner epochs make one outer epoch — the
 	// only point where shards synchronize. Zero means 4.
@@ -117,12 +118,12 @@ func AutoShards(n int) int {
 }
 
 // shard is one independent shard group: a contiguous name-ordered
-// slice of the fleet behind its own Runner (worker pool, virtual
+// slice of the fleet behind its own runner (worker pool, virtual
 // clock, inner epoch loop, quarantine set).
 type shard struct {
 	index  int
 	fleet  *Fleet
-	runner *Runner
+	runner *runner
 
 	// dirty is set after the shard advances or one of its hosts is
 	// mutated, and cleared when Rollup refolds the shard. Atomic so
@@ -146,7 +147,7 @@ func (sh *shard) live() int {
 // ShardedRunner advances a fleet as S independent shard groups, each
 // with its own worker pool, virtual clock, and inner epoch loop,
 // synchronized only at a coarse outer epoch (outer = OuterEvery inner
-// epochs). Within a shard the existing Runner provides the exact
+// epochs). Within a shard the existing runner provides the exact
 // single-barrier semantics; across shards only the outer barrier is
 // shared, so shard i never waits on shard j's stragglers between
 // inner epochs.
@@ -160,11 +161,11 @@ func (sh *shard) live() int {
 // name-ordered partition, which makes last-write-wins gauge folds
 // byte-identical to the unsharded name-ordered fold.
 //
-// Like Runner, a ShardedRunner is not safe for concurrent RunFor
+// Like runner, a ShardedRunner is not safe for concurrent RunFor
 // calls. Rollup and MarkDirty are safe to call concurrently with a
 // running RunFor (they are what the lock-free scrape routes use);
 // Stats, Now, and Failed read quarantine maps and so need the same
-// external serialization against RunFor as Runner's accessors — the
+// external serialization against RunFor as runner's accessors — the
 // HTTP layer's read lock provides it.
 type ShardedRunner struct {
 	fleet      *Fleet
@@ -195,9 +196,9 @@ type ShardedRunner struct {
 }
 
 // NewShardedRunner partitions the fleet's name-sorted hosts into
-// contiguous shard groups and builds one Runner per shard. Hosts
+// contiguous shard groups and builds one runner per shard. Hosts
 // added to the fleet afterwards are not picked up; build the sharded
-// runner last (the same contract as Runner's bus wiring).
+// runner last (the same contract as runner's bus wiring).
 func NewShardedRunner(f *Fleet, cfg ShardConfig) *ShardedRunner {
 	hosts := f.Hosts()
 	n := len(hosts)
@@ -249,7 +250,7 @@ func NewShardedRunner(f *Fleet, cfg ShardConfig) *ShardedRunner {
 		sh := &shard{
 			index: i,
 			fleet: sub,
-			runner: NewRunner(sub, RunnerConfig{
+			runner: newRunner(sub, runnerConfig{
 				Workers:      workers,
 				Epoch:        inner,
 				Registry:     reg,
@@ -305,7 +306,7 @@ func (sr *ShardedRunner) Failed() map[string]error {
 }
 
 // Quarantine fences a host out of its shard's epoch loop; the other
-// shards never notice. Same semantics as Runner.Quarantine.
+// shards never notice. Same semantics as runner.Quarantine.
 func (sr *ShardedRunner) Quarantine(name string, reason error) error {
 	sh := sr.shardOf[name]
 	if sh == nil {
@@ -335,6 +336,23 @@ func (sr *ShardedRunner) MarkDirty(name string) bool {
 	}
 	sh.dirty.Store(true)
 	return true
+}
+
+// Replace swaps the named host's session for sess (see Host.Replace)
+// and rewires the host into the engine: the new manager's events
+// forward into the fleet bus, and the host's shard refolds at the next
+// roll-up. The host keeps its shard; a restored clock behind the
+// shard's catches up at the next barrier.
+func (sr *ShardedRunner) Replace(name string, sess *snap.Session) error {
+	sh := sr.shardOf[name]
+	if sh == nil {
+		return fmt.Errorf("fleet: unknown host %q", name)
+	}
+	h := sh.fleet.Host(name)
+	h.Replace(sess)
+	h.Mgr.Obs().Tracer.Bus().ForwardTo(sr.bus, h.Name)
+	sh.dirty.Store(true)
+	return nil
 }
 
 // MarkAllDirty invalidates every shard's cached snapshot — the big

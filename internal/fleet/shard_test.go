@@ -31,11 +31,11 @@ func deterministicSnapshot(s obs.Snapshot) []byte {
 
 // TestShardedMatchesUnsharded: the sharded engine must be an
 // implementation detail — same per-host state hashes and same
-// (wall-clock-filtered) roll-up bytes as the single-barrier Runner
+// (wall-clock-filtered) roll-up bytes as the single-barrier runner
 // over the same fleet history.
 func TestShardedMatchesUnsharded(t *testing.T) {
 	plain := buildFleet(t, 6)
-	r := NewRunner(plain, RunnerConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
+	r := newRunner(plain, runnerConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
 	if _, err := r.RunFor(context.Background(), 4*simtime.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestShardedRollupCache(t *testing.T) {
 	}
 
 	// The cached fold must equal a from-scratch unsharded fold.
-	fresh := NewRunner(f, RunnerConfig{Workers: 1})
+	fresh := newRunner(f, runnerConfig{Workers: 1})
 	if a, b := deterministicSnapshot(fresh.Rollup()), deterministicSnapshot(r2); !bytes.Equal(a, b) {
 		t.Fatalf("cached sharded roll-up diverges from direct fold:\n%s\n%s", a, b)
 	}

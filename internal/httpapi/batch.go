@@ -6,22 +6,24 @@ import (
 	"net/http"
 
 	"repro/internal/fabric"
+	"repro/internal/fleet"
 	"repro/internal/snap"
 	"repro/internal/topology"
 )
 
 // Batched mutations and solver introspection.
 //
-// POST /api/v1/batch is the burst-shaped write path: a typed multi-op
-// envelope whose ops all land under one fabric batch, so the solver
-// settles exactly once for the whole group instead of once per op.
-// GET /api/v1/fabric/solver exposes the component solver's internals
+// POST /batch on a host is the burst-shaped write path: a typed
+// multi-op envelope whose ops all land under one fabric batch, so the
+// solver settles exactly once for the whole group instead of once per
+// op.
+// GET /fabric/solver exposes the host's component-solver internals
 // (partition shape, dirty-region accounting, batch coalescing, worker
-// utilization); the fleet server rolls the same stats up across hosts.
+// utilization); GET /fleet/fabric/solver rolls them up across hosts.
 
-// batchOpDTO is one op in a POST /api/v1/batch envelope. Op selects
-// the kind; the other fields are populated per op, mirroring the
-// journal's entry schema:
+// batchOpDTO is one op in a POST /batch envelope. Op selects the kind;
+// the other fields are populated per op, mirroring the journal's entry
+// schema:
 //
 //	admit        tenant, targets, avoid?
 //	evict        tenant
@@ -119,11 +121,7 @@ func expandBatchOp(op batchOpDTO) ([]snap.Entry, error) {
 // see the coalescing they paid for. Partial application — the first
 // failing op aborts the rest — comes back as 409 with the same result
 // array inside the error envelope's details.
-func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
-	if s.sess == nil {
-		writeErr(w, http.StatusNotFound, errNoSession)
-		return
-	}
+func postBatch(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
 	var req struct {
 		Ops []batchOpDTO `json:"ops"`
 	}
@@ -150,14 +148,14 @@ func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
 			owner = append(owner, i)
 		}
 	}
-	before := s.mgr.Fabric().SolverStats()
-	opResults, applyErr := s.sess.ApplyBatch(entries)
+	before := h.Mgr.Fabric().SolverStats()
+	opResults, applyErr := h.Sess.ApplyBatch(entries)
 	if opResults == nil {
 		// Structural rejection: nothing was applied or journaled.
 		writeErr(w, http.StatusBadRequest, applyErr)
 		return
 	}
-	settles := s.mgr.Fabric().SolverStats().Solves - before.Solves
+	settles := h.Mgr.Fabric().SolverStats().Solves - before.Solves
 	// Fold per-journal-op results back onto request ops: an expanded op
 	// is "ok" only if all its journal ops applied, "failed" if any
 	// failed, otherwise "skipped".
@@ -190,8 +188,8 @@ func (s *Server) postBatch(w http.ResponseWriter, r *http.Request) {
 // getSolver serves the fabric's component-solver snapshot. Write lock:
 // sizing the live partition walks the union-find with path
 // compression, which mutates finder state.
-func (s *Server) getSolver(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.mgr.Fabric().SolverStats())
+func getSolver(w http.ResponseWriter, _ *http.Request, h *fleet.Host) {
+	writeJSON(w, http.StatusOK, h.Mgr.Fabric().SolverStats())
 }
 
 // fleetSolverDTO is the fleet roll-up of per-host solver stats.
@@ -203,7 +201,7 @@ type fleetSolverDTO struct {
 }
 
 // getFleetSolver rolls per-host solver stats up across the fleet.
-func (s *FleetServer) getFleetSolver(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) getFleetSolver(w http.ResponseWriter, _ *http.Request) {
 	out := fleetSolverDTO{Hosts: make(map[string]fabric.SolverStats)}
 	for _, h := range s.fleet.Hosts() {
 		st := h.Mgr.Fabric().SolverStats()

@@ -16,7 +16,7 @@ type batchResponse struct {
 // multi-op envelope lands as one solver settle, and the solver
 // introspection endpoint reflects the batch.
 func TestBatchEndpointOneSettle(t *testing.T) {
-	_, ts := newSessionServer(t)
+	_, ts := newServer(t)
 	var out batchResponse
 	code := postJSON(t, ts.URL+"/api/v1/batch", `{"ops":[
 		{"op":"admit","tenant":"kv","targets":[{"src":"nic0","dst":"socket0.dimm0_0","rate_gbps":20}]},
@@ -59,7 +59,7 @@ func TestBatchEndpointOneSettle(t *testing.T) {
 // TestBatchEndpointMigrate checks the migrate op: evict + re-admit as
 // one request op, folded into one result.
 func TestBatchEndpointMigrate(t *testing.T) {
-	_, ts := newSessionServer(t)
+	_, ts := newServer(t)
 	if code := postJSON(t, ts.URL+"/api/v1/tenants",
 		`{"tenant":"kv","targets":[{"src":"nic0","dst":"socket0.dimm0_0","rate_gbps":40}]}`, nil); code != http.StatusCreated {
 		t.Fatalf("admit status %d", code)
@@ -91,7 +91,7 @@ func TestBatchEndpointMigrate(t *testing.T) {
 // TestBatchEndpointPartialFailure checks the 409 contract: the typed
 // envelope carries the per-op result array in details.
 func TestBatchEndpointPartialFailure(t *testing.T) {
-	_, ts := newSessionServer(t)
+	_, ts := newServer(t)
 	resp, err := http.Post(ts.URL+"/api/v1/batch", "application/json", strings.NewReader(`{"ops":[
 		{"op":"admit","tenant":"kv","targets":[{"src":"nic0","dst":"socket0.dimm0_0","rate_gbps":20}]},
 		{"op":"evict","tenant":"ghost"},
@@ -126,7 +126,7 @@ func TestBatchEndpointPartialFailure(t *testing.T) {
 // TestBatchEndpointValidation checks the 400 paths: unknown op, empty
 // envelope, malformed JSON.
 func TestBatchEndpointValidation(t *testing.T) {
-	_, ts := newSessionServer(t)
+	_, ts := newServer(t)
 	for _, body := range []string{
 		`{"ops":[{"op":"reboot"}]}`,
 		`{"ops":[]}`,
@@ -142,21 +142,6 @@ func TestBatchEndpointValidation(t *testing.T) {
 		}
 		decodeEnvelope(t, resp)
 	}
-}
-
-// TestBatchRequiresSession checks that a server without journaling
-// rejects batches with the envelope 404.
-func TestBatchRequiresSession(t *testing.T) {
-	_, ts := newServer(t)
-	resp, err := http.Post(ts.URL+"/api/v1/batch", "application/json",
-		strings.NewReader(`{"ops":[{"op":"evict","tenant":"kv"}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.StatusCode != http.StatusNotFound {
-		t.Fatalf("sessionless batch status %d, want 404", resp.StatusCode)
-	}
-	decodeEnvelope(t, resp)
 }
 
 // TestFleetSolverRollup checks the fleet roll-up endpoint aggregates

@@ -61,9 +61,9 @@ func TestKillRestartSingleHost(t *testing.T) {
 
 // TestKillRestartFleet kills a sharded synthetic fleet daemon mid-run
 // and asserts the fleet-wide fingerprint (every host's hash folded in
-// name order) survives the restart byte-identically. 8 hosts by
-// default; IHNET_STORE_SMOKE=1 runs the 1024-host version CI exercises
-// via `make store-smoke`.
+// name order) and a host's journal survive the restart
+// byte-identically. 8 hosts by default; IHNET_STORE_SMOKE=1 runs the
+// 1024-host version CI exercises via `make store-smoke`.
 func TestKillRestartFleet(t *testing.T) {
 	hosts := 8
 	if os.Getenv("IHNET_STORE_SMOKE") != "" {
@@ -81,10 +81,20 @@ func TestKillRestartFleet(t *testing.T) {
 	d.call(http.MethodPost, "/fleet/advance", map[string]any{"micros": 200}, nil, http.StatusOK)
 
 	before := d.stateHash("/fleet/state/hash")
+	// Per-host routes serve the fleet too: one host's journal must also
+	// come back byte-identical.
+	const probe = "/fleet/hosts/synth-00000/journal"
+	var journalBefore []byte
+	d.call(http.MethodGet, probe, nil, &rawBody{&journalBefore}, http.StatusOK)
 	d.kill()
 
 	d2 := startDaemon(t, "", args...)
 	after := d2.stateHash("/fleet/state/hash")
+	var journalAfter []byte
+	d2.call(http.MethodGet, probe, nil, &rawBody{&journalAfter}, http.StatusOK)
+	if string(journalBefore) != string(journalAfter) {
+		t.Fatalf("host journal bytes diverged across kill/restart (%d vs %d bytes)", len(journalBefore), len(journalAfter))
+	}
 	if before["fleet_hash"] != after["fleet_hash"] {
 		// Narrow the report to the first divergent host.
 		bh, _ := before["host_hashes"].(map[string]any)

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -17,6 +18,13 @@ import (
 // sequentially against one daemon, so earlier mutations set up later
 // assertions. "${TOKEN}" in a header value is replaced by the bearer
 // token of the daemon under test.
+//
+// Every spec runs in both boot modes: a single-host daemon, and a
+// fleet of the repository's hosts/ specs. In fleet mode a request's /api/v1/X path
+// becomes /api/v1/fleet/hosts/<first host>/X — the same host-table
+// route, addressed by host — unless the case names its fleet-mode path
+// explicitly (fleet_path: fleet-wide routes and their one-host
+// aliases).
 
 type specFile struct {
 	// Flags are extra ihnetd flags for this spec's daemon.
@@ -28,11 +36,14 @@ type specFile struct {
 }
 
 type specCase struct {
-	Name    string            `json:"name"`
-	Method  string            `json:"method"`
-	Path    string            `json:"path"` // absolute: includes /api/v1 where wanted
-	Body    json.RawMessage   `json:"body,omitempty"`
-	Headers map[string]string `json:"headers,omitempty"`
+	Name   string `json:"name"`
+	Method string `json:"method"`
+	Path   string `json:"path"` // absolute: includes /api/v1 where wanted
+	// FleetPath, when set, is the path used against the fleet daemon
+	// instead of the per-host rewrite of Path.
+	FleetPath string            `json:"fleet_path,omitempty"`
+	Body      json.RawMessage   `json:"body,omitempty"`
+	Headers   map[string]string `json:"headers,omitempty"`
 	// NoToken suppresses the daemon's bearer token for this request —
 	// the unauthenticated probe against an authed daemon.
 	NoToken    bool `json:"no_token,omitempty"`
@@ -54,12 +65,13 @@ func TestSpecs(t *testing.T) {
 	for _, path := range specs {
 		path := path
 		t.Run(strings.TrimSuffix(filepath.Base(path), ".json"), func(t *testing.T) {
-			runSpec(t, path)
+			t.Run("one-host", func(t *testing.T) { runSpec(t, path, false) })
+			t.Run("fleet", func(t *testing.T) { runSpec(t, path, true) })
 		})
 	}
 }
 
-func runSpec(t *testing.T, path string) {
+func runSpec(t *testing.T, path string, fleetMode bool) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
@@ -70,6 +82,9 @@ func runSpec(t *testing.T, path string) {
 	}
 	token := ""
 	flags := append([]string{"-autoadvance=0"}, spec.Flags...)
+	if fleetMode {
+		flags = append(flags, "-hosts-dir", filepath.Join("..", "..", "..", "hosts"))
+	}
 	if spec.Auth {
 		token = "spec-harness-token"
 		tf := filepath.Join(t.TempDir(), "token")
@@ -79,6 +94,14 @@ func runSpec(t *testing.T, path string) {
 		flags = append(flags, "-auth-token-file", tf, "-auth-loopback=false")
 	}
 	d := startDaemon(t, token, flags...)
+	hostPrefix := ""
+	if fleetMode {
+		var hosts []struct {
+			Name string `json:"name"`
+		}
+		d.call(http.MethodGet, "/fleet/hosts", nil, &hosts, http.StatusOK)
+		hostPrefix = "/api/v1/fleet/hosts/" + hosts[0].Name
+	}
 
 	for i, c := range spec.Requests {
 		name := c.Name
@@ -93,7 +116,15 @@ func runSpec(t *testing.T, path string) {
 		for k, v := range c.Headers {
 			headers[k] = strings.ReplaceAll(v, "${TOKEN}", token)
 		}
-		resp, err := d.do(c.Method, c.Path, c.Body, headers)
+		reqPath := c.Path
+		if fleetMode {
+			if c.FleetPath != "" {
+				reqPath = c.FleetPath
+			} else if rest, ok := strings.CutPrefix(c.Path, "/api/v1"); ok {
+				reqPath = hostPrefix + rest
+			}
+		}
+		resp, err := d.do(c.Method, reqPath, c.Body, headers)
 		d.token = saved
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)

@@ -124,10 +124,10 @@ const (
 	lockWrite
 )
 
-// route is one row of a server's v1 route table. Pattern is the path
-// below APIPrefix (net/http ServeMux syntax, wildcards included); the
-// table is the single source of truth for Handler construction, the
-// completeness tests, and the README's API table.
+// route is one row of the server's v1 route table. Pattern is the
+// path below APIPrefix (net/http ServeMux syntax, wildcards included);
+// the table is the single source of truth for Handler construction,
+// the completeness tests, and the README's API table.
 type route struct {
 	Method  string
 	Pattern string
@@ -146,14 +146,14 @@ const (
 	// DefaultBodyCap bounds every request body: no command document
 	// comes close to 1 MB.
 	DefaultBodyCap = 1 << 20
-	// RestoreBodyCap is the documented larger cap for POST /restore,
+	// RestoreBodyCap is the documented larger cap for the restore route,
 	// whose body is a full snapshot (state export plus journal).
 	RestoreBodyCap = 64 << 20
 )
 
 // bodyCap returns the body limit for a route pattern.
 func bodyCap(pattern string) int64 {
-	if pattern == "/restore" {
+	if strings.HasSuffix(pattern, "/restore") {
 		return RestoreBodyCap
 	}
 	return DefaultBodyCap
@@ -161,8 +161,8 @@ func bodyCap(pattern string) int64 {
 
 // mountRoutes registers the table on mux under APIPrefix, wrapping
 // each handler in the route's body cap and the requested lock via
-// wrap, and installs the legacy /api/... 308 redirects plus
-// envelope-speaking 404s for everything else.
+// wrap, and answers every other path with the envelope 404 instead of
+// net/http's plain-text one.
 func mountRoutes(mux *http.ServeMux, routes []route, wrap func(lockMode, http.HandlerFunc) http.HandlerFunc) {
 	for _, rt := range routes {
 		h := wrap(rt.Lock, rt.Handler)
@@ -174,28 +174,7 @@ func mountRoutes(mux *http.ServeMux, routes []route, wrap func(lockMode, http.Ha
 			h(w, r)
 		})
 	}
-	mux.HandleFunc("/api/", legacyRedirect)
 	mux.HandleFunc("/", notFound)
-}
-
-// legacyRedirect preserves the pre-v1 surface: any /api/... path that
-// is not under /api/v1/ permanently redirects (308, method and body
-// preserved) to its /api/v1/... successor. Unknown /api/v1/ paths get
-// the envelope 404 instead of net/http's plain-text one. The legacy
-// paths are deprecated; see DESIGN.md for the removal window.
-func legacyRedirect(w http.ResponseWriter, r *http.Request) {
-	p := r.URL.Path
-	if p == APIPrefix || strings.HasPrefix(p, APIPrefix+"/") {
-		notFound(w, r)
-		return
-	}
-	target := APIPrefix + strings.TrimPrefix(p, "/api")
-	if q := r.URL.RawQuery; q != "" {
-		target += "?" + q
-	}
-	w.Header().Set("Deprecation", "true")
-	w.Header().Set("Link", "<"+target+">; rel=\"successor-version\"")
-	http.Redirect(w, r, target, http.StatusPermanentRedirect)
 }
 
 func notFound(w http.ResponseWriter, r *http.Request) {

@@ -18,7 +18,7 @@ import (
 
 // newFleetServer boots a two-host recording fleet behind the fleet
 // control plane.
-func newFleetServer(t *testing.T) (*FleetServer, *httptest.Server) {
+func newFleetServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
 	f := fleet.New()
 	for i, name := range []string{"box-a", "box-b"} {
@@ -32,10 +32,7 @@ func newFleetServer(t *testing.T) (*FleetServer, *httptest.Server) {
 			t.Fatal(err)
 		}
 	}
-	s := NewFleetServer(f, fleet.ShardConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
+	return serve(t, f, fleet.ShardConfig{Workers: 4, Epoch: 500 * simtime.Microsecond})
 }
 
 // TestFleetLifecycleOverHTTP walks the fleet API end to end: place,
@@ -191,6 +188,10 @@ func TestFleetErrorsSpeakEnvelope(t *testing.T) {
 		{"POST", "/api/v1/fleet/tenants/ghost/migrate", `{"host":"box-b"}`, http.StatusConflict, CodeConflict},
 		{"POST", "/api/v1/fleet/hosts/nope/snapshot", "", http.StatusNotFound, CodeNotFound},
 		{"GET", "/api/v1/fleet/hosts/nope/journal", "", http.StatusNotFound, CodeNotFound},
+		{"GET", "/api/v1/fleet/hosts/nope/topology", "", http.StatusNotFound, CodeNotFound},
+		// Two hosts: the one-host aliases are not mounted.
+		{"GET", "/api/v1/topology", "", http.StatusNotFound, CodeNotFound},
+		{"POST", "/api/v1/advance", `{"micros":100}`, http.StatusNotFound, CodeNotFound},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
@@ -228,19 +229,6 @@ func TestFleetCanceledAdvanceGets499(t *testing.T) {
 		if now := host.Mgr.Engine().Now(); now != 0 {
 			t.Fatalf("host %s advanced to %v on a canceled request", host.Name, now)
 		}
-	}
-}
-
-// TestFleetLegacyRedirect: the fleet surface inherits the same 308
-// compatibility layer.
-func TestFleetLegacyRedirect(t *testing.T) {
-	_, ts := newFleetServer(t)
-	var hosts []any
-	if code := getJSON(t, ts.URL+"/api/fleet/hosts", &hosts); code != http.StatusOK {
-		t.Fatalf("legacy fleet path resolved with %d", code)
-	}
-	if len(hosts) != 2 {
-		t.Fatalf("legacy fleet path returned %d hosts", len(hosts))
 	}
 }
 

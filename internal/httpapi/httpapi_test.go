@@ -8,21 +8,35 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 	"repro/internal/topology"
 )
 
+// newServer boots a one-host recording fleet (the two-socket preset,
+// named after its topology) behind the control plane — the shape of a
+// single-host daemon.
 func newServer(t *testing.T) (*Server, *httptest.Server) {
 	t.Helper()
-	opts := core.DefaultOptions()
-	mgr, err := core.New(topology.TwoSocketServer(), opts)
+	sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: core.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := mgr.Start(); err != nil {
+	f := fleet.New()
+	if _, err := f.AddSession("two-socket", sess); err != nil {
 		t.Fatal(err)
 	}
-	s := New(mgr)
+	return serve(t, f, fleet.ShardConfig{})
+}
+
+// serve builds the control plane over f and serves it for the test.
+func serve(t *testing.T, f *fleet.Fleet, cfg fleet.ShardConfig) (*Server, *httptest.Server) {
+	t.Helper()
+	s, err := New(f, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close)
 	return s, ts
@@ -50,7 +64,7 @@ func TestTopologyEndpoint(t *testing.T) {
 		Components []any  `json:"components"`
 		Links      []any  `json:"links"`
 	}
-	if code := getJSON(t, ts.URL+"/api/topology", &topo); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/topology", &topo); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if topo.Name != "two-socket" || len(topo.Components) != 29 || len(topo.Links) != 58 {
@@ -61,7 +75,7 @@ func TestTopologyEndpoint(t *testing.T) {
 func TestAdvanceAndReport(t *testing.T) {
 	_, ts := newServer(t)
 	body := strings.NewReader(`{"micros": 1000}`)
-	resp, err := http.Post(ts.URL+"/api/advance", "application/json", body)
+	resp, err := http.Post(ts.URL+"/api/v1/advance", "application/json", body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,7 +89,7 @@ func TestAdvanceAndReport(t *testing.T) {
 		VirtualTimeNs int64 `json:"virtual_time_ns"`
 		Links         []any `json:"links"`
 	}
-	if code := getJSON(t, ts.URL+"/api/report", &rep); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/report", &rep); code != 200 {
 		t.Fatalf("report status %d", code)
 	}
 	if rep.VirtualTimeNs == 0 || len(rep.Links) != 58 {
@@ -83,7 +97,7 @@ func TestAdvanceAndReport(t *testing.T) {
 	}
 	// Bad advance payloads.
 	for _, payload := range []string{`{"micros": 0}`, `{"micros": 99999999999}`, `{`} {
-		resp, err := http.Post(ts.URL+"/api/advance", "application/json", strings.NewReader(payload))
+		resp, err := http.Post(ts.URL+"/api/v1/advance", "application/json", strings.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -97,7 +111,7 @@ func TestAdvanceAndReport(t *testing.T) {
 func TestTenantLifecycleOverHTTP(t *testing.T) {
 	_, ts := newServer(t)
 	body := `{"tenant":"kv","targets":[{"src":"nic0","dst":"memory:socket0","rate_gbps":80}]}`
-	resp, err := http.Post(ts.URL+"/api/tenants", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/api/v1/tenants", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,18 +131,18 @@ func TestTenantLifecycleOverHTTP(t *testing.T) {
 	var tenants []struct {
 		ID string `json:"id"`
 	}
-	getJSON(t, ts.URL+"/api/tenants", &tenants)
+	getJSON(t, ts.URL+"/api/v1/tenants", &tenants)
 	if len(tenants) != 1 || tenants[0].ID != "kv" {
 		t.Fatalf("tenants: %+v", tenants)
 	}
 	// Duplicate admission conflicts.
-	resp, _ = http.Post(ts.URL+"/api/tenants", "application/json", strings.NewReader(body))
+	resp, _ = http.Post(ts.URL+"/api/v1/tenants", "application/json", strings.NewReader(body))
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("duplicate admit status %d", resp.StatusCode)
 	}
 	// Evict.
-	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/tenants/kv", nil)
+	req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/api/v1/tenants/kv", nil)
 	resp, err = http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +161,7 @@ func TestTenantLifecycleOverHTTP(t *testing.T) {
 func TestAdmitRejectedOverHTTP(t *testing.T) {
 	_, ts := newServer(t)
 	body := `{"tenant":"greedy","targets":[{"src":"gpu0","dst":"nic0","rate_gbps":9999}]}`
-	resp, err := http.Post(ts.URL+"/api/tenants", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/api/v1/tenants", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,13 +180,13 @@ func TestPingAndTraceEndpoints(t *testing.T) {
 		Lost  int   `json:"lost"`
 		AvgNs int64 `json:"avg_ns"`
 	}
-	if code := getJSON(t, ts.URL+"/api/diag/ping?src=gpu0&dst=nic0", &ping); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/diag/ping?src=gpu0&dst=nic0", &ping); code != 200 {
 		t.Fatalf("ping status %d", code)
 	}
 	if ping.Sent != 10 || ping.Lost != 0 || ping.AvgNs <= 0 {
 		t.Fatalf("ping: %+v", ping)
 	}
-	if code := getJSON(t, ts.URL+"/api/diag/ping?src=gpu0&dst=nowhere", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/api/v1/diag/ping?src=gpu0&dst=nowhere", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad ping status %d", code)
 	}
 	var trace struct {
@@ -182,7 +196,7 @@ func TestPingAndTraceEndpoints(t *testing.T) {
 			RTTNs int64  `json:"rtt_ns"`
 		} `json:"hops"`
 	}
-	if code := getJSON(t, ts.URL+"/api/diag/trace?src=gpu0&dst=socket0.dimm0_0", &trace); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/diag/trace?src=gpu0&dst=socket0.dimm0_0", &trace); code != 200 {
 		t.Fatalf("trace status %d", code)
 	}
 	if len(trace.Hops) == 0 || trace.Path == "" {
@@ -194,7 +208,7 @@ func TestPerfVerifyAndUsageEndpoints(t *testing.T) {
 	_, ts := newServer(t)
 	// Admit a tenant first.
 	body := `{"tenant":"kv","targets":[{"src":"nic0","dst":"memory:socket0","rate_gbps":80}]}`
-	resp, err := http.Post(ts.URL+"/api/tenants", "application/json", strings.NewReader(body))
+	resp, err := http.Post(ts.URL+"/api/v1/tenants", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,39 +220,39 @@ func TestPerfVerifyAndUsageEndpoints(t *testing.T) {
 		AchievedBps float64 `json:"achieved_bps"`
 		Bottleneck  string  `json:"bottleneck"`
 	}
-	if code := getJSON(t, ts.URL+"/api/diag/perf?src=gpu0&dst=nic1", &perf); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/diag/perf?src=gpu0&dst=nic1", &perf); code != 200 {
 		t.Fatalf("perf status %d", code)
 	}
 	if perf.AchievedBps <= 0 || perf.Bottleneck == "" {
 		t.Fatalf("perf: %+v", perf)
 	}
-	if code := getJSON(t, ts.URL+"/api/diag/perf?src=gpu0&dst=nowhere", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/api/v1/diag/perf?src=gpu0&dst=nowhere", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad perf status %d", code)
 	}
 	var vs []struct {
 		Met         bool    `json:"met"`
 		AchievedBps float64 `json:"achieved_bps"`
 	}
-	if code := getJSON(t, ts.URL+"/api/tenants/kv/verify", &vs); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/tenants/kv/verify", &vs); code != 200 {
 		t.Fatalf("verify status %d", code)
 	}
 	if len(vs) != 1 || !vs[0].Met {
 		t.Fatalf("verify: %+v", vs)
 	}
-	if code := getJSON(t, ts.URL+"/api/tenants/ghost/verify", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/api/v1/tenants/ghost/verify", nil); code != http.StatusNotFound {
 		t.Fatalf("ghost verify status %d", code)
 	}
 	var usage []struct {
 		Link         string  `json:"link"`
 		AllocatedBps float64 `json:"allocated_bps"`
 	}
-	if code := getJSON(t, ts.URL+"/api/tenants/kv/usage", &usage); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/tenants/kv/usage", &usage); code != 200 {
 		t.Fatalf("usage status %d", code)
 	}
 	if len(usage) == 0 || usage[0].AllocatedBps != 10e9 {
 		t.Fatalf("usage: %+v", usage)
 	}
-	if code := getJSON(t, ts.URL+"/api/tenants/ghost/usage", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/api/v1/tenants/ghost/usage", nil); code != http.StatusNotFound {
 		t.Fatalf("ghost usage status %d", code)
 	}
 }
@@ -248,7 +262,7 @@ func TestDetectionsEndpoint(t *testing.T) {
 	// Calibrate, then break a link and let heartbeats find it.
 	s.Advance(2 * simtime.Millisecond)
 	s.mu.Lock()
-	_ = s.mgr.Fabric().FailLink("pcieswitch0->nic0")
+	_ = s.only.Mgr.Fabric().FailLink("pcieswitch0->nic0")
 	s.mu.Unlock()
 	s.Advance(2 * simtime.Millisecond)
 	var dets []struct {
@@ -258,7 +272,7 @@ func TestDetectionsEndpoint(t *testing.T) {
 			Link string `json:"link"`
 		} `json:"suspects"`
 	}
-	if code := getJSON(t, ts.URL+"/api/detections", &dets); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/detections", &dets); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(dets) == 0 {
@@ -272,13 +286,13 @@ func TestDetectionsEndpoint(t *testing.T) {
 func TestAlertsEndpoint(t *testing.T) {
 	s, ts := newServer(t)
 	s.mu.Lock()
-	s.mgr.Topology().Component("socket0.llc").SetConfig(topology.ConfigDDIO, "off")
+	s.only.Mgr.Topology().Component("socket0.llc").SetConfig(topology.ConfigDDIO, "off")
 	s.mu.Unlock()
 	s.Advance(simtime.Millisecond)
 	var alerts []struct {
 		Kind string `json:"Kind"`
 	}
-	if code := getJSON(t, ts.URL+"/api/alerts", &alerts); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/alerts", &alerts); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	found := false
@@ -303,7 +317,7 @@ func TestTelemetryEndpoint(t *testing.T) {
 		} `json:"points"`
 		PointsPerSecond float64 `json:"points_per_second"`
 	}
-	if code := getJSON(t, ts.URL+"/api/telemetry?metric=util", &out); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/telemetry?metric=util", &out); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(out.Points) == 0 || out.PointsPerSecond <= 0 {
@@ -321,13 +335,13 @@ func TestTelemetryEndpoint(t *testing.T) {
 			Link string `json:"link"`
 		} `json:"points"`
 	}
-	getJSON(t, ts.URL+"/api/telemetry?link="+link, &filtered)
+	getJSON(t, ts.URL+"/api/v1/telemetry?link="+link, &filtered)
 	for _, p := range filtered.Points {
 		if p.Link != link {
 			t.Fatalf("link filter leaked %q", p.Link)
 		}
 	}
-	if code := getJSON(t, ts.URL+"/api/telemetry?since_ns=bogus", nil); code != http.StatusBadRequest {
+	if code := getJSON(t, ts.URL+"/api/v1/telemetry?since_ns=bogus", nil); code != http.StatusBadRequest {
 		t.Fatalf("bad since status %d", code)
 	}
 }
@@ -339,13 +353,13 @@ func TestExperimentEndpoint(t *testing.T) {
 		Rows     [][]string `json:"rows"`
 		Rendered string     `json:"rendered"`
 	}
-	if code := getJSON(t, ts.URL+"/api/experiments/e1", &exp); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/experiments/e1", &exp); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if exp.ID != "E1" || len(exp.Rows) != 5 || exp.Rendered == "" {
 		t.Fatalf("experiment: %+v", exp)
 	}
-	if code := getJSON(t, ts.URL+"/api/experiments/e99", nil); code != http.StatusNotFound {
+	if code := getJSON(t, ts.URL+"/api/v1/experiments/e99", nil); code != http.StatusNotFound {
 		t.Fatalf("unknown experiment status %d", code)
 	}
 }

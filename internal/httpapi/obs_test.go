@@ -78,7 +78,7 @@ func TestTraceEventsEndpoint(t *testing.T) {
 		Total   uint64 `json:"total"`
 		Dropped uint64 `json:"dropped"`
 	}
-	if code := getJSON(t, ts.URL+"/api/trace/events", &out); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/trace/events", &out); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if len(out.Events) == 0 || out.Total == 0 {
@@ -95,7 +95,7 @@ func TestTraceEventsEndpoint(t *testing.T) {
 			Kind string `json:"kind"`
 		} `json:"events"`
 	}
-	if code := getJSON(t, ts.URL+"/api/trace/events?kind=heartbeat&limit=3", &hb); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/trace/events?kind=heartbeat&limit=3", &hb); code != 200 {
 		t.Fatalf("filtered status %d", code)
 	}
 	if len(hb.Events) == 0 || len(hb.Events) > 3 {
@@ -106,7 +106,7 @@ func TestTraceEventsEndpoint(t *testing.T) {
 			t.Errorf("kind filter leaked %q", ev.Kind)
 		}
 	}
-	if code := getJSON(t, ts.URL+"/api/trace/events?kind=bogus", nil); code != 400 {
+	if code := getJSON(t, ts.URL+"/api/v1/trace/events?kind=bogus", nil); code != 400 {
 		t.Errorf("bogus kind: status %d, want 400", code)
 	}
 }
@@ -122,7 +122,7 @@ func TestHealthzEndpoint(t *testing.T) {
 		MetricCount   int     `json:"metric_count"`
 		TraceEvents   uint64  `json:"trace_events"`
 	}
-	if code := getJSON(t, ts.URL+"/api/healthz", &out); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/healthz", &out); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if out.Status != "ok" || out.GoVersion == "" {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/fleet"
 	"repro/internal/remedy"
 	"repro/internal/simtime"
 )
@@ -38,57 +39,46 @@ func remedyStatus(c *remedy.Controller) remedyStatusDTO {
 	}
 }
 
-// SetRemedy wires a remediation controller into the server: the status
-// and policy endpoints come alive, Advance steps the control loop, and
-// healthz gains the remedy subsystem. Call before serving traffic.
-func (s *Server) SetRemedy(c *remedy.Controller) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rem = c
-}
-
-// Remedy returns the wired controller (nil when disabled).
-func (s *Server) Remedy() *remedy.Controller {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rem
-}
-
-func (s *Server) getRemedyStatus(w http.ResponseWriter, _ *http.Request) {
+// hostController returns the host's remediation controller, writing
+// the 404 envelope when remediation is off.
+func (s *Server) hostController(w http.ResponseWriter, name string) *remedy.Controller {
 	if s.rem == nil {
 		writeErr(w, http.StatusNotFound, errNoRemedy)
-		return
+		return nil
 	}
-	writeJSON(w, http.StatusOK, remedyStatus(s.rem))
+	return s.rem.Controller(name)
 }
 
-func (s *Server) getRemedyPolicy(w http.ResponseWriter, _ *http.Request) {
-	if s.rem == nil {
-		writeErr(w, http.StatusNotFound, errNoRemedy)
-		return
+func (s *Server) getRemedyStatus(w http.ResponseWriter, _ *http.Request, h *fleet.Host) {
+	if c := s.hostController(w, h.Name); c != nil {
+		writeJSON(w, http.StatusOK, remedyStatus(c))
 	}
-	writeJSON(w, http.StatusOK, s.rem.Policy())
 }
 
-// putRemedyPolicy swaps the rule table. Policies are out-of-band
-// configuration — the controller never runs during replay — so the
-// swap is not journaled; it still takes the write lock because the
-// next Step reads it.
-func (s *Server) putRemedyPolicy(w http.ResponseWriter, r *http.Request) {
-	if s.rem == nil {
-		writeErr(w, http.StatusNotFound, errNoRemedy)
+func (s *Server) getRemedyPolicy(w http.ResponseWriter, _ *http.Request, h *fleet.Host) {
+	if c := s.hostController(w, h.Name); c != nil {
+		writeJSON(w, http.StatusOK, c.Policy())
+	}
+}
+
+// putRemedyPolicy swaps the host's rule table. Policies are
+// out-of-band configuration — the controller never runs during replay
+// — so the swap is not journaled; it still takes the write lock
+// because the next Step reads it.
+func (s *Server) putRemedyPolicy(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
+	c := s.hostController(w, h.Name)
+	if c == nil {
 		return
 	}
 	p, err := parsePolicyBody(r.Body)
+	if err == nil {
+		err = c.SetPolicy(*p)
+	}
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.rem.SetPolicy(*p); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.rem.Policy())
+	writeJSON(w, http.StatusOK, c.Policy())
 }
 
 // fleetRemedyStatusDTO aggregates the per-host controllers with a
@@ -103,22 +93,7 @@ type fleetRemedyStatusDTO struct {
 	Hosts     map[string]remedyStatusDTO `json:"hosts"`
 }
 
-// SetRemedy wires a fleet remediation controller: per-host controllers
-// stepped between epoch barriers by Advance.
-func (s *FleetServer) SetRemedy(fc *remedy.FleetController) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.rem = fc
-}
-
-// Remedy returns the wired fleet controller (nil when disabled).
-func (s *FleetServer) Remedy() *remedy.FleetController {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.rem
-}
-
-func (s *FleetServer) getFleetRemedyStatus(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) getFleetRemedyStatus(w http.ResponseWriter, _ *http.Request) {
 	if s.rem == nil {
 		writeErr(w, http.StatusNotFound, errNoRemedy)
 		return
@@ -142,7 +117,7 @@ func (s *FleetServer) getFleetRemedyStatus(w http.ResponseWriter, _ *http.Reques
 	writeJSON(w, http.StatusOK, out)
 }
 
-func (s *FleetServer) getFleetRemedyPolicy(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) getFleetRemedyPolicy(w http.ResponseWriter, _ *http.Request) {
 	if s.rem == nil {
 		writeErr(w, http.StatusNotFound, errNoRemedy)
 		return
@@ -150,17 +125,16 @@ func (s *FleetServer) getFleetRemedyPolicy(w http.ResponseWriter, _ *http.Reques
 	writeJSON(w, http.StatusOK, s.rem.Policy())
 }
 
-func (s *FleetServer) putFleetRemedyPolicy(w http.ResponseWriter, r *http.Request) {
+func (s *Server) putFleetRemedyPolicy(w http.ResponseWriter, r *http.Request) {
 	if s.rem == nil {
 		writeErr(w, http.StatusNotFound, errNoRemedy)
 		return
 	}
 	p, err := parsePolicyBody(r.Body)
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	if err == nil {
+		err = s.rem.SetPolicy(*p)
 	}
-	if err := s.rem.SetPolicy(*p); err != nil {
+	if err != nil {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}

@@ -11,8 +11,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/remedy"
 	"repro/internal/simtime"
-	"repro/internal/snap"
-	"repro/internal/topology"
 )
 
 // putJSON issues a PUT with a JSON body and decodes the response.
@@ -34,6 +32,20 @@ func putJSON(t *testing.T, url string, body string, out any) int {
 		}
 	}
 	return resp.StatusCode
+}
+
+// newRemedyServer is newServer with the remediation controllers armed
+// — on a one-host fleet, one controller without a fleet hook.
+func newRemedyServer(t *testing.T) (*Server, *httptest.Server) {
+	t.Helper()
+	s, ts := newServer(t)
+	fc, err := remedy.NewFleet(s.Fleet(), s.Runner(), remedy.DefaultPolicy())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(fc.Close)
+	s.SetRemedy(fc)
+	return s, ts
 }
 
 // TestRemedyEndpointsDisabled: without SetRemedy every remedy endpoint
@@ -69,23 +81,9 @@ func TestRemedyEndpointsDisabled(t *testing.T) {
 // is open and returns to ok once the loop heals it, with the repair
 // visible in /remedy/status.
 func TestRemedyStatusAndHealthz(t *testing.T) {
-	opts := core.DefaultOptions()
-	sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: opts})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithSession(sess)
-	ctrl, err := remedy.New(sess.Manager(), remedy.SessionActuator{Sess: sess},
-		remedy.Options{Policy: remedy.DefaultPolicy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	s.SetRemedy(ctrl)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-
-	acfg := opts.Anomaly
+	s, ts := newRemedyServer(t)
+	sess := s.only.Sess
+	acfg := core.DefaultOptions().Anomaly
 	s.Advance(simtime.Duration(acfg.CalibrationRounds+5) * acfg.Period)
 	if err := sess.DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
 		t.Fatal(err)
@@ -129,23 +127,8 @@ func TestRemedyStatusAndHealthz(t *testing.T) {
 // TestRemedyPolicyCRUD: read the default policy, replace it, reject a
 // bad table.
 func TestRemedyPolicyCRUD(t *testing.T) {
-	mgr, err := core.New(topology.TwoSocketServer(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := mgr.Start(); err != nil {
-		t.Fatal(err)
-	}
-	s := New(mgr)
-	ctrl, err := remedy.New(mgr, remedy.ManagerActuator{Mgr: mgr},
-		remedy.Options{Policy: remedy.DefaultPolicy()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ctrl.Close()
-	s.SetRemedy(ctrl)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
+	s, ts := newRemedyServer(t)
+	ctrl := s.rem.Controller("two-socket")
 
 	var pol remedy.Policy
 	if code := getJSON(t, ts.URL+"/api/v1/remedy/policy", &pol); code != 200 {

@@ -7,29 +7,18 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-
-	"repro/internal/core"
-	"repro/internal/fleet"
-	"repro/internal/topology"
 )
 
-// TestAllRoutesVersioned walks both route tables (single-host and
-// fleet) and asserts the v1 invariants: every JSON endpoint mounts
-// under /api/v1/, patterns are well-formed, and no method+path pair is
-// registered twice.
+// TestAllRoutesVersioned walks the mounted route tables of a one-host
+// and a two-host server and asserts the v1 invariants: every JSON
+// endpoint mounts under /api/v1/, patterns are well-formed, no
+// method+path pair is registered twice, and the one-host aliases
+// exist exactly when the fleet has one host.
 func TestAllRoutesVersioned(t *testing.T) {
-	mgr, err := core.New(topology.TwoSocketServer(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	tables := map[string][]route{
-		"host":  New(mgr).apiRoutes(),
-		"fleet": NewFleetServer(fleet.New(), fleet.ShardConfig{}).apiRoutes(),
-	}
-	for name, routes := range tables {
-		if len(routes) == 0 {
-			t.Fatalf("%s: empty route table", name)
-		}
+	one, _ := newServer(t)
+	two, _ := newFleetServer(t)
+	for name, s := range map[string]*Server{"one-host": one, "two-host": two} {
+		routes := s.apiRoutes()
 		seen := make(map[string]bool)
 		for _, rt := range routes {
 			if !strings.HasPrefix(rt.Path(), APIPrefix+"/") {
@@ -47,58 +36,33 @@ func TestAllRoutesVersioned(t *testing.T) {
 				t.Errorf("%s: route %s has no handler", name, key)
 			}
 		}
-	}
-}
-
-// TestLegacyRedirects hits the pre-v1 path of every wildcard-free
-// route with a non-following client and checks the 308 contract:
-// Location points at the /api/v1/ successor, the query survives, and
-// the deprecation headers are present.
-func TestLegacyRedirects(t *testing.T) {
-	s, ts := newServer(t)
-	noFollow := &http.Client{
-		CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse },
-	}
-	for _, rt := range s.apiRoutes() {
-		if strings.Contains(rt.Pattern, "{") {
-			continue
+		for _, hr := range s.hostRoutes() {
+			if !seen[hr.Method+" "+hostPrefix+hr.Pattern] {
+				t.Errorf("%s: host route %s %s not mounted under %s", name, hr.Method, hr.Pattern, hostPrefix)
+			}
+			if alias := seen[hr.Method+" "+hr.Pattern]; alias != (s == one) {
+				t.Errorf("%s: alias %s %s mounted=%v", name, hr.Method, hr.Pattern, alias)
+			}
 		}
-		legacy := "/api" + rt.Pattern + "?probe=1"
-		req, err := http.NewRequest(rt.Method, ts.URL+legacy, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := noFollow.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusPermanentRedirect {
-			t.Errorf("%s %s: status %d, want 308", rt.Method, legacy, resp.StatusCode)
-			continue
-		}
-		want := rt.Path() + "?probe=1"
-		if loc := resp.Header.Get("Location"); loc != want {
-			t.Errorf("%s %s: Location %q, want %q", rt.Method, legacy, loc, want)
-		}
-		if resp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: missing Deprecation header", rt.Method, legacy)
+		if alias := seen["POST /advance"]; alias != (s == one) {
+			t.Errorf("%s: advance alias mounted=%v", name, alias)
 		}
 	}
 }
 
-// TestLegacyRedirectResolves follows a legacy path end-to-end: the
-// default client traverses the 308 and lands on the live v1 handler.
-func TestLegacyRedirectResolves(t *testing.T) {
+// TestLegacyPathIs404: the pre-v1 /api/... surface is gone; its paths
+// get the envelope 404 like any other unknown endpoint.
+func TestLegacyPathIs404(t *testing.T) {
 	_, ts := newServer(t)
-	var topo struct {
-		Name string `json:"name"`
+	resp, err := http.Get(ts.URL + "/api/topology")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := getJSON(t, ts.URL+"/api/topology", &topo); code != http.StatusOK {
-		t.Fatalf("legacy /api/topology resolved with %d", code)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("legacy /api/topology: status %d, want 404", resp.StatusCode)
 	}
-	if topo.Name == "" {
-		t.Fatal("legacy redirect lost the response body")
+	if detail := decodeEnvelope(t, resp); detail.Code != CodeNotFound {
+		t.Fatalf("legacy /api/topology: code %q, want %q", detail.Code, CodeNotFound)
 	}
 }
 
@@ -127,7 +91,7 @@ func TestErrorEnvelope(t *testing.T) {
 		{"POST", "/api/v1/advance", `{"micros":-5}`, http.StatusBadRequest, CodeBadRequest},
 		{"GET", "/api/v1/tenants/ghost/verify", "", http.StatusNotFound, CodeNotFound},
 		{"DELETE", "/api/v1/tenants/ghost", "", http.StatusNotFound, CodeNotFound},
-		{"POST", "/api/v1/snapshot", "", http.StatusNotFound, CodeNotFound}, // no session
+		{"GET", "/api/v1/fleet/hosts/nope/report", "", http.StatusNotFound, CodeNotFound},
 		{"GET", "/api/v1/no-such-endpoint", "", http.StatusNotFound, CodeNotFound},
 		{"GET", "/definitely-not-api", "", http.StatusNotFound, CodeNotFound},
 	}

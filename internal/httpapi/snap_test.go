@@ -5,25 +5,14 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/snap"
+	"repro/internal/topology"
 )
-
-func newSessionServer(t *testing.T) (*Server, *httptest.Server) {
-	t.Helper()
-	sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: core.DefaultOptions()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := NewWithSession(sess)
-	ts := httptest.NewServer(s.Handler())
-	t.Cleanup(ts.Close)
-	return s, ts
-}
 
 func postJSON(t *testing.T, url, body string, out any) int {
 	t.Helper()
@@ -44,17 +33,17 @@ func postJSON(t *testing.T, url, body string, out any) int {
 // advance, checkpoint, keep going, then roll back to the checkpoint
 // and confirm the server is serving the earlier state.
 func TestSnapshotRestoreOverHTTP(t *testing.T) {
-	_, ts := newSessionServer(t)
+	_, ts := newServer(t)
 
-	if code := postJSON(t, ts.URL+"/api/tenants",
+	if code := postJSON(t, ts.URL+"/api/v1/tenants",
 		`{"tenant":"kv","targets":[{"src":"nic0","dst":"socket0.dimm0_0","rate_gbps":40}]}`, nil); code != 201 {
 		t.Fatalf("admit status %d", code)
 	}
-	if code := postJSON(t, ts.URL+"/api/advance", `{"micros":500}`, nil); code != 200 {
+	if code := postJSON(t, ts.URL+"/api/v1/advance", `{"micros":500}`, nil); code != 200 {
 		t.Fatalf("advance status %d", code)
 	}
 
-	resp, err := http.Post(ts.URL+"/api/snapshot", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/api/v1/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +59,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	checkpointNs := p.VirtualTimeNs
 
 	// Move past the checkpoint, then restore back to it.
-	if code := postJSON(t, ts.URL+"/api/advance", `{"micros":700}`, nil); code != 200 {
+	if code := postJSON(t, ts.URL+"/api/v1/advance", `{"micros":700}`, nil); code != 200 {
 		t.Fatal("advance failed")
 	}
 	var restored struct {
@@ -78,7 +67,7 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 		VirtualTimeNs int64  `json:"virtual_time_ns"`
 		StateHash     string `json:"state_hash"`
 	}
-	resp, err = http.Post(ts.URL+"/api/restore", "application/json", bytes.NewReader(snapBytes))
+	resp, err = http.Post(ts.URL+"/api/v1/restore", "application/json", bytes.NewReader(snapBytes))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +89,11 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 	var tenants []struct {
 		ID string `json:"id"`
 	}
-	if code := getJSON(t, ts.URL+"/api/tenants", &tenants); code != 200 || len(tenants) != 1 || tenants[0].ID != "kv" {
+	if code := getJSON(t, ts.URL+"/api/v1/tenants", &tenants); code != 200 || len(tenants) != 1 || tenants[0].ID != "kv" {
 		t.Fatalf("tenants after restore: %+v", tenants)
 	}
 	var j snap.Journal
-	if code := getJSON(t, ts.URL+"/api/journal", &j); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/journal", &j); code != 200 {
 		t.Fatal("journal fetch failed")
 	}
 	if err := j.Validate(); err != nil {
@@ -118,13 +107,13 @@ func TestSnapshotRestoreOverHTTP(t *testing.T) {
 // TestRestoreRejectsCorruption: a tampered snapshot must leave the
 // live session untouched.
 func TestRestoreRejectsCorruption(t *testing.T) {
-	srv, ts := newSessionServer(t)
-	if code := postJSON(t, ts.URL+"/api/advance", `{"micros":100}`, nil); code != 200 {
+	srv, ts := newServer(t)
+	if code := postJSON(t, ts.URL+"/api/v1/advance", `{"micros":100}`, nil); code != 200 {
 		t.Fatal("advance failed")
 	}
-	before := snap.StateHash(srv.mgr)
+	before := snap.StateHash(srv.only.Mgr)
 
-	resp, err := http.Post(ts.URL+"/api/snapshot", "application/json", nil)
+	resp, err := http.Post(ts.URL+"/api/v1/snapshot", "application/json", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +125,7 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 		t.Fatal("checksum field not found in snapshot")
 	}
 
-	resp, err = http.Post(ts.URL+"/api/restore", "application/json", bytes.NewReader(bad))
+	resp, err = http.Post(ts.URL+"/api/v1/restore", "application/json", bytes.NewReader(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,34 +134,40 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("corrupted restore returned %d", resp.StatusCode)
 	}
-	if got := snap.StateHash(srv.mgr); got != before {
+	if got := snap.StateHash(srv.only.Mgr); got != before {
 		t.Fatal("failed restore mutated the live session")
 	}
 }
 
-// TestSnapshotWithoutSession: plain servers 404 the checkpoint
-// surface.
-func TestSnapshotWithoutSession(t *testing.T) {
-	_, ts := newServer(t)
-	for _, ep := range []string{"/api/snapshot", "/api/restore"} {
-		if code := postJSON(t, ts.URL+ep, "", nil); code != http.StatusNotFound {
-			t.Errorf("%s without session: status %d", ep, code)
-		}
+// TestServerRejectsSessionlessHost: every served host records, so a
+// host without a session is refused at construction — no handler
+// carries a sessionless path.
+func TestServerRejectsSessionlessHost(t *testing.T) {
+	mgr, err := core.New(topology.TwoSocketServer(), core.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code := getJSON(t, ts.URL+"/api/journal", nil); code != http.StatusNotFound {
-		t.Errorf("/api/journal without session: status %d", code)
+	f := fleet.New()
+	if _, err := f.AddHost("bare", mgr); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(f, fleet.ShardConfig{}); err == nil {
+		t.Fatal("server accepted a host without a session")
+	}
+	if _, err := New(fleet.New(), fleet.ShardConfig{}); err == nil {
+		t.Fatal("server accepted an empty fleet")
 	}
 }
 
 // TestJournaledDiagProbe: diagnostics through a session server land in
 // the journal (they advance time and inject traffic).
 func TestJournaledDiagProbe(t *testing.T) {
-	_, ts := newSessionServer(t)
-	if code := getJSON(t, ts.URL+"/api/diag/ping?src=gpu0&dst=socket0.dimm0_0", nil); code != 200 {
+	_, ts := newServer(t)
+	if code := getJSON(t, ts.URL+"/api/v1/diag/ping?src=gpu0&dst=socket0.dimm0_0", nil); code != 200 {
 		t.Fatalf("ping status %d", code)
 	}
 	var j snap.Journal
-	if code := getJSON(t, ts.URL+"/api/journal", &j); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/journal", &j); code != 200 {
 		t.Fatal("journal fetch failed")
 	}
 	found := false

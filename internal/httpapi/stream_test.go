@@ -224,10 +224,9 @@ func TestStalledSSEClientNeverBlocksAdvance(t *testing.T) {
 }
 
 // TestHealthzSubsystems: the enriched health document carries the
-// build version and per-subsystem status, through the legacy redirect
-// too.
+// build version and per-subsystem status.
 func TestHealthzSubsystems(t *testing.T) {
-	_, ts := newSessionServer(t)
+	_, ts := newServer(t)
 	var out struct {
 		Status     string `json:"status"`
 		Version    string `json:"version"`
@@ -244,8 +243,7 @@ func TestHealthzSubsystems(t *testing.T) {
 			} `json:"obs_bus"`
 		} `json:"subsystems"`
 	}
-	// Legacy path: the redirect must carry the enriched shape.
-	if code := getJSON(t, ts.URL+"/api/healthz", &out); code != 200 {
+	if code := getJSON(t, ts.URL+"/api/v1/healthz", &out); code != 200 {
 		t.Fatalf("status %d", code)
 	}
 	if out.Status != "ok" || out.Version == "" {
@@ -314,7 +312,7 @@ func TestAccessLogMiddleware(t *testing.T) {
 // request's X-Request-ID becomes the journal entry's span and shows up
 // on the trace events its effects emitted.
 func TestRequestIDRootsSpan(t *testing.T) {
-	s, _ := newSessionServer(t)
+	s, _ := newServer(t)
 	ts := httptest.NewServer(AccessLog(s.Handler(), nil))
 	defer ts.Close()
 

@@ -150,7 +150,7 @@ func TestBodyCapReturns413Envelope(t *testing.T) {
 }
 
 func TestRestoreAcceptsLargerBodies(t *testing.T) {
-	_, ts := newSessionServer(t)
+	_, ts := newServer(t)
 	// 2 MB of leading whitespace (legal JSON padding) followed by an
 	// empty document: far over the default cap, well under the restore
 	// cap — so the failure must be the snapshot validation (400), never

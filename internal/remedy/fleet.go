@@ -8,13 +8,6 @@ import (
 	"repro/internal/simtime"
 )
 
-// Quarantiner fences hosts out of an epoch loop — satisfied by both
-// *fleet.Runner and *fleet.ShardedRunner, so the controller works
-// unchanged over the single-barrier and sharded engines.
-type Quarantiner interface {
-	Quarantine(name string, reason error) error
-}
-
 // FleetController drives one per-host remediation controller per
 // fleet host, each acting through that host's journaled session, plus
 // fleet-scoped verbs (cross-host rebalance, quarantine) exposed to the
@@ -25,33 +18,58 @@ type Quarantiner interface {
 // count (or, under sharding, its shard count).
 type FleetController struct {
 	flt    *fleet.Fleet
-	runner Quarantiner
+	runner *fleet.ShardedRunner
 	names  []string
 	ctrls  map[string]*Controller
 }
 
 // NewFleet attaches one controller per current fleet host. Hosts must
 // be session-backed (journaled); the runner may be nil, which disables
-// the quarantine action.
-func NewFleet(flt *fleet.Fleet, runner Quarantiner, pol Policy) (*FleetController, error) {
+// the quarantine action. A one-host fleet gets no fleet hook:
+// rebalancing needs a second host, and quarantining the only host
+// would freeze the fleet.
+func NewFleet(flt *fleet.Fleet, runner *fleet.ShardedRunner, pol Policy) (*FleetController, error) {
 	fc := &FleetController{flt: flt, runner: runner, ctrls: make(map[string]*Controller)}
 	for _, h := range flt.Hosts() {
-		if h.Sess == nil {
-			return nil, fmt.Errorf("remedy: host %s has no session; remediation must journal", h.Name)
-		}
-		ctrl, err := New(h.Mgr, SessionActuator{Sess: h.Sess}, Options{
-			Policy: pol, Host: h.Name,
-			Fleet: &hostHook{fc: fc, name: h.Name},
-		})
-		if err != nil {
+		if err := fc.attach(h, pol); err != nil {
 			fc.Close()
 			return nil, err
 		}
 		fc.names = append(fc.names, h.Name)
-		fc.ctrls[h.Name] = ctrl
 	}
 	sort.Strings(fc.names)
 	return fc, nil
+}
+
+// attach builds the host's controller over its current session.
+func (fc *FleetController) attach(h *fleet.Host, pol Policy) error {
+	if h.Sess == nil {
+		return fmt.Errorf("remedy: host %s has no session; remediation must journal", h.Name)
+	}
+	opts := Options{Policy: pol, Host: h.Name}
+	if len(fc.flt.Hosts()) > 1 {
+		opts.Fleet = &hostHook{fc: fc, name: h.Name}
+	}
+	ctrl, err := New(h.Mgr, SessionActuator{Sess: h.Sess}, opts)
+	if err != nil {
+		return err
+	}
+	fc.ctrls[h.Name] = ctrl
+	return nil
+}
+
+// Rebind replaces the named host's controller with a fresh one over
+// the host's current session — after a restore swapped it, the old
+// controller would keep watching a stopped manager and acting through
+// a dead session. The host's policy carries over.
+func (fc *FleetController) Rebind(name string) error {
+	old := fc.ctrls[name]
+	h := fc.flt.Host(name)
+	if old == nil || h == nil {
+		return fmt.Errorf("remedy: unknown host %s", name)
+	}
+	old.Close()
+	return fc.attach(h, old.pol)
 }
 
 // Close detaches every per-host controller.

@@ -38,18 +38,29 @@ func OpenFleet(dir string, opts Options) (*FleetStore, error) {
 	return &FleetStore{dir: dir, opts: opts, pool: pool, hosts: map[string]*Store{}}, nil
 }
 
+// SingleHost wraps an open store as a one-host fleet store rooted at
+// the store's own directory: Host(name) returns it and no other host
+// can be opened. A single-host daemon keeps its store at the root of
+// its store directory this way while serving as a one-host fleet.
+func SingleHost(name string, s *Store) *FleetStore {
+	return &FleetStore{dir: s.dir, opts: s.opts, hosts: map[string]*Store{name: s}}
+}
+
 // Dir returns the fleet store's root directory.
 func (f *FleetStore) Dir() string { return f.dir }
 
 // Host opens (or returns the already-open) per-host store.
 func (f *FleetStore) Host(name string) (*Store, error) {
-	if !hostNamePattern.MatchString(name) {
-		return nil, fmt.Errorf("store: host name %q is not storable", name)
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	if s, ok := f.hosts[name]; ok {
 		return s, nil
+	}
+	if f.pool == nil {
+		return nil, fmt.Errorf("store: single-host store has no host %q", name)
+	}
+	if !hostNamePattern.MatchString(name) {
+		return nil, fmt.Errorf("store: host name %q is not storable", name)
 	}
 	s, err := open(filepath.Join(f.dir, "hosts", name), f.opts, f.pool)
 	if err != nil {
@@ -59,7 +70,7 @@ func (f *FleetStore) Host(name string) (*Store, error) {
 	return s, nil
 }
 
-// Stats aggregates per-host store stats for /fleet/healthz.
+// FleetStats aggregates per-host store stats for /healthz.
 type FleetStats struct {
 	Dir              string     `json:"dir"`
 	Sync             SyncPolicy `json:"sync"`
@@ -67,6 +78,8 @@ type FleetStats struct {
 	WalRecords       uint64     `json:"wal_records"`
 	WalSegments      int        `json:"wal_segments"`
 	SnapshottedHosts int        `json:"snapshotted_hosts"`
+	// SnapshotSeq is the newest checkpoint sequence across hosts.
+	SnapshotSeq uint64 `json:"snapshot_seq"`
 }
 
 // Stats sums occupancy across every open host store.
@@ -85,6 +98,7 @@ func (f *FleetStore) Stats() FleetStats {
 		if hs.SnapshotSeq > 0 {
 			st.SnapshottedHosts++
 		}
+		st.SnapshotSeq = max(st.SnapshotSeq, hs.SnapshotSeq)
 	}
 	return st
 }
