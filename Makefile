@@ -4,6 +4,25 @@ GO ?= go
 
 all: check
 
+# Memory preflight for the gates that build 1024- or 10000-host
+# fleets: each checks MemAvailable in /proc/meminfo against what it
+# needs and stops with a named error instead of being OOM-killed part
+# way through. Needs are peak RSS measured on linux/amd64 at 256-host
+# scale and scaled linearly (about 6.3 MB per host), rounded up:
+#   fleet-smoke     two 1024-host fleets alive at once    13500 MB
+#   store-smoke     one 1024-host recording ihnetd         7000 MB
+#   bench-json-obs  the 10000-host sharded RunFor tier    64000 MB
+# A machine without /proc/meminfo skips the check.
+#
+# $(call mem_preflight,target,need_mb)
+mem_preflight = @if [ -r /proc/meminfo ]; then \
+	avail=$$(awk '/^MemAvailable:/ { print int($$2 / 1024) }' /proc/meminfo); \
+	if [ "$$avail" -lt $(2) ]; then \
+		echo "$(1): needs about $(2) MB of memory, but MemAvailable is $$avail MB; run it on a larger machine" >&2; \
+		exit 1; \
+	fi; \
+fi
+
 build:
 	$(GO) build ./...
 
@@ -64,11 +83,12 @@ bench-json:
 
 # Same trajectory gate for the observability pipeline: the event-bus
 # publish path (with and without fan-out) must stay at 0 allocs/op —
-# it runs inside the simulation hot loop — and the fleet roll-up must
-# stay allocation-flat as hosts grow. The steady-state scrape (one
-# dirty shard between scrapes) is budgeted at a constant ~64 allocs/op
-# from 16 to 1024 hosts; the cold all-shards-dirty fold grows only
-# with the shard count, not the host count. The sharded RunFor tiers
+# it runs inside the simulation hot loop — the fleet roll-up must
+# stay allocation-flat as hosts grow, and a built host's heap
+# (bytes_per_host) must stay within its budget. The steady-state
+# scrape (one dirty shard between scrapes) is budgeted at a constant
+# ~64 allocs/op from 16 to 1024 hosts; the cold all-shards-dirty fold
+# grows only with the shard count, not the host count. The sharded RunFor tiers
 # (1024 and 10000 hosts) pin the epoch engine's per-advance allocation
 # trajectory; they run at -benchtime 1x because one op is a full
 # millisecond of fleet virtual time (allocs/op are per-op and
@@ -76,8 +96,10 @@ bench-json:
 # with -timeout 0 because building a 10k-host fleet alone outlasts the
 # default 10m test timeout.
 bench-json-obs:
+	$(call mem_preflight,bench-json-obs,64000)
 	{ $(GO) test -bench 'BenchmarkBusPublish' -benchtime 100x -benchmem -run '^$$' ./internal/obs; \
 	  $(GO) test -bench 'BenchmarkFleetRollup' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
+	  $(GO) test -bench 'BenchmarkFleetBytesPerHost' -benchtime 1x -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkFleetRunFor/hosts=(1024|10000)/sharded' -benchtime 1x -benchmem -timeout 0 -run '^$$' ./internal/fleet; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_obs.json
 
@@ -87,6 +109,7 @@ bench-json-obs:
 # hashes — the determinism contract at four-digit scale. Gated behind
 # an env var so `go test ./...` stays fast; CI runs it explicitly.
 fleet-smoke:
+	$(call mem_preflight,fleet-smoke,13500)
 	IHNET_FLEET_SMOKE=1 $(GO) test ./internal/fleet -run TestFleetSmokeSharded1k -v -timeout 20m
 
 # Durable-store smoke: build the real ihnetd, boot it with -store-dir,
@@ -97,6 +120,7 @@ fleet-smoke:
 # spec-driven conformance and auth cases ride along in the same
 # package.
 store-smoke:
+	$(call mem_preflight,store-smoke,7000)
 	IHNET_STORE_SMOKE=1 $(GO) test ./internal/httpapi/e2etest -v -timeout 20m -count=1
 
 # Seed-pinned chaos smoke: randomized fault/churn schedules under the

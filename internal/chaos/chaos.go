@@ -218,7 +218,7 @@ func Run(cfg Config) (*Result, error) {
 	inj := newInjector(sess, rng)
 	// A live SSE-style subscriber rides along for the whole run,
 	// checking that the event stream agrees with the journal.
-	watch := newStreamWatcher(sess.Manager().Obs().Tracer.Bus())
+	watch := newStreamWatcher(sess.Manager().Obs().Bus)
 	res := &Result{Seed: cfg.Seed, Counts: make(map[string]int), Config: sc}
 
 	// In vs-controller mode the controller's journaled actions must

@@ -34,11 +34,11 @@ type streamWatcher struct {
 func newStreamWatcher(bus *obs.Bus) *streamWatcher {
 	w := &streamWatcher{bus: bus, spans: make(map[string]uint64)}
 	if bus != nil {
-		// A deliberately bounded ring: chaos runs publish more events
-		// than this, so the drop-accounting arm of the invariant is
-		// exercised, not just the happy path.
+		// The cursor falls behind only when one advance publishes more
+		// than the bus ring holds; either way delivered + dropped must
+		// account for every published event.
 		w.baseSeq = bus.Seq()
-		w.sub = bus.Subscribe(1 << 12)
+		w.sub = bus.Subscribe()
 	}
 	return w
 }

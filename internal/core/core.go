@@ -56,10 +56,14 @@ type Options struct {
 	Telemetry       telemetry.PipelineConfig
 	// TraceCapacity bounds the observability event ring (flow
 	// lifecycle, cap changes, scheduler decisions, detections). Zero
-	// means the default (8192); negative disables event tracing.
+	// means defaultTraceCapacity; negative disables event tracing.
 	// Metrics are always on — their hot-path cost is a few atomics.
 	TraceCapacity int
 }
+
+// defaultTraceCapacity is the event ring size a host gets unless its
+// options say otherwise.
+const defaultTraceCapacity = 8192
 
 // DefaultOptions returns the configuration used across experiments.
 func DefaultOptions() Options {
@@ -81,7 +85,7 @@ func DefaultOptions() Options {
 			Collector:     "cpu0",
 			StoreCapacity: 1 << 16,
 		},
-		TraceCapacity: 8192,
+		TraceCapacity: defaultTraceCapacity,
 	}
 }
 
@@ -168,7 +172,7 @@ func New(topo *topology.Topology, opts Options) (*Manager, error) {
 	// record into it; the HTTP API and the CLIs export it.
 	traceCap := opts.TraceCapacity
 	if traceCap == 0 {
-		traceCap = 8192
+		traceCap = defaultTraceCapacity
 	}
 	o := obs.New(traceCap)
 	fab.SetObs(o)

@@ -132,3 +132,28 @@ func BenchmarkFleetRollupCold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFleetBytesPerHost measures what one host costs to keep
+// resident: heap in use after a GC, net of the heap before the build,
+// divided by the host count, for a 64-host recording fleet with one
+// tenant each (the shape `ihnetd -synth-hosts` boots). The build is
+// deterministic, so bytes_per_host is budgeted like an allocation
+// count.
+func BenchmarkFleetBytesPerHost(b *testing.B) {
+	const hosts = 64
+	var perHost float64
+	for i := 0; i < b.N; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		f, err := Synth(SynthSpec{Hosts: hosts, Seed: 1, Record: true, Workload: true})
+		if err != nil {
+			b.Fatal(err)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(f)
+		perHost = float64(after.HeapInuse-before.HeapInuse) / hosts
+	}
+	b.ReportMetric(perHost, "bytes_per_host")
+}

@@ -33,12 +33,14 @@ type Host struct {
 }
 
 // Replace swaps in sess — a session restored from a checkpoint or
-// recovered from a durable store — as the host's state and stops the
-// manager it supersedes.
+// recovered from a durable store — as the host's state, stops the
+// manager it supersedes and closes that manager's event bus, which
+// ends any stream still reading it.
 func (h *Host) Replace(sess *snap.Session) {
 	old := h.Mgr
 	h.Sess, h.Mgr = sess, sess.Manager()
 	old.Stop()
+	old.Obs().Bus.Close()
 }
 
 // admit runs the admission pipeline on this host, journaled when the

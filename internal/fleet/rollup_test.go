@@ -87,7 +87,7 @@ func TestFleetBusFanIn(t *testing.T) {
 	f := buildFleet(t, 3)
 	bus := obs.NewBus(4096)
 	r := newRunner(f, runnerConfig{Workers: 2, Bus: bus})
-	sub := bus.Subscribe(4096)
+	sub := bus.Subscribe()
 	defer sub.Close()
 	if _, err := r.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {
 		t.Fatal(err)

@@ -137,7 +137,7 @@ func newRunner(f *Fleet, cfg runnerConfig) *runner {
 		// the host name. Hosts added to the fleet after runner
 		// construction are not auto-wired; build the runner last.
 		for _, h := range f.Hosts() {
-			h.Mgr.Obs().Tracer.Bus().ForwardTo(cfg.Bus, h.Name)
+			h.Mgr.Obs().Bus.ForwardTo(cfg.Bus, h.Name)
 		}
 	}
 	subject := cfg.EpochSubject

@@ -350,7 +350,7 @@ func (sr *ShardedRunner) Replace(name string, sess *snap.Session) error {
 	}
 	h := sh.fleet.Host(name)
 	h.Replace(sess)
-	h.Mgr.Obs().Tracer.Bus().ForwardTo(sr.bus, h.Name)
+	h.Mgr.Obs().Bus.ForwardTo(sr.bus, h.Name)
 	sh.dirty.Store(true)
 	return nil
 }

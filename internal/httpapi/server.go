@@ -76,10 +76,13 @@ type Server struct {
 	started time.Time
 }
 
-// fleetBusCapacity caps the fleet bus's resume ring. N hosts multiply
-// the event rate, so the ring grows by sseDefaultCapacity per host up
-// to this bound.
-const fleetBusCapacity = 16384
+// The fleet bus's ring: N hosts multiply the event rate, so it grows
+// by fleetBusPerHost events per host up to fleetBusCapacity. A fleet
+// stream subscriber loses events only when it falls that far behind.
+const (
+	fleetBusPerHost  = 1024
+	fleetBusCapacity = 16384
+)
 
 // New builds the control plane over a fleet and the sharded engine
 // that advances it (one shard degenerates to the classic
@@ -107,7 +110,7 @@ func New(f *fleet.Fleet, cfg fleet.ShardConfig) (*Server, error) {
 		cfg.Registry = obs.NewRegistry()
 	}
 	if cfg.Bus == nil {
-		cfg.Bus = obs.NewBus(min(fleetBusCapacity, len(hosts)*sseDefaultCapacity))
+		cfg.Bus = obs.NewBus(min(fleetBusCapacity, len(hosts)*fleetBusPerHost))
 	}
 	s.reg = cfg.Registry
 	s.runner = fleet.NewShardedRunner(f, cfg)

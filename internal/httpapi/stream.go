@@ -17,11 +17,6 @@ import (
 // ID that becomes the command's span, and the event stream carries
 // that span back out on every effect the command caused.
 
-// sseDefaultCapacity is the per-subscriber ring size when the client
-// does not ask for one. A stalled client loses oldest events (counted
-// in obs_sse_dropped_total) — never backpressure on the simulation.
-const sseDefaultCapacity = 1024
-
 // sseKeepalive is the comment-frame interval that keeps idle
 // connections from being reaped by intermediaries.
 const sseKeepalive = 15 * time.Second
@@ -48,10 +43,13 @@ func parseResumeSeq(r *http.Request) (uint64, error) {
 // streamSSE serves a bus subscription as a text/event-stream: one
 // frame per event with the bus sequence as the SSE id (so
 // Last-Event-ID resume is exact), the event kind as the SSE event
-// type, and the JSON envelope as data. The subscription's ring
-// absorbs bursts; when the client is slower than the simulation the
-// ring overwrites and the client observes a sequence gap — the
-// explicit, counted alternative to blocking the hot path.
+// type, and the JSON envelope as data. The subscription is a cursor
+// into the bus ring, which absorbs bursts; a client a whole ring
+// behind the simulation loses the overwritten events and observes a
+// sequence gap (counted in obs_sse_dropped_total) — the explicit
+// alternative to blocking the hot path. The stream ends when the bus
+// closes (its host's manager was replaced), so an EventSource client
+// reconnects to the new bus.
 func streamSSE(w http.ResponseWriter, r *http.Request, bus *obs.Bus) {
 	if bus == nil {
 		writeErr(w, http.StatusNotFound, fmt.Errorf("event streaming unavailable: tracing is disabled"))
@@ -67,16 +65,7 @@ func streamSSE(w http.ResponseWriter, r *http.Request, bus *obs.Bus) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	capacity := sseDefaultCapacity
-	if v := r.URL.Query().Get("buffer"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n <= 0 || n > 1<<20 {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("bad buffer size %q", v))
-			return
-		}
-		capacity = n
-	}
-	sub := bus.SubscribeFrom(capacity, after)
+	sub := bus.SubscribeFrom(after)
 	defer sub.Close()
 
 	h := w.Header()
@@ -88,17 +77,20 @@ func streamSSE(w http.ResponseWriter, r *http.Request, bus *obs.Bus) {
 
 	keepalive := time.NewTicker(sseKeepalive)
 	defer keepalive.Stop()
-	for {
+	for open := true; ; {
 		for _, be := range sub.Drain() {
 			if err := writeSSEFrame(w, be); err != nil {
 				return // client gone
 			}
 		}
 		fl.Flush()
+		if !open {
+			return // bus closed: the tail is out, let the client reconnect
+		}
 		select {
 		case <-r.Context().Done():
 			return
-		case <-sub.Ready():
+		case _, open = <-sub.Ready():
 		case <-keepalive.C:
 			if _, err := fmt.Fprint(w, ": keepalive\n\n"); err != nil {
 				return

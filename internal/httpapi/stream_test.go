@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,7 +15,10 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
+	"repro/internal/fleet"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 )
 
 // sseFrame is one parsed server-sent event.
@@ -145,15 +149,13 @@ func TestEventsSSEResume(t *testing.T) {
 	}
 }
 
-// TestEventsSSEBadParams: malformed resume points and buffer sizes get
-// the 400 envelope, not a stream.
+// TestEventsSSEBadParams: a malformed resume point gets the 400
+// envelope, not a stream.
 func TestEventsSSEBadParams(t *testing.T) {
 	s, ts := newServer(t)
 	s.Advance(100 * simtime.Microsecond)
 	for _, url := range []string{
 		ts.URL + "/api/v1/events?since=banana",
-		ts.URL + "/api/v1/events?buffer=-1",
-		ts.URL + "/api/v1/events?buffer=9999999",
 	} {
 		resp, err := http.Get(url)
 		if err != nil {
@@ -167,15 +169,15 @@ func TestEventsSSEBadParams(t *testing.T) {
 }
 
 // TestStalledSSEClientNeverBlocksAdvance is the HTTP face of the
-// no-backpressure contract: a subscriber that connects with a tiny
-// buffer and never reads must not slow the simulation down. Run under
-// -race this also pins down publisher/subscriber memory safety.
+// no-backpressure contract: a subscriber that connects and never
+// reads must not slow the simulation down. Run under -race this also
+// pins down publisher/subscriber memory safety.
 func TestStalledSSEClientNeverBlocksAdvance(t *testing.T) {
 	s, ts := newServer(t)
 	// Open the stream and then never read from it.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/v1/events?buffer=4", nil)
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/v1/events", nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +188,8 @@ func TestStalledSSEClientNeverBlocksAdvance(t *testing.T) {
 	defer resp.Body.Close()
 
 	// A stalled subscriber in place, the simulation must keep pace:
-	// 50ms of virtual time generates thousands of events into a
-	// 4-slot ring.
+	// 50ms of virtual time keeps publishing while the stalled
+	// subscriber's cursor and its TCP window never move.
 	start := time.Now()
 	var wg sync.WaitGroup
 	for g := 0; g < 2; g++ {
@@ -451,5 +453,121 @@ func TestFleetEventsSSE(t *testing.T) {
 	}
 	if epochs == 0 {
 		t.Error("no epoch barrier events in the fleet stream")
+	}
+}
+
+// TestTraceWireContract pins what /trace/events and the SSE stream
+// say about one host's events once its ring has wrapped: total counts
+// every emitted event, dropped is what the ring no longer holds, the
+// retained seqs are contiguous up to total-1, and a ?since=0 stream
+// replays exactly those events with bus_seq == seq+1.
+func TestTraceWireContract(t *testing.T) {
+	const capacity = 64
+	opts := core.DefaultOptions()
+	opts.TraceCapacity = capacity
+	sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := fleet.New()
+	if _, err := f.AddSession("two-socket", sess); err != nil {
+		t.Fatal(err)
+	}
+	s, ts := serve(t, f, fleet.ShardConfig{})
+	bus := sess.Manager().Obs().Bus
+	for i := 0; bus.Seq() <= 2*capacity; i++ {
+		if i == 100 {
+			t.Fatalf("100ms of advances emitted %d events; the ring of %d never wrapped", bus.Seq(), capacity)
+		}
+		s.Advance(simtime.Millisecond)
+	}
+	emitted := bus.Seq()
+
+	var tr struct {
+		Events  []traceEventDTO `json:"events"`
+		Total   uint64          `json:"total"`
+		Dropped uint64          `json:"dropped"`
+	}
+	if code := getJSON(t, ts.URL+"/api/v1/trace/events", &tr); code != 200 {
+		t.Fatalf("trace/events status %d", code)
+	}
+	if tr.Total != emitted {
+		t.Fatalf("total %d, want %d emitted", tr.Total, emitted)
+	}
+	if tr.Dropped != emitted-capacity {
+		t.Fatalf("dropped %d, want %d", tr.Dropped, emitted-capacity)
+	}
+	if len(tr.Events) != capacity {
+		t.Fatalf("%d retained events, want %d", len(tr.Events), capacity)
+	}
+	for i, ev := range tr.Events {
+		if want := emitted - capacity + uint64(i); ev.Seq != want {
+			t.Fatalf("event %d has seq %d, want %d", i, ev.Seq, want)
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	frames := readSSE(t, ctx, ts.URL+"/api/v1/events?since=0", nil, capacity)
+	if len(frames) != capacity {
+		t.Fatalf("SSE replayed %d frames, want %d", len(frames), capacity)
+	}
+	for i, fr := range frames {
+		ev, got := tr.Events[i], fr.Data
+		if got.BusSeq != got.Seq+1 || fr.ID != got.BusSeq {
+			t.Fatalf("frame %d: id %d bus_seq %d seq %d", i, fr.ID, got.BusSeq, got.Seq)
+		}
+		if got.Seq != ev.Seq || got.Kind != ev.Kind || got.Subject != ev.Subject || got.Span != ev.Span {
+			t.Fatalf("frame %d %+v disagrees with trace event %+v", i, got, ev)
+		}
+	}
+}
+
+// TestRestoreEndsHostStream: a restore swaps the host's manager, and
+// with it the bus a per-host stream reads. The open stream must end
+// so the client reconnects to the new bus, instead of idling on the
+// dead one forever.
+func TestRestoreEndsHostStream(t *testing.T) {
+	s, ts := newServer(t)
+	s.Advance(100 * simtime.Microsecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, "GET", ts.URL+"/api/v1/events", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	ended := make(chan struct{})
+	go func() {
+		defer close(ended)
+		_, _ = io.Copy(io.Discard, resp.Body)
+	}()
+
+	snapResp, err := http.Post(ts.URL+"/api/v1/snapshot", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := io.ReadAll(snapResp.Body)
+	snapResp.Body.Close()
+	if err != nil || snapResp.StatusCode != 200 {
+		t.Fatalf("snapshot: status %d, %v", snapResp.StatusCode, err)
+	}
+	restResp, err := http.Post(ts.URL+"/api/v1/restore", "application/json", bytes.NewReader(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	restResp.Body.Close()
+	if restResp.StatusCode != 200 {
+		t.Fatalf("restore status %d", restResp.StatusCode)
+	}
+	s.Advance(100 * simtime.Microsecond)
+	select {
+	case <-ended:
+	case <-time.After(10 * time.Second):
+		t.Fatal("per-host stream still open on the replaced manager's bus")
 	}
 }

@@ -14,32 +14,35 @@ type BusEvent struct {
 	Event Event
 }
 
-// Bus fans events out to subscribers without ever blocking the
-// publisher. Each subscriber owns a fixed-size ring: when a consumer
-// stalls, its oldest events are overwritten and a drop counter
-// increments — the simulation hot path pays one short mutex and some
-// copies per subscriber, never a wait. A bounded replay ring lets a
-// reconnecting subscriber resume from a recent sequence number.
+// Bus is a bounded ring of recent events that subscribers read
+// through cursors, without ever blocking the publisher. A host's
+// tracer writes each event here once: the ring is both the trace
+// export and the live stream. A subscriber loses events only when it
+// falls a whole ring behind; Publish then advances its cursor past the
+// overwritten event and counts the drop — the simulation hot path pays
+// one short mutex and a nudge per subscriber, never a wait. A
+// reconnecting subscriber resumes from any sequence the ring still
+// holds.
 //
 // The zero Bus is not usable; NewBus allocates everything up front so
 // Publish performs no allocation.
 type Bus struct {
-	mu      sync.Mutex
-	seq     uint64
-	ring    []BusEvent // replay ring, indexed by seq % len
-	subs    []*Subscription
-	forward []forwardTarget
+	mu     sync.Mutex
+	seq    uint64
+	ring   []BusEvent // indexed by seq % len
+	subs   []*Subscription
+	closed bool
 
-	drop    *Counter // counts ring-overwrite drops across all subscribers
+	// parent, when set, receives a copy of every event, stamped with
+	// host (the fleet stream's fan-in).
+	parent *Bus
+	host   string
+
+	drop    *Counter // counts cursor overruns across all subscribers
 	dropped uint64
 }
 
-type forwardTarget struct {
-	parent *Bus
-	host   string
-}
-
-// NewBus returns a bus retaining up to capacity events for resume.
+// NewBus returns a bus retaining up to capacity events.
 func NewBus(capacity int) *Bus {
 	if capacity <= 0 {
 		capacity = 1
@@ -47,8 +50,8 @@ func NewBus(capacity int) *Bus {
 	return &Bus{ring: make([]BusEvent, capacity)}
 }
 
-// SetDropCounter wires the counter incremented whenever any
-// subscriber's ring overwrites an undelivered event (the exported
+// SetDropCounter wires the counter incremented whenever a subscriber
+// falls a ring behind and loses an undelivered event (the exported
 // obs_sse_dropped_total).
 func (b *Bus) SetDropCounter(c *Counter) {
 	if b == nil {
@@ -61,61 +64,86 @@ func (b *Bus) SetDropCounter(c *Counter) {
 
 // ForwardTo mirrors every event published on b into parent, stamping
 // Host so the fleet stream can say which host each event came from.
-// Forwarding is set up once at wiring time; cycles are the caller's
-// responsibility to avoid.
+// A bus has at most one parent; a later call replaces it.
 func (b *Bus) ForwardTo(parent *Bus, host string) {
 	if b == nil || parent == nil {
 		return
 	}
 	b.mu.Lock()
-	b.forward = append(b.forward, forwardTarget{parent: parent, host: host})
+	b.parent, b.host = parent, host
 	b.mu.Unlock()
 }
 
-// Publish stamps ev with the next bus sequence number and delivers it
-// to every subscriber ring. It never blocks and never allocates: slow
-// subscribers lose their oldest event (counted), fast ones are nudged
-// through an already-buffered channel.
+// Publish stamps ev with the next bus sequence number and writes it
+// to the ring. It never blocks and never allocates.
 func (b *Bus) Publish(ev Event) {
-	if b == nil {
-		return
+	if b != nil {
+		b.publish(ev, false)
 	}
+}
+
+// publish writes ev into the next slot. With stampSeq it also sets
+// ev.Seq to the event's zero-based position on this bus (the tracer's
+// sequence), under the same lock, so concurrent emitters can never
+// interleave tracer and bus order. A subscriber whose next undelivered
+// event is the one overwritten skips past it, counted as one drop.
+func (b *Bus) publish(ev Event, stampSeq bool) {
 	b.mu.Lock()
+	if stampSeq {
+		ev.Seq = b.seq
+	}
 	b.seq++
-	be := BusEvent{Seq: b.seq, Event: ev}
-	b.ring[b.seq%uint64(len(b.ring))] = be
+	n := uint64(len(b.ring))
+	b.ring[b.seq%n] = BusEvent{Seq: b.seq, Event: ev}
 	for _, s := range b.subs {
-		if s.push(be) {
+		if s.next+n <= b.seq {
+			s.next++
+			s.dropped++
 			b.dropped++
 			b.drop.Inc()
 		}
+		select {
+		case s.ready <- struct{}{}:
+		default:
+		}
 	}
-	nf := len(b.forward)
-	var fwd [4]forwardTarget
-	n := copy(fwd[:], b.forward)
+	parent, host := b.parent, b.host
 	b.mu.Unlock()
 	// Forward outside the lock: parent.Publish takes the parent's
 	// mutex and must not nest inside ours.
-	for i := 0; i < n; i++ {
-		fev := ev
-		if fev.Host == "" {
-			fev.Host = fwd[i].host
+	if parent != nil {
+		if ev.Host == "" {
+			ev.Host = host
 		}
-		fwd[i].parent.Publish(fev)
+		parent.Publish(ev)
 	}
-	if nf > len(fwd) {
-		// More than fits the stack copy — rare wiring; take the slow path.
-		b.mu.Lock()
-		rest := append([]forwardTarget(nil), b.forward[n:]...)
-		b.mu.Unlock()
-		for _, t := range rest {
-			fev := ev
-			if fev.Host == "" {
-				fev.Host = t.host
-			}
-			t.parent.Publish(fev)
-		}
+}
+
+// oldest returns the sequence number of the oldest retained event
+// (seq+1 when nothing has been published). Caller holds b.mu.
+func (b *Bus) oldest() uint64 {
+	if n := uint64(len(b.ring)); b.seq > n {
+		return b.seq - n + 1
 	}
+	return 1
+}
+
+// retained returns the retained events with sequence >= from, oldest
+// first, as at most two slices of the ring — the one read path shared
+// by subscription drains and trace export. Caller holds b.mu and must
+// copy before releasing it.
+func (b *Bus) retained(from uint64) (head, tail []BusEvent) {
+	from = max(from, b.oldest())
+	if from > b.seq {
+		return nil, nil
+	}
+	n := uint64(len(b.ring))
+	count := b.seq - from + 1
+	start := from % n
+	if start+count <= n {
+		return b.ring[start : start+count], nil
+	}
+	return b.ring[start:], b.ring[:start+count-n]
 }
 
 // Seq returns the sequence number of the most recently published
@@ -149,53 +177,113 @@ func (b *Bus) Subscribers() int {
 	return len(b.subs)
 }
 
-// Subscribe registers a subscriber with a ring of the given capacity,
-// starting from the next published event.
-func (b *Bus) Subscribe(capacity int) *Subscription {
-	return b.SubscribeFrom(capacity, ^uint64(0))
+// Subscribe registers a subscriber starting from the next published
+// event.
+func (b *Bus) Subscribe() *Subscription {
+	return b.SubscribeFrom(^uint64(0))
 }
 
-// SubscribeFrom registers a subscriber and pre-loads any retained
-// events with sequence numbers greater than afterSeq (Last-Event-ID
-// resume). Pass ^uint64(0) to start fresh. Events older than the
-// replay ring are gone; the subscriber observes the gap through
-// sequence numbers, not an error.
-func (b *Bus) SubscribeFrom(capacity int, afterSeq uint64) *Subscription {
+// SubscribeFrom registers a subscriber whose first Drain returns the
+// retained events with sequence numbers greater than afterSeq
+// (Last-Event-ID resume). Pass ^uint64(0) to start fresh. Events
+// older than the ring are gone; the subscriber observes the gap
+// through sequence numbers, not an error. On a closed bus the
+// subscription starts closed.
+func (b *Bus) SubscribeFrom(afterSeq uint64) *Subscription {
 	if b == nil {
 		return nil
 	}
-	if capacity <= 0 {
-		capacity = 1
-	}
-	s := &Subscription{
-		bus:   b,
-		ring:  make([]BusEvent, capacity),
-		ready: make(chan struct{}, 1),
-	}
+	s := &Subscription{bus: b, ready: make(chan struct{}, 1)}
 	b.mu.Lock()
+	defer b.mu.Unlock()
+	s.next = b.seq + 1
 	if afterSeq < b.seq {
-		// Replay retained events (oldest first) with seq > afterSeq.
-		n := uint64(len(b.ring))
-		start := uint64(1)
-		if b.seq > n {
-			start = b.seq - n + 1
-		}
-		if afterSeq+1 > start {
-			start = afterSeq + 1
-		}
-		for q := start; q <= b.seq; q++ {
-			be := b.ring[q%n]
-			if be.Seq == q {
-				s.push(be)
-			}
-		}
+		s.next = max(afterSeq+1, b.oldest())
+		s.ready <- struct{}{}
+	}
+	if b.closed {
+		close(s.ready)
+		return s
 	}
 	b.subs = append(b.subs, s)
-	b.mu.Unlock()
 	return s
 }
 
-func (b *Bus) unsubscribe(s *Subscription) {
+// Close ends every subscription: their Ready channels close, so each
+// consumer drains what is left and stops. The ring stays readable.
+// A host closes its bus when a restore replaces its manager, which is
+// what tells a streaming client to reconnect to the new one.
+func (b *Bus) Close() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return
+	}
+	b.closed = true
+	for _, s := range b.subs {
+		close(s.ready)
+	}
+	b.subs = nil
+}
+
+// Subscription is one subscriber's cursor into the bus ring. Drain and
+// Ready are safe to use from a single consumer goroutine while
+// publishers keep running.
+type Subscription struct {
+	bus   *Bus
+	ready chan struct{}
+
+	// Guarded by bus.mu.
+	next    uint64 // sequence of the next event to deliver
+	dropped uint64
+}
+
+// Ready returns a channel that receives a nudge when events are
+// pending. One nudge can cover many events: always Drain after it.
+// The channel closes when the bus does.
+func (s *Subscription) Ready() <-chan struct{} {
+	if s == nil {
+		return nil
+	}
+	return s.ready
+}
+
+// Drain returns and consumes all pending events, oldest first.
+func (s *Subscription) Drain() []BusEvent {
+	if s == nil {
+		return nil
+	}
+	b := s.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	head, tail := b.retained(s.next)
+	s.next = b.seq + 1
+	if len(head) == 0 {
+		return nil
+	}
+	out := make([]BusEvent, 0, len(head)+len(tail))
+	return append(append(out, head...), tail...)
+}
+
+// Dropped returns how many events this subscriber lost to overwrite.
+func (s *Subscription) Dropped() uint64 {
+	if s == nil {
+		return 0
+	}
+	s.bus.mu.Lock()
+	defer s.bus.mu.Unlock()
+	return s.dropped
+}
+
+// Close unregisters the subscription.
+func (s *Subscription) Close() {
+	if s == nil {
+		return
+	}
+	b := s.bus
 	b.mu.Lock()
 	for i, cur := range b.subs {
 		if cur == s {
@@ -204,96 +292,4 @@ func (b *Bus) unsubscribe(s *Subscription) {
 		}
 	}
 	b.mu.Unlock()
-}
-
-// Subscription is one subscriber's bounded view of the bus. Drain and
-// Ready are safe to use from a single consumer goroutine while
-// publishers keep running.
-type Subscription struct {
-	bus   *Bus
-	ready chan struct{}
-
-	mu      sync.Mutex
-	ring    []BusEvent
-	start   int
-	n       int
-	dropped uint64
-	closed  bool
-}
-
-// push appends be, overwriting the oldest undelivered event when
-// full. Returns true when an event was dropped.
-func (s *Subscription) push(be BusEvent) bool {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return false
-	}
-	var drop bool
-	if s.n == len(s.ring) {
-		s.start = (s.start + 1) % len(s.ring)
-		s.n--
-		s.dropped++
-		drop = true
-	}
-	s.ring[(s.start+s.n)%len(s.ring)] = be
-	s.n++
-	s.mu.Unlock()
-	select {
-	case s.ready <- struct{}{}:
-	default:
-	}
-	return drop
-}
-
-// Ready returns a channel that receives a nudge when events are
-// pending. One nudge can cover many events: always Drain after it.
-func (s *Subscription) Ready() <-chan struct{} {
-	if s == nil {
-		return nil
-	}
-	return s.ready
-}
-
-// Drain returns and removes all pending events, oldest first.
-func (s *Subscription) Drain() []BusEvent {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n == 0 {
-		return nil
-	}
-	out := make([]BusEvent, s.n)
-	for i := 0; i < s.n; i++ {
-		out[i] = s.ring[(s.start+i)%len(s.ring)]
-	}
-	s.start, s.n = 0, 0
-	return out
-}
-
-// Dropped returns how many events this subscriber lost to overwrite.
-func (s *Subscription) Dropped() uint64 {
-	if s == nil {
-		return 0
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
-}
-
-// Close unregisters the subscription. Pending events are discarded.
-func (s *Subscription) Close() {
-	if s == nil {
-		return
-	}
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	s.mu.Unlock()
-	s.bus.unsubscribe(s)
 }

@@ -18,8 +18,8 @@ func publishN(b *Bus, n int) {
 // publish order, with dense bus sequence numbers.
 func TestBusFanOutOrdering(t *testing.T) {
 	b := NewBus(64)
-	s1 := b.Subscribe(64)
-	s2 := b.Subscribe(64)
+	s1 := b.Subscribe()
+	s2 := b.Subscribe()
 	publishN(b, 50)
 	for _, s := range []*Subscription{s1, s2} {
 		evs := s.Drain()
@@ -38,26 +38,26 @@ func TestBusFanOutOrdering(t *testing.T) {
 }
 
 // TestBusSlowSubscriberDrops: a stalled subscriber keeps only the
-// newest capacity events; the overwritten ones are counted on both
-// the subscription and the wired drop counter.
+// newest ring's worth of events; the overwritten ones are counted on
+// the subscription, the bus and the wired drop counter.
 func TestBusSlowSubscriberDrops(t *testing.T) {
 	b := NewBus(8)
 	drop := &Counter{}
 	b.SetDropCounter(drop)
-	s := b.Subscribe(4)
+	s := b.Subscribe()
 	publishN(b, 100)
-	if got := s.Dropped(); got != 96 {
-		t.Fatalf("subscription dropped %d, want 96", got)
+	if got := s.Dropped(); got != 92 {
+		t.Fatalf("subscription dropped %d, want 92", got)
 	}
-	if got := drop.Value(); got != 96 {
-		t.Fatalf("drop counter %d, want 96", got)
+	if got, bus := drop.Value(), b.Dropped(); got != 92 || bus != 92 {
+		t.Fatalf("drop counter %d, bus dropped %d, want 92", got, bus)
 	}
 	evs := s.Drain()
-	if len(evs) != 4 {
-		t.Fatalf("drained %d, want 4", len(evs))
+	if len(evs) != 8 {
+		t.Fatalf("drained %d, want 8", len(evs))
 	}
 	for i, be := range evs {
-		if want := uint64(97 + i); be.Seq != want {
+		if want := uint64(93 + i); be.Seq != want {
 			t.Fatalf("kept event %d has seq %d, want %d (newest survive)", i, be.Seq, want)
 		}
 	}
@@ -69,7 +69,7 @@ func TestBusSlowSubscriberDrops(t *testing.T) {
 func TestBusResume(t *testing.T) {
 	b := NewBus(16)
 	publishN(b, 10)
-	s := b.SubscribeFrom(32, 4)
+	s := b.SubscribeFrom(4)
 	evs := s.Drain()
 	if len(evs) != 6 {
 		t.Fatalf("resume drained %d events, want 6 (seqs 5..10)", len(evs))
@@ -81,13 +81,23 @@ func TestBusResume(t *testing.T) {
 
 	// Ask for history beyond the ring: only the retained tail exists.
 	publishN(b, 30) // seq now 40, ring holds 25..40
-	s2 := b.SubscribeFrom(64, 0)
+	s2 := b.SubscribeFrom(0)
 	evs = s2.Drain()
 	if len(evs) != 16 {
 		t.Fatalf("deep resume drained %d, want 16 (ring capacity)", len(evs))
 	}
 	if evs[0].Seq != 25 {
 		t.Fatalf("deep resume starts at %d, want 25", evs[0].Seq)
+	}
+
+	// A resume cursor at the oldest retained event is the first one a
+	// publish overwrites: one event lost, counted.
+	s3 := b.SubscribeFrom(0)
+	publishN(b, 1)
+	evs = s3.Drain()
+	if s3.Dropped() != 1 || len(evs) != 16 || evs[0].Seq != 26 {
+		t.Fatalf("overrun resume: dropped %d, drained %d from %d; want 1, 16 from 26",
+			s3.Dropped(), len(evs), evs[0].Seq)
 	}
 }
 
@@ -115,7 +125,7 @@ func TestBusSubscribeCloseConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 50; j++ {
-				s := b.Subscribe(8)
+				s := b.Subscribe()
 				select {
 				case <-s.Ready():
 				case <-stop:
@@ -128,7 +138,7 @@ func TestBusSubscribeCloseConcurrent(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		s := b.Subscribe(2) // stalled: never drains
+		s := b.Subscribe() // stalled: never drains
 		defer s.Close()
 		time.Sleep(10 * time.Millisecond)
 	}()
@@ -144,10 +154,10 @@ func TestBusSubscribeCloseConcurrent(t *testing.T) {
 // unit: a tracer wired to a bus with a permanently stalled subscriber
 // keeps emitting at full speed — every emission lands in the trace
 // ring, the publisher never waits, and the drop counter accounts for
-// the subscriber's loss.
+// the subscriber's loss once it falls a whole ring behind.
 func TestStalledSubscriberNeverBlocksEmit(t *testing.T) {
 	o := New(4096)
-	stalled := o.Bus.Subscribe(8) // never drained
+	stalled := o.Bus.Subscribe() // never drained
 	defer stalled.Close()
 
 	const emits = 5000
@@ -166,7 +176,7 @@ func TestStalledSubscriberNeverBlocksEmit(t *testing.T) {
 	if got := o.Tracer.Total(); got != emits {
 		t.Fatalf("tracer recorded %d events, want %d", got, emits)
 	}
-	wantDrops := uint64(emits - 8)
+	wantDrops := uint64(emits - 4096)
 	dropped := o.Registry.Snapshot("t").Counters["obs_sse_dropped_total"]
 	if dropped != wantDrops || stalled.Dropped() != wantDrops {
 		t.Fatalf("drops: counter %d, subscription %d, want %d",
@@ -179,7 +189,7 @@ func TestStalledSubscriberNeverBlocksEmit(t *testing.T) {
 // histogram.
 func TestTracerSpanStamping(t *testing.T) {
 	o := New(64)
-	sub := o.Bus.Subscribe(16)
+	sub := o.Bus.Subscribe()
 	o.Tracer.BeginSpan("j42")
 	o.Tracer.Emit(Event{Kind: KindCapSet, Subject: "x"})
 	o.Tracer.Emit(Event{Kind: KindCapClear, Subject: "x"})
@@ -202,12 +212,67 @@ func TestTracerSpanStamping(t *testing.T) {
 	}
 }
 
+// TestBusCloseEndsSubscriptions: once a bus closes, every
+// subscriber's Ready channel is closed while its pending events stay
+// drainable, and a subscription taken on a closed bus starts closed —
+// the signal a stream uses to end.
+func TestBusCloseEndsSubscriptions(t *testing.T) {
+	b := NewBus(16)
+	s := b.Subscribe()
+	publishN(b, 3)
+	b.Close()
+	if got := len(s.Drain()); got != 3 {
+		t.Fatalf("drained %d after close, want 3", got)
+	}
+	for range s.Ready() {
+	}
+	if b.Subscribers() != 0 {
+		t.Fatalf("%d subscribers after close", b.Subscribers())
+	}
+	late := b.SubscribeFrom(0)
+	if got := len(late.Drain()); got != 3 {
+		t.Fatalf("late subscriber replayed %d, want 3", got)
+	}
+	for range late.Ready() {
+	}
+	s.Close()
+	late.Close()
+}
+
+// TestTracerSeqIsBusSeqMinusOne: the tracer and its bus share one
+// ring, so every event's tracer sequence is its bus sequence minus
+// one, under concurrent emitters too.
+func TestTracerSeqIsBusSeqMinusOne(t *testing.T) {
+	o := New(256)
+	sub := o.Bus.Subscribe()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				o.Tracer.Emit(Event{Kind: KindHeartbeat})
+			}
+		}()
+	}
+	wg.Wait()
+	evs := sub.Drain()
+	if len(evs) != 200 {
+		t.Fatalf("drained %d, want 200", len(evs))
+	}
+	for _, be := range evs {
+		if be.Event.Seq+1 != be.Seq {
+			t.Fatalf("tracer seq %d with bus seq %d", be.Event.Seq, be.Seq)
+		}
+	}
+}
+
 // BenchmarkBusPublish measures the publish hot path with one stalled
 // subscriber — the worst case the simulation thread can hit. Budget:
 // 0 allocs/op.
 func BenchmarkBusPublish(b *testing.B) {
 	bus := NewBus(4096)
-	sub := bus.Subscribe(1024) // never drained: constant overwrite
+	sub := bus.Subscribe() // never drained: constant overrun
 	defer sub.Close()
 	ev := Event{Kind: KindRateRecompute, Subject: "fabric", Value: 7}
 	b.ReportAllocs()
@@ -222,7 +287,7 @@ func BenchmarkBusPublish(b *testing.B) {
 func BenchmarkBusPublishFanout8(b *testing.B) {
 	bus := NewBus(4096)
 	for i := 0; i < 8; i++ {
-		defer bus.Subscribe(1024).Close()
+		defer bus.Subscribe().Close()
 	}
 	ev := Event{Kind: KindRateRecompute, Subject: "fabric", Value: 7}
 	b.ReportAllocs()

@@ -1,8 +1,11 @@
 // Package obs is the system's self-observability substrate: a
 // concurrency-safe metrics registry (counters, gauges, log-linear
 // latency histograms) with near-zero-allocation hot-path updates, and
-// a bounded ring-buffer tracer recording typed events stamped with
-// both virtual (simulation) and wall time.
+// a tracer recording typed events stamped with both virtual
+// (simulation) and wall time into one bounded ring per host: the Bus.
+// Trace export reads that ring, and live subscribers (SSE streams, the
+// remediation controller, the chaos watcher) are cursors into it, so
+// every event is written once however many readers it has.
 //
 // The paper's thesis is that the intra-host network is unmanageable
 // because it is unobservable; obs applies the same standard to our own
@@ -18,7 +21,7 @@
 // Metric writers (the single-threaded simulation) and readers (HTTP
 // scrapes on arbitrary goroutines) never share a lock: counters and
 // gauges are single atomics, histogram buckets are atomic slots, and
-// the tracer takes a short private mutex per event. A nil *Obs is
+// the tracer takes the bus's short mutex per event. A nil *Obs is
 // valid everywhere and records nothing, so instrumented packages need
 // no configuration to stay silent.
 package obs
@@ -28,26 +31,26 @@ package obs
 type Obs struct {
 	Registry *Registry
 	Tracer   *Tracer
-	// Bus is the live fan-out: every traced event is also published
-	// here for SSE subscribers (and, in a fleet, forwarded upward to
-	// the fleet bus). Nil when tracing is disabled.
+	// Bus is the tracer's ring: every traced event is written here
+	// once, read back by trace export, streamed to SSE subscribers
+	// and, in a fleet, forwarded upward to the fleet bus. Nil when
+	// tracing is disabled.
 	Bus *Bus
 }
 
-// New returns an Obs with an empty registry and a tracer holding up to
-// traceCapacity events (a non-positive capacity disables tracing).
-// The tracer feeds a fan-out Bus of the same capacity; slow bus
-// subscribers drop (counted by obs_sse_dropped_total), never blocking
-// emission. Command spans observe their wall duration into the
+// New returns an Obs with an empty registry and a tracer whose bus
+// holds up to traceCapacity events (a non-positive capacity disables
+// tracing). A subscriber that falls a whole ring behind loses events
+// (counted by obs_sse_dropped_total), never blocking emission.
+// Command spans observe their wall duration into the
 // cmd_effect_latency_us histogram.
 func New(traceCapacity int) *Obs {
 	o := &Obs{Registry: NewRegistry()}
 	if traceCapacity > 0 {
 		o.Tracer = NewTracer(traceCapacity)
-		o.Bus = NewBus(traceCapacity)
+		o.Bus = o.Tracer.bus
 		o.Bus.SetDropCounter(o.Registry.Counter("obs_sse_dropped_total",
-			"Events dropped because an SSE subscriber's ring was full."))
-		o.Tracer.SetBus(o.Bus)
+			"Events dropped because an SSE subscriber fell a whole ring behind."))
 		o.Tracer.SetSpanLatency(o.Registry.Histogram("cmd_effect_latency_us",
 			"Wall microseconds from journaled command begin to its last applied effect."))
 	}

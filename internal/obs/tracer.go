@@ -138,35 +138,31 @@ type Event struct {
 	Host string
 }
 
-// Tracer is a bounded ring buffer of events. Emission takes one short
-// mutex; when the buffer is full the oldest events are overwritten
-// (Dropped counts them). Disabled tracers cost one atomic load per
-// call site.
+// Tracer stamps events and writes each one, once, into its bus: the
+// bus ring is the trace. Export (Snapshot, Total, Dropped) reads that
+// ring, and live subscribers are cursors into it. Emission takes at
+// most two short mutexes (the span, then the bus); when the ring is
+// full the oldest events are overwritten (Dropped counts them).
+// Disabled tracers cost one atomic load per call site.
 type Tracer struct {
 	enabled atomic.Bool
-	mu      sync.Mutex
-	buf     []Event
-	total   uint64 // events ever emitted
+	bus     *Bus
 
 	// span is the active command span: events emitted between
 	// BeginSpan and EndSpan are stamped with it.
+	mu        sync.Mutex
 	span      string
 	spanStart int64 // wall nanos at BeginSpan
 
-	// bus, when set, receives a copy of every recorded event (the
-	// live streaming fan-out). spanLatency, when set, observes the
-	// wall microseconds between BeginSpan and EndSpan
-	// (cmd_effect_latency_us).
-	bus         atomic.Pointer[Bus]
+	// spanLatency, when set, observes the wall microseconds between
+	// BeginSpan and EndSpan (cmd_effect_latency_us).
 	spanLatency atomic.Pointer[Histogram]
 }
 
-// NewTracer returns an enabled tracer retaining up to capacity events.
+// NewTracer returns an enabled tracer over a new bus retaining up to
+// capacity events.
 func NewTracer(capacity int) *Tracer {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	t := &Tracer{buf: make([]Event, capacity)}
+	t := &Tracer{bus: NewBus(capacity)}
 	t.enabled.Store(true)
 	return t
 }
@@ -180,22 +176,6 @@ func (t *Tracer) SetEnabled(on bool) {
 	if t != nil {
 		t.enabled.Store(on)
 	}
-}
-
-// SetBus wires a fan-out bus: every event recorded after this call is
-// also published there. Pass nil to detach.
-func (t *Tracer) SetBus(b *Bus) {
-	if t != nil {
-		t.bus.Store(b)
-	}
-}
-
-// Bus returns the attached fan-out bus, if any.
-func (t *Tracer) Bus() *Bus {
-	if t == nil {
-		return nil
-	}
-	return t.bus.Load()
 }
 
 // SetSpanLatency wires the histogram that EndSpan observes span wall
@@ -240,23 +220,21 @@ func (t *Tracer) EndSpan() {
 	}
 }
 
-// Emit records one event. Nil tracers and disabled tracers are no-ops.
+// Emit records one event: it stamps the wall clock, the active span
+// and the event's sequence (its zero-based position in the ring, one
+// less than its bus sequence), then writes it into the bus. Nil
+// tracers and disabled tracers are no-ops.
 func (t *Tracer) Emit(ev Event) {
 	if t == nil || !t.enabled.Load() {
 		return
 	}
 	ev.Wall = time.Now().UnixNano()
-	t.mu.Lock()
 	if ev.Span == "" {
+		t.mu.Lock()
 		ev.Span = t.span
+		t.mu.Unlock()
 	}
-	ev.Seq = t.total
-	t.buf[t.total%uint64(len(t.buf))] = ev
-	t.total++
-	t.mu.Unlock()
-	if b := t.bus.Load(); b != nil {
-		b.Publish(ev)
-	}
+	t.bus.publish(ev, true)
 }
 
 // Total returns the number of events ever emitted.
@@ -264,9 +242,7 @@ func (t *Tracer) Total() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
+	return t.bus.Seq()
 }
 
 // Dropped returns how many events have been overwritten.
@@ -274,12 +250,9 @@ func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.total <= uint64(len(t.buf)) {
-		return 0
-	}
-	return t.total - uint64(len(t.buf))
+	t.bus.mu.Lock()
+	defer t.bus.mu.Unlock()
+	return t.bus.oldest() - 1
 }
 
 // Capacity returns the ring size.
@@ -287,7 +260,7 @@ func (t *Tracer) Capacity() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.buf)
+	return len(t.bus.ring)
 }
 
 // Snapshot returns the retained events, oldest first.
@@ -295,18 +268,15 @@ func (t *Tracer) Snapshot() []Event {
 	if t == nil {
 		return nil
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := t.total
-	capacity := uint64(len(t.buf))
-	if n > capacity {
-		out := make([]Event, 0, capacity)
-		start := n % capacity // oldest retained slot
-		out = append(out, t.buf[start:]...)
-		out = append(out, t.buf[:start]...)
-		return out
+	b := t.bus
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	head, tail := b.retained(1)
+	out := make([]Event, 0, len(head)+len(tail))
+	for _, part := range [2][]BusEvent{head, tail} {
+		for i := range part {
+			out = append(out, part[i].Event)
+		}
 	}
-	out := make([]Event, n)
-	copy(out, t.buf[:n])
 	return out
 }

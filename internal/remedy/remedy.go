@@ -214,30 +214,18 @@ type Options struct {
 	Host string
 	// Fleet, when set, enables the fleet-scoped actions.
 	Fleet FleetHook
-	// BusCapacity sizes the event-bus subscription ring (default 4096).
-	BusCapacity int
 }
 
-// New attaches a controller to a manager, subscribing to the obs
-// event bus (created and wired if the tracer has none) for fault and
-// verdict events. The actuator decides whether actions are journaled.
+// New attaches a controller to a manager, subscribing to the host's
+// event bus for fault and verdict events. The actuator decides whether
+// actions are journaled.
 func New(mgr *core.Manager, act Actuator, opts Options) (*Controller, error) {
 	if err := opts.Policy.Validate(); err != nil {
 		return nil, err
 	}
-	tr := mgr.Obs().Tracer
-	bus := tr.Bus()
-	if bus == nil {
-		bus = obs.NewBus(1024)
-		tr.SetBus(bus)
-	}
-	capacity := opts.BusCapacity
-	if capacity <= 0 {
-		capacity = 4096
-	}
 	c := &Controller{
 		mgr: mgr, act: act, pol: opts.Policy, host: opts.Host, fleet: opts.Fleet,
-		sub: bus.Subscribe(capacity), topo: mgr.Topology(), tracer: tr,
+		sub: mgr.Obs().Bus.Subscribe(), topo: mgr.Topology(), tracer: mgr.Obs().Tracer,
 		open:      make(map[string]*Incident),
 		lastTouch: make(map[string]simtime.Time),
 	}

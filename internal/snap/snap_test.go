@@ -308,7 +308,7 @@ func TestSpanThreading(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sub := s.Manager().Obs().Bus.Subscribe(256)
+	sub := s.Manager().Obs().Bus.Subscribe()
 	if _, err := s.Admit("kv", []intent.Target{{
 		Src: "nic0", Dst: "socket0.dimm0_0", Rate: topology.GBps(5),
 	}}); err != nil {
