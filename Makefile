@@ -51,7 +51,7 @@ bench:
 # Quick sanity pass over the benchmarks that guard the hot paths: the
 # observability tax on fabric scheduling, the snapshot round-trip
 # (export + encode + decode + replay + verify), the fleet runner's
-# serial-vs-parallel speedup at 64 hosts, and the observability
+# one-worker-vs-parallel speedup at 64 hosts, and the observability
 # pipeline (zero-alloc bus publish, flat-per-host fleet roll-up).
 bench-smoke:
 	$(GO) test -bench BenchmarkObsFabricHotPath -benchtime 1x -run '^$$' .
@@ -175,4 +175,4 @@ check: fmt vet build race solver-race
 
 clean:
 	$(GO) clean ./...
-	rm -f ihnetd ihdiag ihbench
+	rm -f benchjson ihctl ihdiag ihnetd ihscenario

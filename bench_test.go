@@ -16,7 +16,7 @@ import (
 // Each benchmark regenerates one experiment table (the reproduction's
 // tables and figures; see DESIGN.md §4 and EXPERIMENTS.md). The table
 // is printed once per benchmark run via b.Log so `go test -bench . -v`
-// doubles as the paper-artifact generator; cmd/ihbench renders the
+// doubles as the paper-artifact generator; `ihdiag experiments` renders the
 // same tables standalone.
 func benchExperiment(b *testing.B, id string) experiments.Table {
 	b.Helper()

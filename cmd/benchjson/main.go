@@ -69,13 +69,15 @@ var allocBudgetsByFile = map[string]map[string]int64{
 		"BenchmarkBusPublish":        0,
 		"BenchmarkBusPublishFanout8": 0,
 		// Steady-state scrape: one shard refold + S-way merge from
-		// cached snapshots. Observed ~32 allocs/op at every tier.
+		// cached snapshots. Observed 40-47 allocs/op from 16 to 256
+		// recording hosts.
 		"BenchmarkFleetRollup/hosts=16":   64,
 		"BenchmarkFleetRollup/hosts=64":   64,
 		"BenchmarkFleetRollup/hosts=256":  64,
 		"BenchmarkFleetRollup/hosts=1024": 64,
-		// Cold fold: every shard refolds, then the merge. Observed 92
-		// at 4 shards (256 hosts) and 319 at 16 shards (1024).
+		// Cold fold: every shard refolds, then the merge. Observed
+		// 125-129 at 4 shards (256 recording hosts) and 319 at 16
+		// shards (1024, last measured on hosts without a session).
 		"BenchmarkFleetRollupCold/hosts=256":  192,
 		"BenchmarkFleetRollupCold/hosts=1024": 512,
 		// One millisecond of sharded fleet virtual time. Observed

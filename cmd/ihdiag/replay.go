@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -20,58 +21,70 @@ import (
 // divergence. Input is a journal file (paired with -preset/-seed), a
 // full snapshot file (self-describing; also verifies checksum and the
 // recorded final state hash), or a scenario drill via -scenario.
-func runReplay(args []string) {
-	fs := flag.NewFlagSet("ihdiag replay", flag.ExitOnError)
+func runReplay(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ihdiag replay", flag.ContinueOnError)
 	preset := fs.String("preset", "two-socket",
 		"host for a bare journal: "+strings.Join(topology.PresetNames(), ", "))
 	seed := fs.Int64("seed", 1, "simulation seed for a bare journal")
 	scenarioFile := fs.String("scenario", "", "convert this drill spec to a journal and check it")
 	hashes := fs.Bool("hashes", false, "print the rolling state hash after every entry")
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, `usage: ihdiag replay [flags] <journal.json | snapshot.json>
+		fmt.Fprintln(fs.Output(), `usage: ihdiag replay [flags] <journal.json | snapshot.json>
        ihdiag replay -scenario <drill.json>
 
 Replays the command stream twice on fresh hosts and compares rolling
 state hashes. Exit status: 0 identical, 1 diverged or corrupt.`)
 		fs.PrintDefaults()
 	}
-	_ = fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return flagError(err)
+	}
+	// The input is the -scenario drill or else exactly one file.
+	want := 1
+	if *scenarioFile != "" {
+		want = 0
+	}
+	switch {
+	case fs.NArg() > want:
+		return usageError(fmt.Sprintf("%s: unexpected argument %q", fs.Name(), fs.Arg(want)))
+	case fs.NArg() < want:
+		fs.Usage()
+		return exitStatus(2)
+	}
 
-	cfg, journal, err := loadReplayInput(fs, *scenarioFile, *preset, *seed)
+	cfg, journal, err := loadReplayInput(w, *scenarioFile, fs.Arg(0), *preset, *seed)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ihdiag replay: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 
 	if *hashes {
 		trace, err := snap.ReplayTrace(cfg, journal)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "ihdiag replay: %v\n", err)
-			os.Exit(1)
+			return err
 		}
 		for _, p := range trace {
-			fmt.Printf("  %6d  %12dns  %-14s %s\n", p.Seq, p.AtNs, p.Kind, p.Hash)
+			fmt.Fprintf(w, "  %6d  %12dns  %-14s %s\n", p.Seq, p.AtNs, p.Kind, p.Hash)
 		}
 	}
 
 	div, err := snap.CheckDeterminism(cfg, journal)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "ihdiag replay: %v\n", err)
-		os.Exit(1)
+		return err
 	}
 	if div != nil {
-		fmt.Fprintf(os.Stderr, "DIVERGED: %v\n", div)
-		os.Exit(1)
+		return fmt.Errorf("DIVERGED: %v", div)
 	}
-	fmt.Printf("deterministic: %d entries replayed twice, %d hash points identical\n",
+	fmt.Fprintf(w, "deterministic: %d entries replayed twice, %d hash points identical\n",
 		journal.Len(), journal.Len()+1)
+	return nil
 }
 
-// loadReplayInput resolves the three input forms to a (config,
-// journal) pair. Snapshot files are recognized by their envelope
-// format field and fully verified — checksum, replay, and recorded
-// state hash — before their journal is handed back.
-func loadReplayInput(fs *flag.FlagSet, scenarioFile, preset string, seed int64) (snap.Config, snap.Journal, error) {
+// loadReplayInput resolves the three input forms — a scenario drill,
+// or the file at path holding a snapshot or a bare journal — to a
+// (config, journal) pair. Snapshot files are recognized by their
+// envelope format field and fully verified — checksum, replay, and
+// recorded state hash — before their journal is handed back.
+func loadReplayInput(w io.Writer, scenarioFile, path, preset string, seed int64) (snap.Config, snap.Journal, error) {
 	if scenarioFile != "" {
 		f, err := os.Open(scenarioFile)
 		if err != nil {
@@ -86,11 +99,6 @@ func loadReplayInput(fs *flag.FlagSet, scenarioFile, preset string, seed int64) 
 		return cfg, journal, nil
 	}
 
-	if fs.NArg() != 1 {
-		fs.Usage()
-		os.Exit(2)
-	}
-	path := fs.Arg(0)
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return snap.Config{}, snap.Journal{}, err
@@ -110,7 +118,7 @@ func loadReplayInput(fs *flag.FlagSet, scenarioFile, preset string, seed int64) 
 		if _, err := snap.Restore(bytes.NewReader(data)); err != nil {
 			return snap.Config{}, snap.Journal{}, fmt.Errorf("%s: %w", path, err)
 		}
-		fmt.Printf("snapshot %s: checksum ok, replay reaches recorded hash %s\n", path, p.StateHash[:12])
+		fmt.Fprintf(w, "snapshot %s: checksum ok, replay reaches recorded hash %s\n", path, p.StateHash[:12])
 		return p.Config, p.Journal, nil
 	}
 

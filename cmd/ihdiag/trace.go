@@ -1,8 +1,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -24,8 +26,8 @@ import (
 // The scenario runs over a recording session, so every command gets a
 // span that its effects inherit: the export carries flow arrows from
 // each admission, fault, and eviction to the events it caused.
-func runTrace(args []string) {
-	fs := flag.NewFlagSet("ihdiag trace", flag.ExitOnError)
+func runTrace(args []string, w io.Writer) error {
+	fs := flag.NewFlagSet("ihdiag trace", flag.ContinueOnError)
 	chrome := fs.String("chrome", "", "write Chrome trace_event JSON to this file")
 	preset := fs.String("preset", "two-socket",
 		"topology preset: "+strings.Join(topology.PresetNames(), ", "))
@@ -34,22 +36,22 @@ func runTrace(args []string) {
 	degrade := fs.String("degrade", "socket0.rootport0->pcieswitch0",
 		"directed link to silently degrade mid-run (empty = healthy run)")
 	events := fs.Int("events", 1<<16, "event ring capacity for the run")
-	fs.Parse(args)
+	if err := parse(fs, args); err != nil {
+		return err
+	}
 	if *chrome == "" {
-		fmt.Fprintln(os.Stderr, "ihdiag trace: --chrome <file> is required")
-		fs.Usage()
-		os.Exit(1)
+		return errors.New("--chrome <file> is required")
 	}
 
 	if _, ok := topology.Presets[*preset]; !ok {
-		fatalf("unknown preset %q (have %s)", *preset, strings.Join(topology.PresetNames(), ", "))
+		return fmt.Errorf("unknown preset %q (have %s)", *preset, strings.Join(topology.PresetNames(), ", "))
 	}
 	opts := core.DefaultOptions()
 	opts.Seed = *seed
 	opts.TraceCapacity = *events
 	sess, err := snap.NewSession(snap.Config{Preset: *preset, Options: opts})
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	mgr := sess.Manager()
 
@@ -61,15 +63,15 @@ func runTrace(args []string) {
 	if _, err := sess.Admit("kv", []intent.Target{
 		{Src: "nic0", Dst: "memory:socket0", Rate: topology.GBps(10)},
 	}); err != nil {
-		fatalf("admit: %v", err)
+		return fmt.Errorf("admit: %w", err)
 	}
 	path := mgr.Tenant("kv").Assignments[0].Path
 	fab := mgr.Fabric()
 	if err := fab.AddFlow(&fabric.Flow{Tenant: "kv", Path: path}); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	if err := fab.AddFlow(&fabric.Flow{Tenant: "evil", Path: path}); err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	// A stream of sized transfers so flow-done events appear.
 	var pump func(simtime.Time)
@@ -81,46 +83,49 @@ func runTrace(args []string) {
 	pump(0)
 
 	third := simtime.Duration(duration.Nanoseconds() / 3)
-	advance := func(span string, d simtime.Duration) {
+	advance := func(span string) error {
 		sess.SetSpan(span)
-		if err := sess.Advance(d); err != nil {
-			fatalf("advance: %v", err)
+		if err := sess.Advance(third); err != nil {
+			return fmt.Errorf("advance: %w", err)
 		}
+		return nil
 	}
-	advance("healthy-run", third)
+	if err := advance("healthy-run"); err != nil {
+		return err
+	}
 	if *degrade != "" {
 		sess.SetSpan("degrade")
 		if err := sess.DegradeLink(*degrade, 0.5, 20*simtime.Microsecond); err != nil {
-			fatalf("degrade: %v", err)
+			return fmt.Errorf("degrade: %w", err)
 		}
 	}
-	advance("degraded-run", third)
+	if err := advance("degraded-run"); err != nil {
+		return err
+	}
 	sess.SetSpan("evict-kv")
 	if err := sess.Evict("kv"); err != nil {
-		fatalf("evict: %v", err)
+		return fmt.Errorf("evict: %w", err)
 	}
-	advance("drain-run", third)
+	if err := advance("drain-run"); err != nil {
+		return err
+	}
 	mgr.Stop()
 
 	tr := mgr.Obs().Tracer
 	f, err := os.Create(*chrome)
 	if err != nil {
-		fatalf("%v", err)
+		return err
 	}
 	snapshot := tr.Snapshot()
 	if err := obs.WriteChromeTrace(f, snapshot); err != nil {
 		f.Close()
-		fatalf("export: %v", err)
+		return fmt.Errorf("export: %w", err)
 	}
 	if err := f.Close(); err != nil {
-		fatalf("%v", err)
+		return err
 	}
-	fmt.Printf("wrote %d events (%d recorded, %d dropped) covering %v of virtual time to %s\n",
+	fmt.Fprintf(w, "wrote %d events (%d recorded, %d dropped) covering %v of virtual time to %s\n",
 		len(snapshot), tr.Total(), tr.Dropped(), mgr.Engine().Now(), *chrome)
-	fmt.Println("open in about://tracing (Chrome) or https://ui.perfetto.dev")
-}
-
-func fatalf(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "ihdiag trace: "+format+"\n", args...)
-	os.Exit(1)
+	fmt.Fprintln(w, "open in about://tracing (Chrome) or https://ui.perfetto.dev")
+	return nil
 }

@@ -315,8 +315,7 @@ func bootFleet(hostsDir string, synthHosts int, preset string, seed int64, store
 	var err error
 	if synthHosts > 0 {
 		fl, err = fleet.Synth(fleet.SynthSpec{
-			Hosts: synthHosts, Preset: preset, Seed: seed,
-			Record: true, Workload: true,
+			Hosts: synthHosts, Preset: preset, Seed: seed, Workload: true,
 		})
 	} else {
 		opts := core.DefaultOptions()

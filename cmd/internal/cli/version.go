@@ -1,3 +1,4 @@
+// Package cli holds what every command shares: the version banner.
 package cli
 
 import (

@@ -2,7 +2,7 @@
 // link silently degrades — no hard failure, no counter alarm — and
 // applications just get slower. The heartbeat mesh detects the RTT
 // inflation, localizes the culprit link by path-overlap voting, and
-// ihtrace confirms the hop. This is the debugging workflow the paper
+// ihdiag traceroute confirms the hop. This is the debugging workflow the paper
 // says today's hosts cannot offer.
 package main
 
@@ -64,9 +64,9 @@ func main() {
 		}
 	}
 
-	// The operator confirms with ihtrace: the degraded hop carries the
+	// The operator confirms with ihdiag traceroute: the degraded hop carries the
 	// latency.
-	fmt.Println("\noperator runs ihtrace gpu0 -> nic0:")
+	fmt.Println("\noperator runs ihdiag traceroute gpu0 -> nic0:")
 	rep, err := diag.RunTrace(fab, "gpu0", "nic0", 64)
 	if err != nil {
 		log.Fatal(err)

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -15,6 +16,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/intent"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 	"repro/internal/topology"
 )
 
@@ -23,14 +25,17 @@ func main() {
 	for i, name := range []string{"host-a", "host-b"} {
 		opts := core.DefaultOptions()
 		opts.Seed = int64(i + 1)
-		mgr, err := core.New(topology.TwoSocketServer(), opts)
+		sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: opts})
 		if err != nil {
 			log.Fatal(err)
 		}
-		if err := mgr.Start(); err != nil {
+		if _, err := fl.AddSession(name, sess); err != nil {
 			log.Fatal(err)
 		}
-		if _, err := fl.AddHost(name, mgr); err != nil {
+	}
+	runner := fleet.NewShardedRunner(fl, fleet.ShardConfig{})
+	advance := func(d simtime.Duration) {
+		if _, err := runner.RunFor(context.Background(), d); err != nil {
 			log.Fatal(err)
 		}
 	}
@@ -48,15 +53,15 @@ func main() {
 	place("scan", []intent.Target{{Src: "ssd1", Dst: "memory:socket1", Rate: topology.GBps(5)}})
 
 	// Heartbeats calibrate on both hosts.
-	fl.RunFor(3 * simtime.Millisecond)
+	advance(3 * simtime.Millisecond)
 
 	// Host A's switch port to nic0 silently degrades.
 	hostA := fl.Host("host-a")
 	fmt.Println("\ninjecting silent degradation on host-a pcieswitch0->nic0 ...")
-	if err := hostA.Mgr.Fabric().DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond); err != nil {
+	if err := hostA.Sess.DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond); err != nil {
 		log.Fatal(err)
 	}
-	fl.RunFor(2 * simtime.Millisecond)
+	advance(2 * simtime.Millisecond)
 
 	dets := hostA.Mgr.Anomaly().Detections()
 	if len(dets) == 0 {

@@ -25,7 +25,7 @@ func describe(view *vnet.View, mgr *core.Manager) {
 		fmt.Printf("    pathway: %s\n", a.Path)
 	}
 	fmt.Printf("    guaranteed links: %d\n", len(view.Reservation.Links))
-	// What the tenant itself would measure with ihperf: its virtual
+	// What the tenant itself would measure with ihdiag perf: its virtual
 	// capacity, not the physical link rate.
 	p := rec.Assignments[0].Path
 	perf, err := diag.RunPerf(mgr.Fabric(), p.Src(), p.Dst(), diag.PerfOptions{
@@ -34,7 +34,7 @@ func describe(view *vnet.View, mgr *core.Manager) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("    tenant-visible bandwidth (ihperf): %v (virtual view promises %v)\n",
+	fmt.Printf("    tenant-visible bandwidth (ihdiag perf): %v (virtual view promises %v)\n",
 		perf.Achieved, view.PathCapacity(p))
 }
 

@@ -10,7 +10,7 @@ import (
 )
 
 // Verification is the outcome of checking one assignment's guarantee
-// against reality: the manager runs an ihperf probe *as the tenant*
+// against reality: the manager runs an ihdiag perf probe *as the tenant*
 // along the assigned pathway and compares what the tenant can actually
 // achieve with what it was promised.
 type Verification struct {

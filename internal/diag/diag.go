@@ -1,8 +1,9 @@
 // Package diag provides the intra-host analogues of the inter-host
-// debugging toolbox the paper calls for in §3.1: ihping (pairwise
-// latency/loss probing), ihtrace (hop-by-hop path walk with per-hop
-// latency attribution), ihperf (achievable-bandwidth probing), and
-// ihsniff (transaction capture with filters).
+// debugging toolbox the paper calls for in §3.1: ping (pairwise
+// latency/loss probing), traceroute (hop-by-hop path walk with per-hop
+// latency attribution), perf (achievable-bandwidth probing), and sniff
+// (transaction capture with filters) — the `ihdiag` subcommands of the
+// same names.
 //
 // Each tool runs as an asynchronous session against a live fabric so
 // it can be used inside a running simulation; the Run* convenience
@@ -19,7 +20,7 @@ import (
 	"repro/internal/topology"
 )
 
-// PingOptions configures an ihping session.
+// PingOptions configures an ihdiag ping session.
 type PingOptions struct {
 	Count    int
 	Size     int64 // probe payload bytes each way
@@ -33,7 +34,7 @@ func DefaultPingOptions() PingOptions {
 	return PingOptions{Count: 10, Size: 64, Interval: 10 * simtime.Microsecond}
 }
 
-// PingReport summarizes an ihping session.
+// PingReport summarizes an ihdiag ping session.
 type PingReport struct {
 	Src, Dst           topology.CompID
 	Sent, Lost         int
@@ -46,7 +47,7 @@ func (r PingReport) String() string {
 		r.Src, r.Dst, r.Sent, r.Lost, r.Min, r.Avg, r.P99, r.Max)
 }
 
-// PingSession is an in-flight ihping.
+// PingSession is an in-flight ihdiag ping.
 type PingSession struct {
 	fab      *fabric.Fabric
 	opts     PingOptions

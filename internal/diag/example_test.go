@@ -9,7 +9,7 @@ import (
 	"repro/internal/topology"
 )
 
-// ihping as a library: probe a pair, read loss and latency.
+// ihdiag ping as a library: probe a pair, read loss and latency.
 func ExampleRunPing() {
 	engine := simtime.NewEngine(1)
 	fab := fabric.New(topology.TwoSocketServer(), engine, fabric.DefaultConfig())
@@ -23,7 +23,7 @@ func ExampleRunPing() {
 	// sent=10 lost=0 min=524ns
 }
 
-// ihtrace as a library: the degraded hop carries the latency.
+// ihdiag traceroute as a library: the degraded hop carries the latency.
 func ExampleRunTrace() {
 	engine := simtime.NewEngine(1)
 	fab := fabric.New(topology.TwoSocketServer(), engine, fabric.DefaultConfig())

@@ -8,7 +8,7 @@ import (
 	"repro/internal/topology"
 )
 
-// PerfOptions configures an ihperf bandwidth probe.
+// PerfOptions configures an ihdiag perf bandwidth probe.
 type PerfOptions struct {
 	// Duration of the measurement.
 	Duration simtime.Duration
@@ -26,7 +26,7 @@ func DefaultPerfOptions() PerfOptions {
 	return PerfOptions{Duration: simtime.Millisecond, Tenant: fabric.SystemTenant}
 }
 
-// PerfReport is an ihperf result.
+// PerfReport is an ihdiag perf result.
 type PerfReport struct {
 	Src, Dst topology.CompID
 	Path     topology.Path
@@ -46,7 +46,7 @@ func (r PerfReport) String() string {
 		r.Src, r.Dst, r.Achieved, r.PathCapacity, r.BottleneckLink)
 }
 
-// PerfSession is an in-flight ihperf probe.
+// PerfSession is an in-flight ihdiag perf probe.
 type PerfSession struct {
 	fab        *fabric.Fabric
 	flow       *fabric.Flow

@@ -8,7 +8,7 @@ import (
 	"repro/internal/topology"
 )
 
-// Hop is one step of an ihtrace: the component reached, the link used,
+// Hop is one step of an ihdiag traceroute: the component reached, the link used,
 // and latency attribution.
 type Hop struct {
 	Index int
@@ -24,7 +24,7 @@ type Hop struct {
 	Lost bool
 }
 
-// TraceReport is an ihtrace result: per-hop latency along the current
+// TraceReport is an ihdiag traceroute result: per-hop latency along the current
 // path from Src to Dst, the tool an operator reaches for when a path
 // is slow and the question is "which hop?".
 type TraceReport struct {
@@ -56,7 +56,7 @@ type TraceSession struct {
 	onDone func(TraceReport)
 }
 
-// StartTrace begins an ihtrace from src to dst along the current
+// StartTrace begins an ihdiag traceroute from src to dst along the current
 // shortest path, probing hop 1, then hops 1-2, and so on, with
 // probeSize bytes each way.
 func StartTrace(fab *fabric.Fabric, src, dst topology.CompID, probeSize int64, onDone func(TraceReport)) (*TraceSession, error) {

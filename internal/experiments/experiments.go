@@ -3,7 +3,7 @@
 // capacity/latency table), and E2-E10 quantify each phenomenon the
 // paper claims and each mechanism it proposes, as indexed in
 // DESIGN.md. Each experiment is a pure function of a seed that
-// returns a renderable table; bench_test.go and cmd/ihbench drive
+// returns a renderable table; bench_test.go and `ihdiag experiments` drive
 // them.
 package experiments
 

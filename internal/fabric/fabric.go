@@ -41,7 +41,7 @@ type Config struct {
 	MaxInflation float64
 	// PCIeEfficiency derates PCIe link capacity for TLP/DLLP protocol
 	// overhead. 1.0 means raw capacity. Typically ~0.85-0.9 for 256 B
-	// max payload (see the pcie package).
+	// max payload (Neugebauer et al., SIGCOMM 2018).
 	PCIeEfficiency float64
 	// IOMMULatency is the address-translation cost added to
 	// device-initiated traffic entering a root port whose IOMMU is
@@ -215,7 +215,7 @@ type Fabric struct {
 	// scr holds the reusable max-min solver buffers (see maxmin.go).
 	scr maxminScratch
 
-	// sniffers receive a copy of every transaction record (ihsniff).
+	// sniffers receive a copy of every transaction record (ihdiag sniff).
 	sniffers []func(TxRecord)
 
 	// met holds cached observability handles; nil when unattached.

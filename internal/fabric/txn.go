@@ -50,7 +50,7 @@ func (f *Fabric) TxStats() TransactionStats { return f.txStats }
 
 // AttachSniffer registers a callback receiving a copy of every
 // completed or lost transaction record — the capture hook behind
-// ihsniff. It returns a detach function.
+// ihdiag sniff. It returns a detach function.
 func (f *Fabric) AttachSniffer(fn func(TxRecord)) func() {
 	f.sniffers = append(f.sniffers, fn)
 	idx := len(f.sniffers) - 1

@@ -9,9 +9,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// benchFleet builds n plain (non-recording) synthetic hosts with one
-// admitted tenant each, so every host-millisecond carries heartbeat,
-// telemetry, arbiter and monitor work.
+// benchFleet builds n recording synthetic hosts — what ihnetd serves —
+// with one admitted tenant each, so every host-millisecond carries
+// heartbeat, telemetry, arbiter and monitor work.
 func benchFleet(b *testing.B, n int) *Fleet {
 	b.Helper()
 	f, err := Synth(SynthSpec{Hosts: n, Seed: 1, Workload: true})
@@ -22,7 +22,7 @@ func benchFleet(b *testing.B, n int) *Fleet {
 }
 
 // BenchmarkFleetRunFor measures one millisecond of fleet virtual time
-// per iteration: the serial host-by-host loop against the parallel
+// per iteration: the one-worker runner against the parallel
 // epoch-barrier runner at the classic tiers, and the sharded engine
 // at 1024 and 10000 hosts (where a single global barrier would make
 // every epoch wait on the slowest of 10k hosts). The serial/parallel
@@ -32,9 +32,12 @@ func BenchmarkFleetRunFor(b *testing.B) {
 	for _, hosts := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("hosts=%d/serial", hosts), func(b *testing.B) {
 			f := benchFleet(b, hosts)
+			r := newRunner(f, runnerConfig{Workers: 1})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f.RunFor(simtime.Millisecond)
+				if _, err := r.RunFor(context.Background(), simtime.Millisecond); err != nil {
+					b.Fatal(err)
+				}
 			}
 			b.ReportMetric(float64(hosts)*float64(b.N)/b.Elapsed().Seconds(), "host-ms/s")
 		})
@@ -146,7 +149,7 @@ func BenchmarkFleetBytesPerHost(b *testing.B) {
 		var before, after runtime.MemStats
 		runtime.GC()
 		runtime.ReadMemStats(&before)
-		f, err := Synth(SynthSpec{Hosts: hosts, Seed: 1, Record: true, Workload: true})
+		f, err := Synth(SynthSpec{Hosts: hosts, Seed: 1, Workload: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package fleet_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -8,6 +9,7 @@ import (
 	"repro/internal/fleet"
 	"repro/internal/intent"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 	"repro/internal/topology"
 )
 
@@ -18,23 +20,23 @@ func ExampleFleet_Rebalance() {
 	for i, name := range []string{"host-a", "host-b"} {
 		opts := core.DefaultOptions()
 		opts.Seed = int64(i + 1)
-		mgr, err := core.New(topology.TwoSocketServer(), opts)
+		sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: opts})
 		if err != nil {
 			log.Fatal(err)
 		}
-		_ = mgr.Start()
-		_, _ = fl.AddHost(name, mgr)
+		_, _ = fl.AddSession(name, sess)
 	}
+	runner := fleet.NewShardedRunner(fl, fleet.ShardConfig{})
 	hostA := fl.Host("host-a")
-	_, _ = hostA.Mgr.Admit("victim", []intent.Target{
+	_, _ = hostA.Sess.Admit("victim", []intent.Target{
 		{Src: "nic0", Dst: "memory:socket0", Rate: topology.GBps(5)},
 	})
-	_, _ = hostA.Mgr.Admit("bystander", []intent.Target{
+	_, _ = hostA.Sess.Admit("bystander", []intent.Target{
 		{Src: "gpu1", Dst: "memory:socket1", Rate: topology.GBps(5)},
 	})
-	fl.RunFor(2 * simtime.Millisecond) // calibrate heartbeats
-	_ = hostA.Mgr.Fabric().DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond)
-	fl.RunFor(2 * simtime.Millisecond) // detect + localize
+	_, _ = runner.RunFor(context.Background(), 2*simtime.Millisecond) // calibrate heartbeats
+	_ = hostA.Sess.DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond)
+	_, _ = runner.RunFor(context.Background(), 2*simtime.Millisecond) // detect + localize
 
 	rep := fl.Rebalance()
 	fmt.Println("moved victim to:", rep.Moved["victim"])

@@ -5,7 +5,10 @@
 // counterpart: least-pressure placement of new tenants across hosts,
 // and health-driven evacuation that uses the anomaly platform's
 // localization to move exactly the tenants whose pathways cross a
-// suspect link.
+// suspect link. Every host is a recording snap.Session, so each
+// mutation — placement, eviction, migration, time advancement through
+// the sharded runner — lands in the host's own journal and the host
+// stays checkpointable and replayable.
 package fleet
 
 import (
@@ -25,10 +28,9 @@ import (
 type Host struct {
 	Name string
 	Mgr  *core.Manager
-	// Sess, when non-nil, is the host's recording session. Fleet
-	// operations that mutate the host (admit, evict, time advancement)
-	// go through it so every host in a fleet daemon stays individually
-	// checkpointable and replayable.
+	// Sess is the host's recording session. Fleet operations that
+	// mutate the host (admit, evict, time advancement) go through it,
+	// so every host stays individually checkpointable and replayable.
 	Sess *snap.Session
 }
 
@@ -43,37 +45,13 @@ func (h *Host) Replace(sess *snap.Session) {
 	old.Obs().Bus.Close()
 }
 
-// admit runs the admission pipeline on this host, journaled when the
-// host records.
-func (h *Host) admit(tenant fabric.TenantID, targets []intent.Target) (*vnet.View, error) {
-	if h.Sess != nil {
-		return h.Sess.Admit(string(tenant), targets)
-	}
-	return h.Mgr.Admit(tenant, targets)
-}
-
-// evict releases a tenant on this host, journaled when the host
-// records.
-func (h *Host) evict(tenant fabric.TenantID) error {
-	if h.Sess != nil {
-		return h.Sess.Evict(string(tenant))
-	}
-	return h.Mgr.Evict(tenant)
-}
-
-// advanceTo drives the host's clock to t (no-op if already there),
-// journaled when the host records.
+// advanceTo drives the host's clock to t through its session (no-op
+// if already there).
 func (h *Host) advanceTo(t simtime.Time) error {
-	if h.Sess != nil {
-		if t <= h.Sess.Now() {
-			return nil
-		}
-		return h.Sess.AdvanceTo(t)
+	if t <= h.Sess.Now() {
+		return nil
 	}
-	if eng := h.Mgr.Engine(); t > eng.Now() {
-		eng.RunUntil(t)
-	}
-	return nil
+	return h.Sess.AdvanceTo(t)
 }
 
 // Pressure is the host's reserved fraction of total fabric capacity —
@@ -97,7 +75,7 @@ type Fleet struct {
 	hosts []*Host
 	// sorted records whether hosts is currently name-ordered, so the
 	// hot paths (epoch loops, roll-ups) do not re-sort 10k names on
-	// every call. AddHost invalidates it.
+	// every call. AddSession invalidates it.
 	sorted bool
 }
 
@@ -111,34 +89,25 @@ func subFleet(hosts []*Host) *Fleet {
 	return &Fleet{hosts: hosts, sorted: true}
 }
 
-// AddHost registers a managed host under a unique name.
-func (f *Fleet) AddHost(name string, mgr *core.Manager) (*Host, error) {
-	if name == "" || mgr == nil {
-		return nil, fmt.Errorf("fleet: host needs a name and a manager")
+// AddSession registers a recording host under a unique name:
+// mutating fleet operations on it are journaled through the session,
+// so it remains checkpointable with internal/snap while under fleet
+// management.
+func (f *Fleet) AddSession(name string, sess *snap.Session) (*Host, error) {
+	if sess == nil {
+		return nil, fmt.Errorf("fleet: host %q needs a session", name)
+	}
+	if name == "" {
+		return nil, fmt.Errorf("fleet: host needs a name")
 	}
 	for _, h := range f.hosts {
 		if h.Name == name {
 			return nil, fmt.Errorf("fleet: duplicate host %q", name)
 		}
 	}
-	h := &Host{Name: name, Mgr: mgr}
+	h := &Host{Name: name, Mgr: sess.Manager(), Sess: sess}
 	f.hosts = append(f.hosts, h)
 	f.sorted = false
-	return h, nil
-}
-
-// AddSession registers a recording host: mutating fleet operations on
-// it are journaled through the session, so it remains checkpointable
-// with internal/snap while under fleet management.
-func (f *Fleet) AddSession(name string, sess *snap.Session) (*Host, error) {
-	if sess == nil {
-		return nil, fmt.Errorf("fleet: host %q needs a session", name)
-	}
-	h, err := f.AddHost(name, sess.Manager())
-	if err != nil {
-		return nil, err
-	}
-	h.Sess = sess
 	return h, nil
 }
 
@@ -169,14 +138,6 @@ func (f *Fleet) Host(name string) *Host {
 	return nil
 }
 
-// RunFor advances every host's virtual clock by d. Hosts are
-// independent simulations; the fleet keeps them loosely in step.
-func (f *Fleet) RunFor(d simtime.Duration) {
-	for _, h := range f.Hosts() {
-		h.Mgr.RunFor(d)
-	}
-}
-
 // Place admits a tenant on the least-pressured host that accepts it
 // (ties broken by name). It returns the view and the chosen host.
 func (f *Fleet) Place(tenant fabric.TenantID, targets []intent.Target) (*vnet.View, *Host, error) {
@@ -187,7 +148,7 @@ func (f *Fleet) Place(tenant fabric.TenantID, targets []intent.Target) (*vnet.Vi
 	sort.SliceStable(order, func(i, j int) bool { return order[i].Pressure() < order[j].Pressure() })
 	var lastErr error
 	for _, h := range order {
-		view, err := h.admit(tenant, cloneTargets(targets))
+		view, err := h.Sess.Admit(string(tenant), cloneTargets(targets))
 		if err == nil {
 			return view, h, nil
 		}
@@ -202,13 +163,12 @@ func (f *Fleet) Evict(tenant fabric.TenantID) (*Host, error) {
 	if h == nil {
 		return nil, fmt.Errorf("fleet: unknown tenant %q", tenant)
 	}
-	return h, h.evict(tenant)
+	return h, h.Sess.Evict(string(tenant))
 }
 
 // Migrate re-admits a tenant's intents on the named destination host
 // and evicts it from its current host — the reconfiguration-free
-// migration the virtual abstraction promises, journaled on both ends
-// when the hosts record.
+// migration the virtual abstraction promises, journaled on both ends.
 func (f *Fleet) Migrate(tenant fabric.TenantID, dstName string) (*vnet.View, error) {
 	src := f.Locate(tenant)
 	if src == nil {
@@ -222,11 +182,11 @@ func (f *Fleet) Migrate(tenant fabric.TenantID, dstName string) (*vnet.View, err
 		return nil, fmt.Errorf("fleet: tenant %q is already on %q", tenant, dstName)
 	}
 	rec := src.Mgr.Tenant(tenant)
-	view, err := dst.admit(tenant, cloneTargets(rec.Targets))
+	view, err := dst.Sess.Admit(string(tenant), cloneTargets(rec.Targets))
 	if err != nil {
 		return nil, fmt.Errorf("fleet: destination %q rejected %q: %w", dstName, tenant, err)
 	}
-	if err := src.evict(tenant); err != nil {
+	if err := src.Sess.Evict(string(tenant)); err != nil {
 		return nil, err
 	}
 	return view, nil

@@ -1,44 +1,59 @@
 package fleet
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/intent"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 	"repro/internal/topology"
 )
 
+// newFleet builds n idle recording hosts named a, b, ... (host i
+// seeded i+1).
 func newFleet(t *testing.T, n int) *Fleet {
 	t.Helper()
 	f := New()
 	for i := 0; i < n; i++ {
 		opts := core.DefaultOptions()
 		opts.Seed = int64(i + 1)
-		m, err := core.New(topology.TwoSocketServer(), opts)
+		sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: opts})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := m.Start(); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.AddHost(string(rune('a'+i)), m); err != nil {
+		if _, err := f.AddSession(string(rune('a'+i)), sess); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return f
 }
 
-func TestAddHostValidation(t *testing.T) {
-	f := New()
-	if _, err := f.AddHost("", nil); err == nil {
-		t.Fatal("empty host accepted")
-	}
-	m, _ := core.New(topology.MinimalHost(), core.DefaultOptions())
-	if _, err := f.AddHost("x", m); err != nil {
+// runFor advances every host of the runner's fleet by d.
+func runFor(t *testing.T, sr *ShardedRunner, d simtime.Duration) {
+	t.Helper()
+	if _, err := sr.RunFor(context.Background(), d); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.AddHost("x", m); err == nil {
+}
+
+func TestAddSessionValidation(t *testing.T) {
+	f := New()
+	if _, err := f.AddSession("x", nil); err == nil {
+		t.Fatal("nil session accepted")
+	}
+	sess, err := snap.NewSession(snap.Config{Preset: "minimal", Options: core.DefaultOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AddSession("", sess); err == nil {
+		t.Fatal("empty name accepted")
+	}
+	if _, err := f.AddSession("x", sess); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.AddSession("x", sess); err == nil {
 		t.Fatal("duplicate name accepted")
 	}
 	if f.Host("x") == nil || f.Host("y") != nil {
@@ -89,7 +104,7 @@ func TestPressureGrowsWithReservations(t *testing.T) {
 	f := newFleet(t, 1)
 	h := f.Hosts()[0]
 	before := h.Pressure()
-	if _, err := h.Mgr.Admit("t", []intent.Target{
+	if _, err := h.Sess.Admit("t", []intent.Target{
 		{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(20)},
 	}); err != nil {
 		t.Fatal(err)
@@ -104,23 +119,24 @@ func TestRebalanceMovesOnlyAffectedTenants(t *testing.T) {
 	hostA := f.Host("a")
 	// victim's pathway crosses pcieswitch0; bystander lives on the
 	// other socket's fabric entirely.
-	if _, err := hostA.Mgr.Admit("victim", []intent.Target{
+	if _, err := hostA.Sess.Admit("victim", []intent.Target{
 		{Src: "nic0", Dst: "memory:socket0", Rate: topology.GBps(5)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hostA.Mgr.Admit("bystander", []intent.Target{
+	if _, err := hostA.Sess.Admit("bystander", []intent.Target{
 		{Src: "gpu1", Dst: "memory:socket1", Rate: topology.GBps(5)},
 	}); err != nil {
 		t.Fatal(err)
 	}
 	// Calibrate heartbeats, then silently degrade the victim's switch
 	// link on host a.
-	f.RunFor(2 * simtime.Millisecond)
-	if err := hostA.Mgr.Fabric().DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond); err != nil {
+	sr := NewShardedRunner(f, ShardConfig{})
+	runFor(t, sr, 2*simtime.Millisecond)
+	if err := hostA.Sess.DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond); err != nil {
 		t.Fatal(err)
 	}
-	f.RunFor(2 * simtime.Millisecond)
+	runFor(t, sr, 2*simtime.Millisecond)
 	if len(hostA.Mgr.Anomaly().Detections()) == 0 {
 		t.Fatal("degradation not detected; rebalance has nothing to act on")
 	}
@@ -147,19 +163,22 @@ func TestRebalanceReportsUnplaceable(t *testing.T) {
 	f := newFleet(t, 2)
 	hostA, hostB := f.Host("a"), f.Host("b")
 	// Fill host b's nic0 path so it cannot take the victim.
-	if _, err := hostB.Mgr.Admit("hog", []intent.Target{
+	if _, err := hostB.Sess.Admit("hog", []intent.Target{
 		{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(25)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := hostA.Mgr.Admit("victim", []intent.Target{
+	if _, err := hostA.Sess.Admit("victim", []intent.Target{
 		{Src: "nic0", Dst: "memory:socket0", Rate: topology.GBps(20)},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	f.RunFor(2 * simtime.Millisecond)
-	_ = hostA.Mgr.Fabric().DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond)
-	f.RunFor(2 * simtime.Millisecond)
+	sr := NewShardedRunner(f, ShardConfig{})
+	runFor(t, sr, 2*simtime.Millisecond)
+	if err := hostA.Sess.DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond); err != nil {
+		t.Fatal(err)
+	}
+	runFor(t, sr, 2*simtime.Millisecond)
 	rep := f.Rebalance()
 	if len(rep.Failed) != 1 || rep.Failed[0] != "victim" {
 		t.Fatalf("report: %+v", rep)

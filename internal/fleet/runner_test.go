@@ -19,20 +19,9 @@ import (
 // simulations have real work to do.
 func buildFleet(t *testing.T, n int) *Fleet {
 	t.Helper()
-	f := New()
-	for i := 0; i < n; i++ {
-		opts := core.DefaultOptions()
-		opts.Seed = int64(i + 1)
-		sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: opts})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := f.AddSession(string(rune('a'+i)), sess); err != nil {
-			t.Fatal(err)
-		}
-	}
+	f := newFleet(t, n)
 	for i, h := range f.Hosts() {
-		if _, err := h.admit("kv", []intent.Target{
+		if _, err := h.Sess.Admit("kv", []intent.Target{
 			{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(8)},
 		}); err != nil {
 			t.Fatal(err)

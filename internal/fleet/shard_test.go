@@ -281,8 +281,8 @@ func TestShardedRollupCache(t *testing.T) {
 	}
 }
 
-// TestSynthDeterministic: equal specs produce byte-identical fleets;
-// the record and workload knobs do what they say.
+// TestSynthDeterministic: equal specs produce byte-identical fleets
+// of recording hosts; the workload knob does what it says.
 func TestSynthDeterministic(t *testing.T) {
 	if _, err := Synth(SynthSpec{Hosts: 0}); err == nil {
 		t.Fatal("zero-host synth succeeded")
@@ -291,7 +291,7 @@ func TestSynthDeterministic(t *testing.T) {
 		t.Fatal("unknown preset succeeded")
 	}
 
-	spec := SynthSpec{Hosts: 4, Seed: 7, Record: true, Workload: true}
+	spec := SynthSpec{Hosts: 4, Seed: 7, Workload: true}
 	a, err := Synth(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -314,7 +314,7 @@ func TestSynthDeterministic(t *testing.T) {
 	}
 	for _, h := range a.Hosts() {
 		if h.Sess == nil {
-			t.Fatalf("record spec left host %s without a session", h.Name)
+			t.Fatalf("synth left host %s without a session", h.Name)
 		}
 		if h.Mgr.Tenant("kv") == nil {
 			t.Fatalf("workload spec left host %s without the kv tenant", h.Name)

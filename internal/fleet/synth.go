@@ -9,9 +9,9 @@ import (
 	"repro/internal/topology"
 )
 
-// SynthSpec describes a synthetic fleet: N identical hosts generated
-// in-process, so 10k-host benches and tests do not need 10k JSON
-// files in hosts/.
+// SynthSpec describes a synthetic fleet: N identical recording hosts
+// generated in-process, so 10k-host benches and tests do not need 10k
+// JSON files in hosts/.
 type SynthSpec struct {
 	// Hosts is how many hosts to generate. Required.
 	Hosts int
@@ -21,18 +21,13 @@ type SynthSpec struct {
 	// Seed is the base RNG seed; host i gets Seed+i, mirroring
 	// LoadDir's discipline, so a spec always yields the same fleet.
 	Seed int64
-	// Record wraps every host in a snap.Session so it stays
-	// individually checkpointable and replayable (what the daemon
-	// wants); leave false for benchmarks where journaling 10k hosts
-	// would dominate the measurement.
-	Record bool
 	// Workload, when true, admits one standard tenant per host
 	// (nic0 -> any-memory at 8 GB/s, tenant "kv") so every host has
 	// live flows to schedule — the benchmark shape.
 	Workload bool
 }
 
-// Synth generates spec.Hosts deterministic hosts named
+// Synth generates spec.Hosts deterministic recording hosts named
 // synth-00000..synth-NNNNN. Equal specs yield byte-identical fleets:
 // names, seeds, and admission order are all derived from the spec.
 func Synth(spec SynthSpec) (*Fleet, error) {
@@ -43,38 +38,20 @@ func Synth(spec SynthSpec) (*Fleet, error) {
 	if preset == "" {
 		preset = "two-socket"
 	}
-	build, ok := topology.Presets[preset]
-	if !ok {
-		return nil, fmt.Errorf("fleet: unknown preset %q", preset)
-	}
 	f := New()
 	for i := 0; i < spec.Hosts; i++ {
 		name := fmt.Sprintf("synth-%05d", i)
 		opts := core.DefaultOptions()
 		opts.Seed = spec.Seed + int64(i)
-		var host *Host
-		if spec.Record {
-			sess, err := snap.NewSession(snap.Config{Preset: preset, Options: opts})
-			if err != nil {
-				return nil, fmt.Errorf("fleet: synth host %s: %w", name, err)
-			}
-			if host, err = f.AddSession(name, sess); err != nil {
-				return nil, err
-			}
-		} else {
-			mgr, err := core.New(build(), opts)
-			if err != nil {
-				return nil, fmt.Errorf("fleet: synth host %s: %w", name, err)
-			}
-			if err := mgr.Start(); err != nil {
-				return nil, fmt.Errorf("fleet: synth host %s: %w", name, err)
-			}
-			if host, err = f.AddHost(name, mgr); err != nil {
-				return nil, err
-			}
+		sess, err := snap.NewSession(snap.Config{Preset: preset, Options: opts})
+		if err != nil {
+			return nil, fmt.Errorf("fleet: synth host %s: %w", name, err)
+		}
+		if _, err := f.AddSession(name, sess); err != nil {
+			return nil, err
 		}
 		if spec.Workload {
-			if _, err := host.admit("kv", []intent.Target{
+			if _, err := sess.Admit("kv", []intent.Target{
 				{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(8)},
 			}); err != nil {
 				return nil, fmt.Errorf("fleet: synth workload on %s: %w", name, err)

@@ -86,11 +86,11 @@ const (
 
 // New builds the control plane over a fleet and the sharded engine
 // that advances it (one shard degenerates to the classic
-// single-barrier runner). Every host must record: a host without a
-// session is rejected, so no handler has a sessionless path. A nil
-// cfg.Registry is replaced with a fresh one so /metrics always has a
-// surface to serve, and a nil cfg.Bus with a fan-in bus sized from the
-// host count so /fleet/events always streams.
+// single-barrier runner). Every fleet host records, so every handler
+// journals through the host's session. A nil cfg.Registry is replaced
+// with a fresh one so /metrics always has a surface to serve, and a
+// nil cfg.Bus with a fan-in bus sized from the host count so
+// /fleet/events always streams.
 func New(f *fleet.Fleet, cfg fleet.ShardConfig) (*Server, error) {
 	hosts := f.Hosts()
 	if len(hosts) == 0 {
@@ -98,9 +98,6 @@ func New(f *fleet.Fleet, cfg fleet.ShardConfig) (*Server, error) {
 	}
 	s := &Server{fleet: f, hosts: make(map[string]*fleet.Host, len(hosts)), started: time.Now()}
 	for _, h := range hosts {
-		if h.Sess == nil {
-			return nil, fmt.Errorf("httpapi: host %s has no session; every served host must record", h.Name)
-		}
 		s.hosts[h.Name] = h
 	}
 	if len(hosts) == 1 {

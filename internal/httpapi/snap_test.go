@@ -8,10 +8,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/snap"
-	"repro/internal/topology"
 )
 
 func postJSON(t *testing.T, url, body string, out any) int {
@@ -139,21 +137,10 @@ func TestRestoreRejectsCorruption(t *testing.T) {
 	}
 }
 
-// TestServerRejectsSessionlessHost: every served host records, so a
-// host without a session is refused at construction — no handler
-// carries a sessionless path.
+// TestServerRejectsSessionlessHost: a server needs at least one host,
+// and every fleet host records (fleet.AddSession refuses a nil
+// session), so no handler carries a sessionless path.
 func TestServerRejectsSessionlessHost(t *testing.T) {
-	mgr, err := core.New(topology.TwoSocketServer(), core.DefaultOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := fleet.New()
-	if _, err := f.AddHost("bare", mgr); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := New(f, fleet.ShardConfig{}); err == nil {
-		t.Fatal("server accepted a host without a session")
-	}
 	if _, err := New(fleet.New(), fleet.ShardConfig{}); err == nil {
 		t.Fatal("server accepted an empty fleet")
 	}

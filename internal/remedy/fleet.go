@@ -23,8 +23,8 @@ type FleetController struct {
 	ctrls  map[string]*Controller
 }
 
-// NewFleet attaches one controller per current fleet host. Hosts must
-// be session-backed (journaled); the runner may be nil, which disables
+// NewFleet attaches one controller per current fleet host, acting
+// through the host's session; the runner may be nil, which disables
 // the quarantine action. A one-host fleet gets no fleet hook:
 // rebalancing needs a second host, and quarantining the only host
 // would freeze the fleet.
@@ -43,9 +43,6 @@ func NewFleet(flt *fleet.Fleet, runner *fleet.ShardedRunner, pol Policy) (*Fleet
 
 // attach builds the host's controller over its current session.
 func (fc *FleetController) attach(h *fleet.Host, pol Policy) error {
-	if h.Sess == nil {
-		return fmt.Errorf("remedy: host %s has no session; remediation must journal", h.Name)
-	}
 	opts := Options{Policy: pol, Host: h.Name}
 	if len(fc.flt.Hosts()) > 1 {
 		opts.Fleet = &hostHook{fc: fc, name: h.Name}

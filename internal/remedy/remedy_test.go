@@ -1,6 +1,7 @@
 package remedy
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -360,14 +361,20 @@ func TestFleetClosedLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer fc.Close()
+	runner := fleet.NewShardedRunner(flt, fleet.ShardConfig{})
+	runFor := func(d simtime.Duration) {
+		if _, err := runner.RunFor(context.Background(), d); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	acfg := core.DefaultOptions().Anomaly
-	flt.RunFor(simtime.Duration(acfg.CalibrationRounds+5) * acfg.Period)
+	runFor(simtime.Duration(acfg.CalibrationRounds+5) * acfg.Period)
 	if err := sessions["a"].DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 200; i++ {
-		flt.RunFor(acfg.Period)
+		runFor(acfg.Period)
 		fc.StepAll()
 		if s := fc.Stats(); s.Resolved > 0 && !fc.Degraded() {
 			break

@@ -69,7 +69,7 @@ func (v *View) Capacity(link topology.LinkID) (topology.Rate, error) {
 }
 
 // PathCapacity returns the perceived bottleneck capacity along a path
-// in the virtual view — what the tenant should expect an ihperf run to
+// in the virtual view — what the tenant should expect an ihdiag perf run to
 // report when its guarantees are enforced.
 func (v *View) PathCapacity(p topology.Path) topology.Rate {
 	var min topology.Rate
