@@ -2,11 +2,12 @@
 // plane: inspect topology and usage, admit/evict/verify tenants, read
 // alerts and detections, run diagnostics, advance virtual time, and
 // place, migrate, and rebalance tenants across hosts. All traffic goes
-// through internal/apiclient and the versioned /api/v1/ surface.
+// through internal/api — its Client and the route types it declares —
+// and the versioned /api/v1/ surface.
 //
 // Usage:
 //
-//	ihctl [-addr host:port] [-token t | -token-file f] <command> [args]
+//	ihctl [-addr host:port] [-token t | -token-file f] [-host name] <command> [args]
 //
 // Against a daemon started with -auth-token-file, pass the bearer
 // token via -token, -token-file, or the IHNET_TOKEN environment
@@ -37,12 +38,12 @@
 //	                               on every host
 //	fleet-rollup                   merged metrics snapshot (JSON)
 //	fleet-shards                   sharded engine stats: clocks, epochs, cache
-//	host-snapshot <host> [file]    checkpoint one host
-//	host-journal <host> [file]     download one host's journal
 //	experiment <id>                run one experiment (E1..E12) server-side
 //	version                        print build information
 //
-// Commands on the daemon's only host (single-host daemons):
+// Commands on one host. Without -host they use the one-host aliases,
+// so they work only against a single-host daemon; with -host <name>
+// they address that host of any daemon (/api/v1/fleet/hosts/<name>/):
 //
 //	topology                       summarize the host
 //	report                         per-link utilization + per-tenant usage
@@ -57,9 +58,10 @@
 //	perf <src> <dst> [tenant]      bandwidth probe via the daemon
 //	batch -f <ops.json>            apply a multi-op mutation batch
 //	                               (one journal entry, one solver settle)
-//	snapshot [file]                checkpoint daemon state (default snapshot.json;
-//	                               also persisted when the daemon runs -store-dir)
-//	restore <file>                 roll the daemon back to a snapshot
+//	snapshot [file]                checkpoint the host (default snapshot.json,
+//	                               or <host>-snapshot.json with -host; also
+//	                               persisted when the daemon runs -store-dir)
+//	restore <file>                 roll the host back to a snapshot
 //	journal [file]                 download the command journal (default stdout)
 package main
 
@@ -79,8 +81,9 @@ import (
 	"time"
 
 	"repro/cmd/internal/cli"
-	"repro/internal/apiclient"
+	"repro/internal/api"
 	"repro/internal/fabric"
+	"repro/internal/fleet"
 )
 
 func main() {
@@ -92,6 +95,8 @@ func main() {
 		"bearer token for daemons started with -auth-token-file (overrides -token-file and $IHNET_TOKEN)")
 	tokenFile := flag.String("token-file", "",
 		"file holding the bearer token (overrides $IHNET_TOKEN)")
+	host := flag.String("host", "",
+		"run the per-host commands on this host of the daemon (default: the one-host aliases)")
 	flag.Parse()
 	args := flag.Args()
 	if len(args) == 0 {
@@ -102,14 +107,14 @@ func main() {
 	// disconnect and aborts server-side work at the next slice.
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	api := apiclient.New(*addr)
+	client := api.New(*addr)
 	tok, err := resolveToken(*token, *tokenFile)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "ihctl: %v\n", err)
 		os.Exit(2)
 	}
-	api.SetToken(tok)
-	c := command{api: api, ctx: ctx, out: os.Stdout}
+	client.SetToken(tok)
+	c := command{api: client, ctx: ctx, out: os.Stdout, host: *host}
 	if err := c.dispatch(args); err != nil {
 		fmt.Fprintf(os.Stderr, "ihctl: %v\n", err)
 		os.Exit(1)
@@ -139,47 +144,47 @@ func resolveToken(token, tokenFile string) (string, error) {
 }
 
 type command struct {
-	api *apiclient.Client
-	ctx context.Context
-	out io.Writer // where rendered responses go
+	api  *api.Client
+	ctx  context.Context
+	out  io.Writer // where rendered responses go
+	host string    // the -host flag: "" uses the one-host aliases
 }
 
-// get fetches a v1 path and renders the raw response body.
-func (c command) get(path string, render func([]byte) error) error {
+// on returns a per-host route's path: under the host's fleet mount
+// with -host, else the one-host alias.
+func (c command) on(path string) string {
+	if c.host == "" {
+		return path
+	}
+	return "/fleet/hosts/" + url.PathEscape(c.host) + path
+}
+
+// show sends one request (see api.Client.Do for the body forms) and
+// renders the raw response body.
+func (c command) show(method, path string, body any, render func([]byte) error) error {
 	var data []byte
-	if err := c.api.Get(c.ctx, path, &data); err != nil {
+	if err := c.api.Do(c.ctx, method, path, body, &data); err != nil {
 		return err
 	}
 	return render(data)
 }
 
-func (c command) post(path string, body any, render func([]byte) error) error {
-	var data []byte
-	if err := c.api.Post(c.ctx, path, body, &data); err != nil {
+// view GETs a v1 path, decodes it into the route's type and renders
+// it.
+func view[T any](c command, path string, render func(T) error) error {
+	var v T
+	if err := c.api.Get(c.ctx, path, &v); err != nil {
 		return err
 	}
-	return render(data)
+	return render(v)
 }
 
-func (c command) delete(path string, render func([]byte) error) error {
-	var data []byte
-	if err := c.api.Delete(c.ctx, path, &data); err != nil {
-		return err
-	}
-	return render(data)
-}
-
-func admitBody(rest []string) (map[string]any, error) {
+func admitBody(rest []string) (api.Admit, error) {
 	gbps, err := strconv.ParseFloat(rest[3], 64)
 	if err != nil {
-		return nil, fmt.Errorf("bad rate %q", rest[3])
+		return api.Admit{}, fmt.Errorf("bad rate %q", rest[3])
 	}
-	return map[string]any{
-		"tenant": rest[0],
-		"targets": []map[string]any{
-			{"src": rest[1], "dst": rest[2], "rate_gbps": gbps},
-		},
-	}, nil
+	return api.Admit{Tenant: rest[0], Targets: []api.Target{{Src: rest[1], Dst: rest[2], RateGbps: gbps}}}, nil
 }
 
 func (c command) dispatch(args []string) error {
@@ -192,15 +197,15 @@ func (c command) dispatch(args []string) error {
 	}
 	switch cmd {
 	case "topology":
-		return c.get("/topology", c.prettyTopology)
+		return view(c, c.on("/topology"), c.prettyTopology)
 	case "report":
-		return c.get("/report", c.prettyReport)
+		return view(c, c.on("/report"), c.prettyReport)
 	case "alerts":
-		return c.get("/alerts", c.prettyJSON)
+		return c.show("GET", c.on("/alerts"), nil, c.prettyJSON)
 	case "detections":
-		return c.get("/detections", c.prettyJSON)
+		return c.show("GET", c.on("/detections"), nil, c.prettyJSON)
 	case "tenants":
-		return c.get("/tenants", c.prettyJSON)
+		return c.show("GET", c.on("/tenants"), nil, c.prettyJSON)
 	case "admit":
 		if err := need(4, "<tenant> <src> <dst> <gbps>"); err != nil {
 			return err
@@ -209,32 +214,32 @@ func (c command) dispatch(args []string) error {
 		if err != nil {
 			return err
 		}
-		return c.post("/tenants", body, c.prettyJSON)
+		return c.show("POST", c.on("/tenants"), body, c.prettyJSON)
 	case "evict":
 		if err := need(1, "<tenant>"); err != nil {
 			return err
 		}
-		return c.delete("/fleet/tenants/"+url.PathEscape(rest[0]), c.prettyJSON)
+		return c.show("DELETE", "/fleet/tenants/"+url.PathEscape(rest[0]), nil, c.prettyJSON)
 	case "verify":
 		if err := need(1, "<tenant>"); err != nil {
 			return err
 		}
-		return c.get("/tenants/"+url.PathEscape(rest[0])+"/verify", c.prettyJSON)
+		return c.show("GET", c.on("/tenants/"+url.PathEscape(rest[0])+"/verify"), nil, c.prettyJSON)
 	case "usage":
 		if err := need(1, "<tenant>"); err != nil {
 			return err
 		}
-		return c.get("/tenants/"+url.PathEscape(rest[0])+"/usage", c.prettyJSON)
+		return c.show("GET", c.on("/tenants/"+url.PathEscape(rest[0])+"/usage"), nil, c.prettyJSON)
 	case "ping":
 		if err := need(2, "<src> <dst>"); err != nil {
 			return err
 		}
-		return c.get("/diag/ping?src="+url.QueryEscape(rest[0])+"&dst="+url.QueryEscape(rest[1]), c.prettyJSON)
+		return c.show("GET", c.on("/diag/ping?src="+url.QueryEscape(rest[0])+"&dst="+url.QueryEscape(rest[1])), nil, c.prettyJSON)
 	case "trace":
 		if err := need(2, "<src> <dst>"); err != nil {
 			return err
 		}
-		return c.get("/diag/trace?src="+url.QueryEscape(rest[0])+"&dst="+url.QueryEscape(rest[1]), c.prettyJSON)
+		return c.show("GET", c.on("/diag/trace?src="+url.QueryEscape(rest[0])+"&dst="+url.QueryEscape(rest[1])), nil, c.prettyJSON)
 	case "perf":
 		if len(rest) != 2 && len(rest) != 3 {
 			return fmt.Errorf("usage: ihctl perf <src> <dst> [tenant]")
@@ -243,7 +248,7 @@ func (c command) dispatch(args []string) error {
 		if len(rest) == 3 {
 			u += "&tenant=" + url.QueryEscape(rest[2])
 		}
-		return c.get(u, c.prettyJSON)
+		return c.show("GET", c.on(u), nil, c.prettyJSON)
 	case "advance":
 		if err := need(1, "<micros>"); err != nil {
 			return err
@@ -252,37 +257,36 @@ func (c command) dispatch(args []string) error {
 		if err != nil {
 			return fmt.Errorf("bad micros %q", rest[0])
 		}
-		return c.post("/fleet/advance", map[string]any{"micros": us}, c.prettyJSON)
+		return c.show("POST", "/fleet/advance", api.Advance{Micros: us}, c.prettyJSON)
 	case "batch":
 		return c.batch(rest)
 	case "solver":
-		st, err := c.api.FleetSolverStats(c.ctx)
-		if err != nil {
-			return err
-		}
-		names := make([]string, 0, len(st.Hosts))
-		for name := range st.Hosts {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			c.renderSolverStats(name+": ", st.Hosts[name])
-		}
-		c.renderSolverStats("fleet: ", st.Totals)
-		return nil
+		return view(c, "/fleet/fabric/solver", func(st api.FleetSolverStats) error {
+			for _, name := range sortedKeys(st.Hosts) {
+				c.renderSolverStats(name+": ", st.Hosts[name])
+			}
+			c.renderSolverStats("fleet: ", st.Totals)
+			return nil
+		})
 	case "experiment":
 		if err := need(1, "<id>"); err != nil {
 			return err
 		}
-		return c.get("/experiments/"+url.PathEscape(rest[0]), c.prettyExperiment)
+		return view(c, "/experiments/"+url.PathEscape(rest[0]), func(e api.Experiment) error {
+			_, err := fmt.Fprint(c.out, e.Rendered)
+			return err
+		})
 	case "snapshot":
 		out := "snapshot.json"
+		if c.host != "" {
+			out = c.host + "-snapshot.json"
+		}
 		if len(rest) == 1 {
 			out = rest[0]
 		} else if len(rest) > 1 {
 			return fmt.Errorf("usage: ihctl snapshot [file]")
 		}
-		return c.post("/snapshot", nil, c.toFile(out, "snapshot"))
+		return c.show("POST", c.on("/snapshot"), nil, c.toFile(out, "snapshot"))
 	case "restore":
 		if err := need(1, "<file>"); err != nil {
 			return err
@@ -291,52 +295,46 @@ func (c command) dispatch(args []string) error {
 		if err != nil {
 			return err
 		}
-		var resp []byte
-		if err := c.api.PostRaw(c.ctx, "/restore", data, &resp); err != nil {
-			return err
-		}
-		return c.prettyJSON(resp)
+		return c.show("POST", c.on("/restore"), data, c.prettyJSON)
 	case "journal":
 		if len(rest) > 1 {
 			return fmt.Errorf("usage: ihctl journal [file]")
 		}
 		if len(rest) == 1 {
-			return c.get("/journal", c.toFile(rest[0], "journal"))
+			return c.show("GET", c.on("/journal"), nil, c.toFile(rest[0], "journal"))
 		}
-		return c.get("/journal", c.prettyJSON)
+		return c.show("GET", c.on("/journal"), nil, c.prettyJSON)
 	case "state-hash":
-		return c.get("/fleet/state/hash", c.prettyJSON)
+		return c.show("GET", "/fleet/state/hash", nil, c.prettyJSON)
 	case "watch":
 		return c.watch(rest)
 	case "health":
-		return c.health()
+		return view(c, "/healthz", c.health)
 	case "remedy":
 		return c.remedy(rest)
 	case "fleet-rollup":
-		return c.get("/fleet/metrics/rollup", c.prettyJSON)
+		return c.show("GET", "/fleet/metrics/rollup", nil, c.prettyJSON)
 	case "fleet-shards":
-		st, err := c.api.FleetShards(c.ctx)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(c.out, "shards: %d (workers/shard %d, inner epoch %v, outer every %d)\n",
-			len(st.Shards), st.WorkersPerShard, time.Duration(st.InnerEpochNs), st.OuterEvery)
-		fmt.Fprintf(c.out, "outer epochs: %d  rollup cache: %d hits / %d misses\n",
-			st.OuterEpochs, st.RollupCacheHits, st.RollupCacheMisses)
-		for _, sh := range st.Shards {
-			dirty := ""
-			if sh.Dirty {
-				dirty = "  dirty"
+		return view(c, "/fleet/shards", func(st fleet.ShardStats) error {
+			fmt.Fprintf(c.out, "shards: %d (workers/shard %d, inner epoch %v, outer every %d)\n",
+				len(st.Shards), st.WorkersPerShard, time.Duration(st.InnerEpochNs), st.OuterEvery)
+			fmt.Fprintf(c.out, "outer epochs: %d  rollup cache: %d hits / %d misses\n",
+				st.OuterEpochs, st.RollupCacheHits, st.RollupCacheMisses)
+			for _, sh := range st.Shards {
+				dirty := ""
+				if sh.Dirty {
+					dirty = "  dirty"
+				}
+				fmt.Fprintf(c.out, "  shard %3d: %4d hosts (%d quarantined)  t=%v  inner %d  advanced %d  refolds %d%s\n",
+					sh.Index, sh.Hosts, sh.Quarantined, time.Duration(sh.VirtualTimeNs),
+					sh.InnerEpochs, sh.HostsAdvanced, sh.RollupRefolds, dirty)
 			}
-			fmt.Fprintf(c.out, "  shard %3d: %4d hosts (%d quarantined)  t=%v  inner %d  advanced %d  refolds %d%s\n",
-				sh.Index, sh.Hosts, sh.Quarantined, time.Duration(sh.VirtualTimeNs),
-				sh.InnerEpochs, sh.HostsAdvanced, sh.RollupRefolds, dirty)
-		}
-		return nil
+			return nil
+		})
 	case "hosts":
-		return c.get("/fleet/hosts", c.prettyHosts)
+		return view(c, "/fleet/hosts", c.prettyHosts)
 	case "fleet-report":
-		return c.get("/fleet/report", c.prettyJSON)
+		return c.show("GET", "/fleet/report", nil, c.prettyJSON)
 	case "place":
 		if err := need(4, "<tenant> <src> <dst> <gbps>"); err != nil {
 			return err
@@ -345,33 +343,15 @@ func (c command) dispatch(args []string) error {
 		if err != nil {
 			return err
 		}
-		return c.post("/fleet/tenants", body, c.prettyJSON)
+		return c.show("POST", "/fleet/tenants", body, c.prettyJSON)
 	case "migrate":
 		if err := need(2, "<tenant> <host>"); err != nil {
 			return err
 		}
-		return c.post("/fleet/tenants/"+url.PathEscape(rest[0])+"/migrate",
-			map[string]any{"host": rest[1]}, c.prettyJSON)
+		return c.show("POST", "/fleet/tenants/"+url.PathEscape(rest[0])+"/migrate",
+			api.Migrate{Host: rest[1]}, c.prettyJSON)
 	case "rebalance":
-		return c.post("/fleet/rebalance", nil, c.prettyJSON)
-	case "host-snapshot":
-		if len(rest) != 1 && len(rest) != 2 {
-			return fmt.Errorf("usage: ihctl host-snapshot <host> [file]")
-		}
-		out := rest[0] + "-snapshot.json"
-		if len(rest) == 2 {
-			out = rest[1]
-		}
-		return c.post("/fleet/hosts/"+url.PathEscape(rest[0])+"/snapshot", nil, c.toFile(out, "snapshot"))
-	case "host-journal":
-		if len(rest) != 1 && len(rest) != 2 {
-			return fmt.Errorf("usage: ihctl host-journal <host> [file]")
-		}
-		path := "/fleet/hosts/" + url.PathEscape(rest[0]) + "/journal"
-		if len(rest) == 2 {
-			return c.get(path, c.toFile(rest[1], "journal"))
-		}
-		return c.get(path, c.prettyJSON)
+		return c.show("POST", "/fleet/rebalance", nil, c.prettyJSON)
 	}
 	return fmt.Errorf("unknown command %q", cmd)
 }
@@ -387,18 +367,11 @@ func (c command) watch(rest []string) error {
 	if len(rest) == 1 {
 		kindFilter = rest[0]
 	}
-	return c.api.Stream(c.ctx, "/fleet/events", 0, func(ev apiclient.StreamEvent) error {
+	return c.api.Stream(c.ctx, "/fleet/events", 0, func(ev api.StreamEvent) error {
 		if kindFilter != "" && ev.Type != kindFilter {
 			return nil
 		}
-		var d struct {
-			VirtualNs int64   `json:"virtual_ns"`
-			Host      string  `json:"host"`
-			Span      string  `json:"span"`
-			Subject   string  `json:"subject"`
-			Detail    string  `json:"detail"`
-			Value     float64 `json:"value"`
-		}
+		var d api.TraceEvent
 		if err := json.Unmarshal(ev.Data, &d); err != nil {
 			return err
 		}
@@ -432,62 +405,36 @@ func (c command) remedy(rest []string) error {
 	}
 	switch rest[0] {
 	case "status":
-		st, err := c.api.FleetRemedyStatus(c.ctx)
-		if err != nil {
-			return err
-		}
-		return c.renderRemedyStatus(st)
+		return view(c, "/fleet/remedy/status", c.renderRemedyStatus)
 	case "policy":
 		const path = "/fleet/remedy/policy"
 		switch len(rest) {
 		case 1:
-			return c.get(path, c.prettyJSON)
+			return c.show("GET", path, nil, c.prettyJSON)
 		case 2:
 			doc, err := os.ReadFile(rest[1])
 			if err != nil {
 				return err
 			}
-			var resp []byte
-			if err := c.api.Put(c.ctx, path, json.RawMessage(doc), &resp); err != nil {
-				return err
-			}
-			return c.prettyJSON(resp)
+			return c.show("PUT", path, doc, c.prettyJSON)
 		}
 	}
 	return fmt.Errorf(usage)
-}
-
-func remedySummaryLine(degraded bool, st apiclient.RemedyStatus) string {
-	status := "ok"
-	if degraded {
-		status = "degraded"
-	}
-	return fmt.Sprintf("status: %s  open: %d  resolved: %d/%d  mttr p50/p99: %.1f/%.1f us\n"+
-		"actions: %d executed, %d rejected, %d failed, %d suppressed (of %d proposed)",
-		status, st.Stats.Open, st.Stats.Resolved, st.Stats.Incidents,
-		st.MTTRp50Us, st.MTTRp99Us,
-		st.Stats.Executed, st.Stats.Rejected, st.Stats.Failed, st.Stats.Suppressed, st.Stats.Proposed)
 }
 
 // renderRemedyStatus prints the summary, one line per host, and the
 // incident ledger of every degraded host, returning a non-nil error (so
 // ihctl exits 1) while incidents are open — scripts can gate on the
 // exit code alone.
-func (c command) renderRemedyStatus(st apiclient.FleetRemedyStatus) error {
-	fmt.Fprintln(c.out, remedySummaryLine(st.Degraded, apiclient.RemedyStatus{
-		Stats: st.Stats, MTTRp50Us: st.MTTRp50Us, MTTRp99Us: st.MTTRp99Us}))
-	names := make([]string, 0, len(st.Hosts))
-	for name := range st.Hosts {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+func (c command) renderRemedyStatus(st api.FleetRemedyStatus) error {
+	fmt.Fprintf(c.out, "status: %s  open: %d  resolved: %d/%d  mttr p50/p99: %.1f/%.1f us\n"+
+		"actions: %d executed, %d rejected, %d failed, %d suppressed (of %d proposed)\n",
+		okOrDegraded(st.Degraded), st.Stats.Open, st.Stats.Resolved, st.Stats.Incidents,
+		st.MTTRp50Us, st.MTTRp99Us,
+		st.Stats.Executed, st.Stats.Rejected, st.Stats.Failed, st.Stats.Suppressed, st.Stats.Proposed)
+	for _, name := range sortedKeys(st.Hosts) {
 		hs := st.Hosts[name]
-		status := "ok"
-		if hs.Degraded {
-			status = "degraded"
-		}
-		fmt.Fprintf(c.out, "  %-20s %-8s open=%d resolved=%d\n", name, status, hs.Stats.Open, hs.Stats.Resolved)
+		fmt.Fprintf(c.out, "  %-20s %-8s open=%d resolved=%d\n", name, okOrDegraded(hs.Degraded), hs.Stats.Open, hs.Stats.Resolved)
 		for _, in := range hs.Incidents {
 			state := "open"
 			if in.Resolved {
@@ -502,32 +449,40 @@ func (c command) renderRemedyStatus(st apiclient.FleetRemedyStatus) error {
 	return nil
 }
 
-// health renders the typed health document with its subsystem table.
+func okOrDegraded(degraded bool) string {
+	if degraded {
+		return "degraded"
+	}
+	return "ok"
+}
+
+// health renders the typed health document with its subsystem table:
+// each subsystem's status, then every other field it reports, by name.
 // A degraded daemon makes ihctl exit non-zero so health checks can be
 // scripted without parsing the output.
-func (c command) health() error {
-	h, err := c.api.Health(c.ctx)
-	if err != nil {
-		return err
-	}
+func (c command) health(h api.Health) error {
 	fmt.Fprintf(c.out, "status: %s (%s daemon, version %s, %s)\n", h.Status, h.Mode, h.Version, h.GoVersion)
 	fmt.Fprintf(c.out, "uptime: %.1fs  virtual time: %dns\n", h.UptimeSeconds, h.VirtualTimeNs)
 	fmt.Fprintf(c.out, "hosts: %d (%d quarantined)  tenants: %d\n", h.Hosts, h.Quarantined, h.Tenants)
-	names := make([]string, 0, len(h.Subsystems))
-	for name := range h.Subsystems {
-		names = append(names, name)
+	// Subsystems differ in their fields; walk them as the JSON the
+	// daemon sent.
+	raw, err := json.Marshal(h.Subsystems)
+	if err != nil {
+		return err
 	}
-	sort.Strings(names)
-	for _, name := range names {
-		sub := h.Subsystems[name]
-		fmt.Fprintf(c.out, "  %-12s %s", name, sub.Status)
-		keys := make([]string, 0, len(sub.Detail))
-		for k := range sub.Detail {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			fmt.Fprintf(c.out, " %s=%s", k, sub.Detail[k])
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.UseNumber()
+	var subs map[string]map[string]any
+	if err := dec.Decode(&subs); err != nil {
+		return err
+	}
+	for _, name := range sortedKeys(subs) {
+		sub := subs[name]
+		fmt.Fprintf(c.out, "  %-12s %v", name, sub["status"])
+		for _, k := range sortedKeys(sub) {
+			if k != "status" {
+				fmt.Fprintf(c.out, " %s=%v", k, sub[k])
+			}
 		}
 		fmt.Fprintln(c.out)
 	}
@@ -535,6 +490,16 @@ func (c command) health() error {
 		return fmt.Errorf("daemon is %s", h.Status)
 	}
 	return nil
+}
+
+// sortedKeys returns a map's keys in order.
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
 }
 
 // batch applies a multi-op mutation file (`ihctl batch -f ops.json`).
@@ -549,16 +514,14 @@ func (c command) batch(rest []string) error {
 	if err != nil {
 		return err
 	}
-	var ops []apiclient.BatchOp
-	var wrapped struct {
-		Ops []apiclient.BatchOp `json:"ops"`
-	}
+	var ops []api.BatchOp
+	var wrapped api.Batch
 	if err := json.Unmarshal(doc, &wrapped); err == nil && len(wrapped.Ops) > 0 {
 		ops = wrapped.Ops
 	} else if err := json.Unmarshal(doc, &ops); err != nil {
 		return fmt.Errorf("parse %s: %w", rest[1], err)
 	}
-	res, err := c.api.Batch(c.ctx, ops)
+	res, err := c.api.Batch(c.ctx, c.on("/batch"), ops)
 	for i, r := range res.Results {
 		line := fmt.Sprintf("  %2d %-12s %s", i, r.Op, r.Status)
 		if r.Error != "" {
@@ -618,19 +581,7 @@ func (c command) prettyJSON(data []byte) error {
 	return err
 }
 
-func (c command) prettyTopology(data []byte) error {
-	var t struct {
-		Name       string `json:"name"`
-		Components []struct {
-			Kind string `json:"kind"`
-		} `json:"components"`
-		Links []struct {
-			Class string `json:"class"`
-		} `json:"links"`
-	}
-	if err := json.Unmarshal(data, &t); err != nil {
-		return err
-	}
+func (c command) prettyTopology(t api.Topology) error {
 	kinds := map[string]int{}
 	for _, c := range t.Components {
 		kinds[c.Kind]++
@@ -644,19 +595,9 @@ func (c command) prettyTopology(data []byte) error {
 	return nil
 }
 
-func (c command) prettyReport(data []byte) error {
-	var r struct {
-		VirtualTimeNs int64 `json:"virtual_time_ns"`
-		Links         []struct {
-			ID          string  `json:"id"`
-			Utilization float64 `json:"utilization"`
-		} `json:"links"`
-		Tenants   map[string]map[string]float64 `json:"tenant_usage_bps"`
-		Congested []string                      `json:"congested"`
-	}
-	if err := json.Unmarshal(data, &r); err != nil {
-		return err
-	}
+// prettyReport prints the usage report: the five busiest links, then
+// each tenant's usage by link class, in tenant order.
+func (c command) prettyReport(r api.Report) error {
 	fmt.Fprintf(c.out, "virtual time: %dns\n", r.VirtualTimeNs)
 	fmt.Fprintf(c.out, "congested links: %v\n", r.Congested)
 	fmt.Fprintln(c.out, "busiest links:")
@@ -674,24 +615,13 @@ func (c command) prettyReport(data []byte) error {
 		fmt.Fprintf(c.out, "  %-48s %5.1f%%\n", r.Links[idx].ID, best*100)
 		r.Links[idx].Utilization = -2
 	}
-	for t, usage := range r.Tenants {
-		fmt.Fprintf(c.out, "tenant %s: %v\n", t, usage)
+	for _, t := range sortedKeys(r.Tenants) {
+		fmt.Fprintf(c.out, "tenant %s: %v\n", t, r.Tenants[t])
 	}
 	return nil
 }
 
-func (c command) prettyHosts(data []byte) error {
-	var hosts []struct {
-		Name          string  `json:"name"`
-		VirtualTimeNs int64   `json:"virtual_time_ns"`
-		Pressure      float64 `json:"pressure"`
-		Tenants       int     `json:"tenants"`
-		Detections    int     `json:"detections"`
-		Quarantined   string  `json:"quarantined"`
-	}
-	if err := json.Unmarshal(data, &hosts); err != nil {
-		return err
-	}
+func (c command) prettyHosts(hosts []api.FleetHost) error {
 	fmt.Fprintf(c.out, "%-20s %14s %9s %8s %11s  %s\n",
 		"HOST", "VTIME_NS", "PRESSURE", "TENANTS", "DETECTIONS", "STATUS")
 	for _, h := range hosts {
@@ -702,16 +632,5 @@ func (c command) prettyHosts(data []byte) error {
 		fmt.Fprintf(c.out, "%-20s %14d %8.1f%% %8d %11d  %s\n",
 			h.Name, h.VirtualTimeNs, h.Pressure*100, h.Tenants, h.Detections, status)
 	}
-	return nil
-}
-
-func (c command) prettyExperiment(data []byte) error {
-	var e struct {
-		Rendered string `json:"rendered"`
-	}
-	if err := json.Unmarshal(data, &e); err != nil {
-		return err
-	}
-	fmt.Fprint(c.out, e.Rendered)
 	return nil
 }

@@ -24,7 +24,7 @@ func E1Figure1(seed int64) (Table, error) {
 		Title:   "Figure 1 link classes: measured vs paper envelope (two-socket host)",
 		Columns: []string{"item", "class", "paper capacity", "measured", "paper latency", "measured", "in envelope"},
 		Notes: []string{
-			"PCIe capacity measured below raw (protocol efficiency 0.87, per the pcie TLP model)",
+			"PCIe capacity measured below raw (a constant 0.87 PCIe efficiency)",
 			"measured latency is the idle one-way hop latency; capacity is a saturating flow's allocated rate",
 		},
 	}

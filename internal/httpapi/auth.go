@@ -95,7 +95,7 @@ func Auth(next http.Handler, cfg AuthConfig) http.Handler {
 				denied.Inc()
 			}
 			w.Header().Set("WWW-Authenticate", `Bearer realm="ihnet"`)
-			writeErr(w, http.StatusUnauthorized, fmt.Errorf("missing or invalid bearer token"))
+			writeErr(w, fail(http.StatusUnauthorized, fmt.Errorf("missing or invalid bearer token")))
 			return
 		}
 		if allowed != nil {

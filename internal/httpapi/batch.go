@@ -1,10 +1,10 @@
 package httpapi
 
 import (
-	"encoding/json"
 	"fmt"
 	"net/http"
 
+	"repro/internal/api"
 	"repro/internal/fabric"
 	"repro/internal/fleet"
 	"repro/internal/snap"
@@ -21,47 +21,8 @@ import (
 // (partition shape, dirty-region accounting, batch coalescing, worker
 // utilization); GET /fleet/fabric/solver rolls them up across hosts.
 
-// batchOpDTO is one op in a POST /batch envelope. Op selects the kind;
-// the other fields are populated per op, mirroring the journal's entry
-// schema:
-//
-//	admit        tenant, targets, avoid?
-//	evict        tenant
-//	migrate      tenant, targets, avoid?   (evict + re-admit, two journal ops)
-//	set-cap      link, tenant, cap_bps
-//	clear-cap    link, tenant
-//	degrade      link, loss_frac, extra_ns
-//	fail         link
-//	restore-link link
-//	set-config   component, key, value
-//	workload     workload, tenant, src?, dst?
-type batchOpDTO struct {
-	Op        string      `json:"op"`
-	Tenant    string      `json:"tenant,omitempty"`
-	Targets   []targetDTO `json:"targets,omitempty"`
-	Avoid     []string    `json:"avoid,omitempty"`
-	Link      string      `json:"link,omitempty"`
-	CapBps    float64     `json:"cap_bps,omitempty"`
-	LossFrac  float64     `json:"loss_frac,omitempty"`
-	ExtraNs   int64       `json:"extra_ns,omitempty"`
-	Component string      `json:"component,omitempty"`
-	Key       string      `json:"key,omitempty"`
-	Value     string      `json:"value,omitempty"`
-	Workload  string      `json:"workload,omitempty"`
-	Src       string      `json:"src,omitempty"`
-	Dst       string      `json:"dst,omitempty"`
-}
-
-// batchResultDTO is the per-op outcome: "ok", "failed" (the first op
-// that errored), or "skipped" (ops after the failure).
-type batchResultDTO struct {
-	Op     string `json:"op"`
-	Status string `json:"status"`
-	Error  string `json:"error,omitempty"`
-}
-
 // journalTargets converts API targets to journal form.
-func journalTargets(ts []targetDTO) []snap.Target {
+func journalTargets(ts []api.Target) []snap.Target {
 	out := make([]snap.Target, len(ts))
 	for i, t := range ts {
 		out[i] = snap.Target{
@@ -75,7 +36,7 @@ func journalTargets(ts []targetDTO) []snap.Target {
 
 // expandBatchOp lowers one API op to its journal ops. Migrate expands
 // to evict + re-admit; everything else maps one-to-one.
-func expandBatchOp(op batchOpDTO) ([]snap.Entry, error) {
+func expandBatchOp(op api.BatchOp) ([]snap.Entry, error) {
 	switch op.Op {
 	case "admit":
 		return []snap.Entry{{Kind: snap.KindAdmit, Tenant: op.Tenant,
@@ -121,17 +82,13 @@ func expandBatchOp(op batchOpDTO) ([]snap.Entry, error) {
 // see the coalescing they paid for. Partial application — the first
 // failing op aborts the rest — comes back as 409 with the same result
 // array inside the error envelope's details.
-func postBatch(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
-	var req struct {
-		Ops []batchOpDTO `json:"ops"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+func postBatch(r *http.Request, h *fleet.Host) (api.BatchResult, error) {
+	var req api.Batch
+	if err := decodeBody(r, &req); err != nil {
+		return api.BatchResult{}, err
 	}
 	if len(req.Ops) == 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("batch needs at least one op"))
-		return
+		return api.BatchResult{}, fail(http.StatusBadRequest, fmt.Errorf("batch needs at least one op"))
 	}
 	// Lower API ops to journal ops, remembering which request op each
 	// journal op came from so results can be folded back.
@@ -140,8 +97,7 @@ func postBatch(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
 	for i, op := range req.Ops {
 		ops, err := expandBatchOp(op)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, fmt.Errorf("op %d: %w", i, err))
-			return
+			return api.BatchResult{}, fail(http.StatusBadRequest, fmt.Errorf("op %d: %w", i, err))
 		}
 		entries = append(entries, ops...)
 		for range ops {
@@ -152,16 +108,15 @@ func postBatch(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
 	opResults, applyErr := h.Sess.ApplyBatch(entries)
 	if opResults == nil {
 		// Structural rejection: nothing was applied or journaled.
-		writeErr(w, http.StatusBadRequest, applyErr)
-		return
+		return api.BatchResult{}, fail(http.StatusBadRequest, applyErr)
 	}
 	settles := h.Mgr.Fabric().SolverStats().Solves - before.Solves
 	// Fold per-journal-op results back onto request ops: an expanded op
 	// is "ok" only if all its journal ops applied, "failed" if any
 	// failed, otherwise "skipped".
-	results := make([]batchResultDTO, len(req.Ops))
+	results := make([]api.BatchOpResult, len(req.Ops))
 	for i := range results {
-		results[i] = batchResultDTO{Op: req.Ops[i].Op, Status: "ok"}
+		results[i] = api.BatchOpResult{Op: req.Ops[i].Op, Status: "ok"}
 	}
 	for k, res := range opResults {
 		out := &results[owner[k]]
@@ -174,35 +129,23 @@ func postBatch(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
 			}
 		}
 	}
-	body := map[string]any{
-		"results":        results,
-		"solver_settles": settles,
-	}
+	body := api.BatchResult{Results: results, SolverSettles: settles}
 	if applyErr != nil {
-		writeErrDetails(w, http.StatusConflict, applyErr, body)
-		return
+		return api.BatchResult{}, &apiError{status: http.StatusConflict, err: applyErr, details: body}
 	}
-	writeJSON(w, http.StatusOK, body)
+	return body, nil
 }
 
 // getSolver serves the fabric's component-solver snapshot. Write lock:
 // sizing the live partition walks the union-find with path
 // compression, which mutates finder state.
-func getSolver(w http.ResponseWriter, _ *http.Request, h *fleet.Host) {
-	writeJSON(w, http.StatusOK, h.Mgr.Fabric().SolverStats())
-}
-
-// fleetSolverDTO is the fleet roll-up of per-host solver stats.
-type fleetSolverDTO struct {
-	Hosts map[string]fabric.SolverStats `json:"hosts"`
-	// Totals sums the cumulative counters and the live partition shape
-	// across hosts; LargestComponent is the fleet-wide maximum.
-	Totals fabric.SolverStats `json:"totals"`
+func getSolver(_ *http.Request, h *fleet.Host) (fabric.SolverStats, error) {
+	return h.Mgr.Fabric().SolverStats(), nil
 }
 
 // getFleetSolver rolls per-host solver stats up across the fleet.
-func (s *Server) getFleetSolver(w http.ResponseWriter, _ *http.Request) {
-	out := fleetSolverDTO{Hosts: make(map[string]fabric.SolverStats)}
+func (s *Server) getFleetSolver(*http.Request) (api.FleetSolverStats, error) {
+	out := api.FleetSolverStats{Hosts: make(map[string]fabric.SolverStats)}
 	for _, h := range s.fleet.Hosts() {
 		st := h.Mgr.Fabric().SolverStats()
 		out.Hosts[h.Name] = st
@@ -226,5 +169,5 @@ func (s *Server) getFleetSolver(w http.ResponseWriter, _ *http.Request) {
 		t.WorkerBusyNs += st.WorkerBusyNs
 		t.ParallelWallNs += st.ParallelWallNs
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }

@@ -5,19 +5,16 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-)
 
-type batchResponse struct {
-	Results       []batchResultDTO `json:"results"`
-	SolverSettles uint64           `json:"solver_settles"`
-}
+	"repro/internal/api"
+)
 
 // TestBatchEndpointOneSettle drives the headline contract over HTTP: a
 // multi-op envelope lands as one solver settle, and the solver
 // introspection endpoint reflects the batch.
 func TestBatchEndpointOneSettle(t *testing.T) {
 	_, ts := newServer(t)
-	var out batchResponse
+	var out api.BatchResult
 	code := postJSON(t, ts.URL+"/api/v1/batch", `{"ops":[
 		{"op":"admit","tenant":"kv","targets":[{"src":"nic0","dst":"socket0.dimm0_0","rate_gbps":20}]},
 		{"op":"admit","tenant":"ml","targets":[{"src":"gpu0","dst":"socket0.dimm0_0","rate_gbps":10}]},
@@ -64,7 +61,7 @@ func TestBatchEndpointMigrate(t *testing.T) {
 		`{"tenant":"kv","targets":[{"src":"nic0","dst":"socket0.dimm0_0","rate_gbps":40}]}`, nil); code != http.StatusCreated {
 		t.Fatalf("admit status %d", code)
 	}
-	var out batchResponse
+	var out api.BatchResult
 	code := postJSON(t, ts.URL+"/api/v1/batch", `{"ops":[
 		{"op":"migrate","tenant":"kv","targets":[{"src":"nic0","dst":"socket1.dimm1_0","rate_gbps":20}]}
 	]}`, &out)
@@ -104,14 +101,14 @@ func TestBatchEndpointPartialFailure(t *testing.T) {
 		t.Fatalf("partial batch status %d, want 409", resp.StatusCode)
 	}
 	detail := decodeEnvelope(t, resp)
-	if detail.Code != CodeConflict {
+	if detail.Code != api.CodeConflict {
 		t.Fatalf("envelope code %q", detail.Code)
 	}
 	raw, err := json.Marshal(detail.Details)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var body batchResponse
+	var body api.BatchResult
 	if err := json.Unmarshal(raw, &body); err != nil {
 		t.Fatalf("envelope details are not the batch result body: %v", err)
 	}

@@ -5,13 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"reflect"
 	"strings"
-)
 
-// APIPrefix is the versioned mount point of the control plane. Every
-// JSON endpoint lives under it; /metrics and /debug/pprof/ keep their
-// conventional unversioned paths.
-const APIPrefix = "/api/v1"
+	"repro/internal/api"
+	"repro/internal/fleet"
+)
 
 // StatusClientClosedRequest reports that the client went away before
 // the server finished (nginx's 499 convention). Handlers that abort a
@@ -19,94 +18,59 @@ const APIPrefix = "/api/v1"
 // writing a partial body.
 const StatusClientClosedRequest = 499
 
-// Error codes of the v1 envelope. Every non-2xx response carries
-// exactly one of these; the code is a stable, typed contract while
-// messages remain free-form.
-const (
-	CodeBadRequest      = "bad_request"       // 400: malformed input
-	CodeUnauthorized    = "unauthorized"      // 401: missing or wrong bearer token
-	CodeNotFound        = "not_found"         // 404: no such resource or endpoint
-	CodeConflict        = "conflict"          // 409: admission/state conflict
-	CodePayloadTooLarge = "payload_too_large" // 413: request body over the route's cap
-	CodeCanceled        = "canceled"          // 499: client closed the request
-	CodeInternal        = "internal"          // 500: operation failed server-side
-	CodeUnavailable     = "unavailable"       // 503: surface not enabled in this mode
-)
-
-// ErrorBody is the single typed error envelope of the v1 API:
-// {"error":{"code":"...","message":"..."}}.
-type ErrorBody struct {
-	Error ErrorDetail `json:"error"`
+// codes maps an HTTP status to its envelope code; every other status
+// is "internal", so every error path speaks the same contract.
+var codes = map[int]string{
+	http.StatusBadRequest:            api.CodeBadRequest,
+	http.StatusUnauthorized:          api.CodeUnauthorized,
+	http.StatusNotFound:              api.CodeNotFound,
+	http.StatusConflict:              api.CodeConflict,
+	http.StatusRequestEntityTooLarge: api.CodePayloadTooLarge,
+	StatusClientClosedRequest:        api.CodeCanceled,
+	http.StatusServiceUnavailable:    api.CodeUnavailable,
 }
 
-// ErrorDetail carries the typed code and human-readable message.
-// Details, when present, is endpoint-specific structured context — the
-// batch endpoint returns its per-op result array there on partial
-// application, so a 409 still tells the client exactly how far the
-// batch got.
-type ErrorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-	Details any    `json:"details,omitempty"`
+// apiError is a failed request: the status its envelope answers with,
+// the cause, and the envelope's optional endpoint-specific details.
+type apiError struct {
+	status  int
+	err     error
+	details any
 }
 
-// codeForStatus maps an HTTP status to its envelope code; the mapping
-// is total so every error path speaks the same contract.
-func codeForStatus(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return CodeBadRequest
-	case http.StatusUnauthorized:
-		return CodeUnauthorized
-	case http.StatusNotFound:
-		return CodeNotFound
-	case http.StatusConflict:
-		return CodeConflict
-	case http.StatusRequestEntityTooLarge:
-		return CodePayloadTooLarge
-	case StatusClientClosedRequest:
-		return CodeCanceled
-	case http.StatusServiceUnavailable:
-		return CodeUnavailable
-	default:
-		return CodeInternal
-	}
-}
+func (e *apiError) Error() string { return e.err.Error() }
+func (e *apiError) Unwrap() error { return e.err }
 
+// fail attaches the answering status to err.
+func fail(status int, err error) error { return &apiError{status: status, err: err} }
+
+// writeJSON is the server's one JSON encoder: every JSON body, a
+// route's value or an error envelope, is written here.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// writeErr renders err in the v1 envelope with the code implied by the
-// status. A body that blew the mux's MaxBytesReader cap surfaces as a
-// decode error deep inside whatever handler was reading it; detecting
+// writeErr renders err in the v1 envelope. An *apiError in its chain
+// supplies the status and details; any other error is a 500. A body
+// that blew the mux's MaxBytesReader cap surfaces as a decode error
+// deep inside whatever handler was reading it; detecting
 // *http.MaxBytesError here rewrites that to the 413 it really is, in
 // one place instead of every decode site.
-func writeErr(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, statusForErr(status, err), ErrorBody{Error: ErrorDetail{
-		Code:    codeForStatus(statusForErr(status, err)),
-		Message: err.Error(),
-	}})
-}
-
-// writeErrDetails is writeErr with structured endpoint-specific
-// context attached to the envelope.
-func writeErrDetails(w http.ResponseWriter, status int, err error, details any) {
-	writeJSON(w, statusForErr(status, err), ErrorBody{Error: ErrorDetail{
-		Code:    codeForStatus(statusForErr(status, err)),
-		Message: err.Error(),
-		Details: details,
-	}})
-}
-
-func statusForErr(status int, err error) int {
+func writeErr(w http.ResponseWriter, err error) {
+	e := &apiError{status: http.StatusInternalServerError, err: err}
+	errors.As(err, &e)
+	status := e.status
 	var mbe *http.MaxBytesError
 	if errors.As(err, &mbe) {
-		return http.StatusRequestEntityTooLarge
+		status = http.StatusRequestEntityTooLarge
 	}
-	return status
+	code, ok := codes[status]
+	if !ok {
+		code = api.CodeInternal
+	}
+	writeJSON(w, status, api.ErrorBody{Error: api.ErrorDetail{Code: code, Message: e.err.Error(), Details: e.details}})
 }
 
 // lockMode says which server lock a route runs under.
@@ -124,19 +88,57 @@ const (
 	lockWrite
 )
 
-// route is one row of the server's v1 route table. Pattern is the
-// path below APIPrefix (net/http ServeMux syntax, wildcards included);
-// the table is the single source of truth for Handler construction,
-// the completeness tests, and the README's API table.
+// hostHandler serves one request; h is the resolved host on host
+// routes and nil on fleet routes.
+type hostHandler func(w http.ResponseWriter, r *http.Request, h *fleet.Host)
+
+// endpoint is what a route serves: its handler and its declared
+// response type. Resp is nil on the streaming and raw-byte routes,
+// which write their own bodies.
+type endpoint struct {
+	Handler hostHandler
+	Resp    reflect.Type
+}
+
+// hostJSON adapts a typed host handler: its value becomes the JSON
+// body with the route's success status, its error the envelope. It is
+// the one place a route's reply is written.
+func hostJSON[T any](status int, fn func(*http.Request, *fleet.Host) (T, error)) endpoint {
+	return endpoint{
+		Handler: func(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
+			v, err := fn(r, h)
+			if err != nil {
+				writeErr(w, err)
+				return
+			}
+			writeJSON(w, status, v)
+		},
+		Resp: reflect.TypeFor[T](),
+	}
+}
+
+// fleetJSON adapts a typed fleet handler like hostJSON.
+func fleetJSON[T any](status int, fn func(*http.Request) (T, error)) endpoint {
+	return hostJSON(status, func(r *http.Request, _ *fleet.Host) (T, error) { return fn(r) })
+}
+
+// raw wraps a handler that writes its own body.
+func raw(fn hostHandler) endpoint { return endpoint{Handler: fn} }
+
+// route is one row of a route table. Pattern is the path below
+// api.Prefix (net/http ServeMux syntax, wildcards included) — for the
+// host table, below the host's mount point. The tables are the single
+// source of truth for Handler construction, the completeness tests,
+// the golden test's response types, and the README's API table.
 type route struct {
 	Method  string
 	Pattern string
 	Lock    lockMode
-	Handler http.HandlerFunc
+	endpoint
 }
 
 // Path returns the route's full versioned path.
-func (rt route) Path() string { return APIPrefix + rt.Pattern }
+func (rt route) Path() string { return api.Prefix + rt.Pattern }
 
 // Request-body caps, enforced by one http.MaxBytesReader wrap in
 // mountRoutes — the single choke point for every route, replacing the
@@ -159,13 +161,13 @@ func bodyCap(pattern string) int64 {
 	return DefaultBodyCap
 }
 
-// mountRoutes registers the table on mux under APIPrefix, wrapping
+// mountRoutes registers the table on mux under api.Prefix, wrapping
 // each handler in the route's body cap and the requested lock via
 // wrap, and answers every other path with the envelope 404 instead of
 // net/http's plain-text one.
 func mountRoutes(mux *http.ServeMux, routes []route, wrap func(lockMode, http.HandlerFunc) http.HandlerFunc) {
 	for _, rt := range routes {
-		h := wrap(rt.Lock, rt.Handler)
+		h := wrap(rt.Lock, func(w http.ResponseWriter, r *http.Request) { rt.Handler(w, r, nil) })
 		cap := bodyCap(rt.Pattern)
 		mux.HandleFunc(rt.Method+" "+rt.Path(), func(w http.ResponseWriter, r *http.Request) {
 			if r.Body != nil {
@@ -178,5 +180,5 @@ func mountRoutes(mux *http.ServeMux, routes []route, wrap func(lockMode, http.Ha
 }
 
 func notFound(w http.ResponseWriter, r *http.Request) {
-	writeErr(w, http.StatusNotFound, fmt.Errorf("no such endpoint %s %s", r.Method, r.URL.Path))
+	writeErr(w, fail(http.StatusNotFound, fmt.Errorf("no such endpoint %s %s", r.Method, r.URL.Path)))
 }

@@ -3,32 +3,25 @@ package httpapi
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"net/http"
 
+	"repro/internal/api"
 	"repro/internal/fabric"
+	"repro/internal/fleet"
+	"repro/internal/obs"
 	"repro/internal/simtime"
 	"repro/internal/snap"
 )
 
 // The fleet table's handlers: operations over every host of the fleet.
 
-type fleetHostDTO struct {
-	Name          string  `json:"name"`
-	VirtualTimeNs int64   `json:"virtual_time_ns"`
-	Pressure      float64 `json:"pressure"`
-	Tenants       int     `json:"tenants"`
-	Detections    int     `json:"detections"`
-	Quarantined   string  `json:"quarantined,omitempty"`
-}
-
-func (s *Server) hostDTOs() []fleetHostDTO {
+func (s *Server) getHosts(*http.Request) ([]api.FleetHost, error) {
 	failed := s.runner.Failed()
 	hosts := s.fleet.Hosts()
-	out := make([]fleetHostDTO, 0, len(hosts))
+	out := make([]api.FleetHost, 0, len(hosts))
 	for _, h := range hosts {
-		d := fleetHostDTO{
+		d := api.FleetHost{
 			Name:          h.Name,
 			VirtualTimeNs: int64(h.Mgr.Engine().Now()),
 			Pressure:      h.Pressure(),
@@ -40,32 +33,25 @@ func (s *Server) hostDTOs() []fleetHostDTO {
 		}
 		out = append(out, d)
 	}
-	return out
+	return out, nil
 }
 
-func (s *Server) getHosts(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.hostDTOs())
-}
-
-func (s *Server) getFleetReport(w http.ResponseWriter, _ *http.Request) {
-	type tenantDTO struct {
-		ID   string `json:"id"`
-		Host string `json:"host"`
+func (s *Server) getFleetReport(r *http.Request) (api.FleetReport, error) {
+	hosts, _ := s.getHosts(r)
+	out := api.FleetReport{
+		VirtualTimeNs: int64(s.runner.Now()),
+		Workers:       s.runner.Workers(),
+		Shards:        s.runner.Shards(),
+		EpochNs:       int64(s.runner.Epoch()),
+		Hosts:         hosts,
+		Tenants:       []api.FleetTenant{},
 	}
-	tenants := []tenantDTO{}
 	for _, h := range s.fleet.Hosts() {
 		for _, rec := range h.Mgr.Tenants() {
-			tenants = append(tenants, tenantDTO{ID: string(rec.ID), Host: h.Name})
+			out.Tenants = append(out.Tenants, api.FleetTenant{ID: string(rec.ID), Host: h.Name})
 		}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"virtual_time_ns": int64(s.runner.Now()),
-		"workers":         s.runner.Workers(),
-		"shards":          s.runner.Shards(),
-		"epoch_ns":        int64(s.runner.Epoch()),
-		"hosts":           s.hostDTOs(),
-		"tenants":         tenants,
-	})
+	return out, nil
 }
 
 // postFleetAdvance advances all live hosts to a shared barrier, in
@@ -74,110 +60,95 @@ func (s *Server) getFleetReport(w http.ResponseWriter, _ *http.Request) {
 // next epoch barrier — the fleet is never left mid-epoch — and gets
 // the 499 envelope. Epoch advances coalesce in each host's journal,
 // so replay semantics do not depend on the epoch size.
-func (s *Server) postFleetAdvance(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Micros int64 `json:"micros"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+func (s *Server) postFleetAdvance(r *http.Request) (api.Advanced, error) {
+	var req api.Advance
+	if err := decodeBody(r, &req); err != nil {
+		return api.Advanced{}, err
 	}
 	if req.Micros <= 0 || req.Micros > 10_000_000 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("micros must be in (0, 1e7]"))
-		return
+		return api.Advanced{}, fail(http.StatusBadRequest, fmt.Errorf("micros must be in (0, 1e7]"))
 	}
 	rep, err := s.runner.RunFor(r.Context(), simtime.Duration(req.Micros)*simtime.Microsecond)
 	if rep.Aborted {
-		writeErr(w, StatusClientClosedRequest, err)
-		return
+		return api.Advanced{}, fail(StatusClientClosedRequest, err)
 	}
-	failed := make(map[string]string, len(rep.Failed))
+	out := api.Advanced{
+		VirtualTimeNs: int64(s.runner.Now()),
+		Epochs:        rep.Epochs,
+		OuterEpochs:   rep.OuterEpochs,
+		HostsAdvanced: rep.HostsAdvanced,
+		Failed:        make(map[string]string, len(rep.Failed)),
+	}
 	for name, ferr := range rep.Failed {
-		failed[name] = ferr.Error()
+		out.Failed[name] = ferr.Error()
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"virtual_time_ns": int64(s.runner.Now()),
-		"epochs":          rep.Epochs,
-		"outer_epochs":    rep.OuterEpochs,
-		"hosts_advanced":  rep.HostsAdvanced,
-		"failed":          failed,
-	})
+	return out, nil
 }
 
 // postPlace admits a tenant on the least-pressured host that accepts
 // it — the fleet-level counterpart of a host's POST /tenants.
-func (s *Server) postPlace(w http.ResponseWriter, r *http.Request) {
-	var req admitDTO
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+func (s *Server) postPlace(r *http.Request) (api.TenantView, error) {
+	var req api.Admit
+	if err := decodeBody(r, &req); err != nil {
+		return api.TenantView{}, err
 	}
-	view, host, err := s.fleet.Place(fabric.TenantID(req.Tenant), req.intentTargets())
+	view, host, err := s.fleet.Place(fabric.TenantID(req.Tenant), intentTargets(req))
 	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
+		return api.TenantView{}, fail(http.StatusConflict, err)
 	}
 	s.runner.MarkDirty(host.Name)
-	writeJSON(w, http.StatusCreated, newViewDTO(view.Tenant, host.Name, view.Reservation.Links))
+	return tenantView(view.Tenant, host.Name, view.Reservation.Links), nil
 }
 
 // deleteFleetTenant evicts a tenant wherever it runs.
-func (s *Server) deleteFleetTenant(w http.ResponseWriter, r *http.Request) {
+func (s *Server) deleteFleetTenant(r *http.Request) (api.Evicted, error) {
 	id := fabric.TenantID(r.PathValue("id"))
 	host, err := s.fleet.Evict(id)
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
+		return api.Evicted{}, fail(http.StatusNotFound, err)
 	}
 	s.runner.MarkDirty(host.Name)
-	writeJSON(w, http.StatusOK, map[string]string{
-		"evicted": string(id), "host": host.Name,
-	})
+	return api.Evicted{Evicted: string(id), Host: host.Name}, nil
 }
 
 // postMigrate re-admits the tenant on the named destination and evicts
 // it from its current host — the reconfiguration-free migration the
 // paper's virtual abstraction promises.
-func (s *Server) postMigrate(w http.ResponseWriter, r *http.Request) {
+func (s *Server) postMigrate(r *http.Request) (api.TenantView, error) {
 	id := fabric.TenantID(r.PathValue("id"))
-	var req struct {
-		Host string `json:"host"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+	var req api.Migrate
+	if err := decodeBody(r, &req); err != nil {
+		return api.TenantView{}, err
 	}
 	if req.Host == "" {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("migrate needs a destination host"))
-		return
+		return api.TenantView{}, fail(http.StatusBadRequest, fmt.Errorf("migrate needs a destination host"))
 	}
 	src := s.fleet.Locate(id)
 	view, err := s.fleet.Migrate(id, req.Host)
 	if err != nil {
-		writeErr(w, http.StatusConflict, err)
-		return
+		return api.TenantView{}, fail(http.StatusConflict, err)
 	}
 	if src != nil {
 		s.runner.MarkDirty(src.Name)
 	}
 	s.runner.MarkDirty(req.Host)
-	writeJSON(w, http.StatusOK, newViewDTO(view.Tenant, req.Host, view.Reservation.Links))
+	return tenantView(view.Tenant, req.Host, view.Reservation.Links), nil
 }
 
-func (s *Server) postRebalance(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) postRebalance(*http.Request) (api.Rebalanced, error) {
 	rep := s.fleet.Rebalance()
 	s.runner.MarkAllDirty()
-	moved := make(map[string]string, len(rep.Moved))
+	out := api.Rebalanced{
+		Moved:  make(map[string]string, len(rep.Moved)),
+		Failed: make([]string, 0, len(rep.Failed)),
+	}
 	for tenant, host := range rep.Moved {
-		moved[string(tenant)] = host
+		out.Moved[string(tenant)] = host
 	}
-	failed := make([]string, 0, len(rep.Failed))
 	for _, tenant := range rep.Failed {
-		failed = append(failed, string(tenant))
+		out.Failed = append(out.Failed, string(tenant))
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"moved": moved, "failed": failed,
-	})
+	return out, nil
 }
 
 // getFleetStateHash folds every host's state hash — in host-name order,
@@ -185,23 +156,23 @@ func (s *Server) postRebalance(w http.ResponseWriter, _ *http.Request) {
 // fleet fingerprint. Two fleets with the same fingerprint are
 // byte-identical host by host; the kill/restart e2e compares exactly
 // this.
-func (s *Server) getFleetStateHash(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) getFleetStateHash(*http.Request) (api.FleetStateHash, error) {
 	hosts := s.fleet.Hosts() // name-sorted
-	perHost := make(map[string]string, len(hosts))
+	out := api.FleetStateHash{
+		Hosts:         len(hosts),
+		VirtualTimeNs: int64(s.runner.Now()),
+		HostHashes:    make(map[string]string, len(hosts)),
+	}
 	digest := sha256.New()
 	for _, h := range hosts {
 		hash := snap.StateHash(h.Mgr)
-		perHost[h.Name] = hash
+		out.HostHashes[h.Name] = hash
 		fmt.Fprintf(digest, "%s=%s\n", h.Name, hash)
 	}
+	out.FleetHash = "sha256:" + hex.EncodeToString(digest.Sum(nil))
 	// Hashing exports state, which settles accounting metrics.
 	s.runner.MarkAllDirty()
-	writeJSON(w, http.StatusOK, map[string]any{
-		"fleet_hash":      "sha256:" + hex.EncodeToString(digest.Sum(nil)),
-		"hosts":           len(hosts),
-		"virtual_time_ns": int64(s.runner.Now()),
-		"host_hashes":     perHost,
-	})
+	return out, nil
 }
 
 // getFleetRollup serves the merged fleet snapshot as JSON: counters
@@ -211,20 +182,20 @@ func (s *Server) getFleetStateHash(w http.ResponseWriter, _ *http.Request) {
 // the last scrape are refolded, so back-to-back scrapes of an idle
 // fleet never touch a host registry (see rollup_cache_hits/misses on
 // GET /fleet/shards).
-func (s *Server) getFleetRollup(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.rollup())
+func (s *Server) getFleetRollup(*http.Request) (obs.Snapshot, error) {
+	return s.rollup(), nil
 }
 
 // getFleetShards reports the sharded engine's topology and health:
 // per-shard host counts, clocks, epoch/advance counters, quarantines,
 // and the roll-up cache's hit/miss/refold accounting.
-func (s *Server) getFleetShards(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.runner.Stats())
+func (s *Server) getFleetShards(*http.Request) (fleet.ShardStats, error) {
+	return s.runner.Stats(), nil
 }
 
 // getFleetEvents streams the fleet fan-in bus — every host's events,
 // tagged with the originating host, plus the runner's epoch barriers —
 // as server-sent events.
-func (s *Server) getFleetEvents(w http.ResponseWriter, r *http.Request) {
+func (s *Server) getFleetEvents(w http.ResponseWriter, r *http.Request, _ *fleet.Host) {
 	streamSSE(w, r, s.runner.Bus())
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/simtime"
@@ -183,15 +184,15 @@ func TestFleetErrorsSpeakEnvelope(t *testing.T) {
 		status             int
 		code               string
 	}{
-		{"POST", "/api/v1/fleet/advance", `{"micros":0}`, http.StatusBadRequest, CodeBadRequest},
-		{"DELETE", "/api/v1/fleet/tenants/ghost", "", http.StatusNotFound, CodeNotFound},
-		{"POST", "/api/v1/fleet/tenants/ghost/migrate", `{"host":"box-b"}`, http.StatusConflict, CodeConflict},
-		{"POST", "/api/v1/fleet/hosts/nope/snapshot", "", http.StatusNotFound, CodeNotFound},
-		{"GET", "/api/v1/fleet/hosts/nope/journal", "", http.StatusNotFound, CodeNotFound},
-		{"GET", "/api/v1/fleet/hosts/nope/topology", "", http.StatusNotFound, CodeNotFound},
+		{"POST", "/api/v1/fleet/advance", `{"micros":0}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"DELETE", "/api/v1/fleet/tenants/ghost", "", http.StatusNotFound, api.CodeNotFound},
+		{"POST", "/api/v1/fleet/tenants/ghost/migrate", `{"host":"box-b"}`, http.StatusConflict, api.CodeConflict},
+		{"POST", "/api/v1/fleet/hosts/nope/snapshot", "", http.StatusNotFound, api.CodeNotFound},
+		{"GET", "/api/v1/fleet/hosts/nope/journal", "", http.StatusNotFound, api.CodeNotFound},
+		{"GET", "/api/v1/fleet/hosts/nope/topology", "", http.StatusNotFound, api.CodeNotFound},
 		// Two hosts: the one-host aliases are not mounted.
-		{"GET", "/api/v1/topology", "", http.StatusNotFound, CodeNotFound},
-		{"POST", "/api/v1/advance", `{"micros":100}`, http.StatusNotFound, CodeNotFound},
+		{"GET", "/api/v1/topology", "", http.StatusNotFound, api.CodeNotFound},
+		{"POST", "/api/v1/advance", `{"micros":100}`, http.StatusNotFound, api.CodeNotFound},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))

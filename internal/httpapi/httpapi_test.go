@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/simtime"
@@ -165,10 +166,10 @@ func TestAdmitRejectedOverHTTP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var e ErrorBody
+	var e api.ErrorBody
 	_ = json.NewDecoder(resp.Body).Decode(&e)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || e.Error.Code != CodeConflict || e.Error.Message == "" {
+	if resp.StatusCode != http.StatusConflict || e.Error.Code != api.CodeConflict || e.Error.Message == "" {
 		t.Fatalf("status %d, envelope %+v", resp.StatusCode, e)
 	}
 }

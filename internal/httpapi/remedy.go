@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 
+	"repro/internal/api"
 	"repro/internal/fleet"
 	"repro/internal/remedy"
 	"repro/internal/simtime"
@@ -15,97 +16,63 @@ import (
 // started without the controller.
 var errNoRemedy = fmt.Errorf("remediation controller not enabled: start the daemon with -remedy")
 
-// remedyStatusDTO is the closed-loop controller's operator view:
-// cumulative accounting, the incident ledger, and the headline MTTR
-// percentiles (virtual time, so they are comparable across machines).
-type remedyStatusDTO struct {
-	Enabled   bool              `json:"enabled"`
-	Degraded  bool              `json:"degraded"`
-	Stats     remedy.Stats      `json:"stats"`
-	MTTRp50Us float64           `json:"mttr_p50_us"`
-	MTTRp99Us float64           `json:"mttr_p99_us"`
-	Incidents []remedy.Incident `json:"incidents"`
-}
-
-func remedyStatus(c *remedy.Controller) remedyStatusDTO {
-	mttrs := c.MTTRs()
-	return remedyStatusDTO{
+// remedySummary is the accounting of one controller or of the fleet.
+func remedySummary(degraded bool, st remedy.Stats, mttrs []simtime.Duration) api.RemedySummary {
+	return api.RemedySummary{
 		Enabled:   true,
-		Degraded:  c.Degraded(),
-		Stats:     c.Stats(),
+		Degraded:  degraded,
+		Stats:     st,
 		MTTRp50Us: float64(remedy.Percentile(mttrs, 50)) / float64(simtime.Microsecond),
 		MTTRp99Us: float64(remedy.Percentile(mttrs, 99)) / float64(simtime.Microsecond),
-		Incidents: c.Incidents(),
 	}
 }
 
-// hostController returns the host's remediation controller, writing
-// the 404 envelope when remediation is off.
-func (s *Server) hostController(w http.ResponseWriter, name string) *remedy.Controller {
-	if s.rem == nil {
-		writeErr(w, http.StatusNotFound, errNoRemedy)
-		return nil
-	}
-	return s.rem.Controller(name)
-}
-
-func (s *Server) getRemedyStatus(w http.ResponseWriter, _ *http.Request, h *fleet.Host) {
-	if c := s.hostController(w, h.Name); c != nil {
-		writeJSON(w, http.StatusOK, remedyStatus(c))
+func remedyStatus(c *remedy.Controller) api.RemedyStatus {
+	return api.RemedyStatus{
+		RemedySummary: remedySummary(c.Degraded(), c.Stats(), c.MTTRs()),
+		Incidents:     c.Incidents(),
 	}
 }
 
-func (s *Server) getRemedyPolicy(w http.ResponseWriter, _ *http.Request, h *fleet.Host) {
-	if c := s.hostController(w, h.Name); c != nil {
-		writeJSON(w, http.StatusOK, c.Policy())
+// needRemedy guards a remediation route: on a daemon started without
+// the controller it answers the 404 envelope, so the handler behind it
+// can rely on s.rem.
+func (s *Server) needRemedy(e endpoint) endpoint {
+	next := e.Handler
+	e.Handler = func(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
+		if s.rem == nil {
+			writeErr(w, fail(http.StatusNotFound, errNoRemedy))
+			return
+		}
+		next(w, r, h)
 	}
+	return e
+}
+
+func (s *Server) getRemedyStatus(_ *http.Request, h *fleet.Host) (api.RemedyStatus, error) {
+	return remedyStatus(s.rem.Controller(h.Name)), nil
+}
+
+func (s *Server) getRemedyPolicy(_ *http.Request, h *fleet.Host) (remedy.Policy, error) {
+	return s.rem.Controller(h.Name).Policy(), nil
 }
 
 // putRemedyPolicy swaps the host's rule table. Policies are
 // out-of-band configuration — the controller never runs during replay
 // — so the swap is not journaled; it still takes the write lock
 // because the next Step reads it.
-func (s *Server) putRemedyPolicy(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
-	c := s.hostController(w, h.Name)
-	if c == nil {
-		return
+func (s *Server) putRemedyPolicy(r *http.Request, h *fleet.Host) (remedy.Policy, error) {
+	c := s.rem.Controller(h.Name)
+	if err := setPolicy(r, c.SetPolicy); err != nil {
+		return remedy.Policy{}, err
 	}
-	p, err := parsePolicyBody(r.Body)
-	if err == nil {
-		err = c.SetPolicy(*p)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, c.Policy())
+	return c.Policy(), nil
 }
 
-// fleetRemedyStatusDTO aggregates the per-host controllers with a
-// per-host breakdown (only degraded hosts carry incident lists, to
-// keep large-fleet payloads proportional to trouble, not size).
-type fleetRemedyStatusDTO struct {
-	Enabled   bool                       `json:"enabled"`
-	Degraded  bool                       `json:"degraded"`
-	Stats     remedy.Stats               `json:"stats"`
-	MTTRp50Us float64                    `json:"mttr_p50_us"`
-	MTTRp99Us float64                    `json:"mttr_p99_us"`
-	Hosts     map[string]remedyStatusDTO `json:"hosts"`
-}
-
-func (s *Server) getFleetRemedyStatus(w http.ResponseWriter, _ *http.Request) {
-	if s.rem == nil {
-		writeErr(w, http.StatusNotFound, errNoRemedy)
-		return
-	}
-	mttrs := s.rem.MTTRs()
-	out := fleetRemedyStatusDTO{
-		Enabled:   true,
-		Degraded:  s.rem.Degraded(),
-		Stats:     s.rem.Stats(),
-		MTTRp50Us: float64(remedy.Percentile(mttrs, 50)) / float64(simtime.Microsecond),
-		MTTRp99Us: float64(remedy.Percentile(mttrs, 99)) / float64(simtime.Microsecond),
-		Hosts:     make(map[string]remedyStatusDTO, len(s.rem.Hosts())),
+func (s *Server) getFleetRemedyStatus(*http.Request) (api.FleetRemedyStatus, error) {
+	out := api.FleetRemedyStatus{
+		RemedySummary: remedySummary(s.rem.Degraded(), s.rem.Stats(), s.rem.MTTRs()),
+		Hosts:         make(map[string]api.RemedyStatus, len(s.rem.Hosts())),
 	}
 	for _, name := range s.rem.Hosts() {
 		hs := remedyStatus(s.rem.Controller(name))
@@ -114,52 +81,41 @@ func (s *Server) getFleetRemedyStatus(w http.ResponseWriter, _ *http.Request) {
 		}
 		out.Hosts[name] = hs
 	}
-	writeJSON(w, http.StatusOK, out)
+	return out, nil
 }
 
-func (s *Server) getFleetRemedyPolicy(w http.ResponseWriter, _ *http.Request) {
-	if s.rem == nil {
-		writeErr(w, http.StatusNotFound, errNoRemedy)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.rem.Policy())
+func (s *Server) getFleetRemedyPolicy(*http.Request) (remedy.Policy, error) {
+	return s.rem.Policy(), nil
 }
 
-func (s *Server) putFleetRemedyPolicy(w http.ResponseWriter, r *http.Request) {
-	if s.rem == nil {
-		writeErr(w, http.StatusNotFound, errNoRemedy)
-		return
+func (s *Server) putFleetRemedyPolicy(r *http.Request) (remedy.Policy, error) {
+	if err := setPolicy(r, s.rem.SetPolicy); err != nil {
+		return remedy.Policy{}, err
 	}
-	p, err := parsePolicyBody(r.Body)
-	if err == nil {
-		err = s.rem.SetPolicy(*p)
-	}
-	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	writeJSON(w, http.StatusOK, s.rem.Policy())
+	return s.rem.Policy(), nil
 }
 
-// parsePolicyBody decodes and validates a policy document via the
-// package's canonical parser (defaults applied, rule table checked).
+// setPolicy decodes and validates the request's policy document via
+// the package's canonical parser (defaults applied, rule table
+// checked) and installs it; a bad document or rule table is a 400.
 // Body size is already bounded by the mux-level MaxBytesReader cap.
-func parsePolicyBody(r io.Reader) (*remedy.Policy, error) {
-	raw, err := io.ReadAll(r)
+func setPolicy(r *http.Request, set func(remedy.Policy) error) error {
+	raw, err := io.ReadAll(r.Body)
+	switch {
+	case err != nil:
+	case len(raw) == 0:
+		err = fmt.Errorf("empty policy body")
+	case !json.Valid(raw):
+		// Checked first for a crisper error than the parser's.
+		err = fmt.Errorf("policy body is not valid JSON")
+	default:
+		var p remedy.Policy
+		if p, err = remedy.ParsePolicy(raw); err == nil {
+			err = set(p)
+		}
+	}
 	if err != nil {
-		return nil, err
+		return fail(http.StatusBadRequest, err)
 	}
-	if len(raw) == 0 {
-		return nil, fmt.Errorf("empty policy body")
-	}
-	// Round-trip through json.Valid first for a crisper error than the
-	// parser's.
-	if !json.Valid(raw) {
-		return nil, fmt.Errorf("policy body is not valid JSON")
-	}
-	p, err := remedy.ParsePolicy(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &p, nil
+	return nil
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/remedy"
 	"repro/internal/simtime"
@@ -109,7 +110,7 @@ func TestRemedyStatusAndHealthz(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		s.Advance(acfg.Period)
 	}
-	var st remedyStatusDTO
+	var st api.RemedyStatus
 	if code := getJSON(t, ts.URL+"/api/v1/remedy/status", &st); code != 200 {
 		t.Fatalf("remedy status: %d", code)
 	}
@@ -170,7 +171,7 @@ func TestFleetRemedyEndpoints(t *testing.T) {
 	defer fc.Close()
 	s.SetRemedy(fc)
 
-	var st fleetRemedyStatusDTO
+	var st api.FleetRemedyStatus
 	if code := getJSON(t, ts.URL+"/api/v1/fleet/remedy/status", &st); code != 200 {
 		t.Fatalf("fleet remedy status: %d", code)
 	}

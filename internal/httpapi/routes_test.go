@@ -5,8 +5,12 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/api"
 )
 
 // TestAllRoutesVersioned walks the mounted route tables of a one-host
@@ -21,7 +25,7 @@ func TestAllRoutesVersioned(t *testing.T) {
 		routes := s.apiRoutes()
 		seen := make(map[string]bool)
 		for _, rt := range routes {
-			if !strings.HasPrefix(rt.Path(), APIPrefix+"/") {
+			if !strings.HasPrefix(rt.Path(), api.Prefix+"/") {
 				t.Errorf("%s: route %s %s escapes the version prefix", name, rt.Method, rt.Path())
 			}
 			if !strings.HasPrefix(rt.Pattern, "/") || strings.HasSuffix(rt.Pattern, "/") {
@@ -61,15 +65,15 @@ func TestLegacyPathIs404(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("legacy /api/topology: status %d, want 404", resp.StatusCode)
 	}
-	if detail := decodeEnvelope(t, resp); detail.Code != CodeNotFound {
-		t.Fatalf("legacy /api/topology: code %q, want %q", detail.Code, CodeNotFound)
+	if detail := decodeEnvelope(t, resp); detail.Code != api.CodeNotFound {
+		t.Fatalf("legacy /api/topology: code %q, want %q", detail.Code, api.CodeNotFound)
 	}
 }
 
-func decodeEnvelope(t *testing.T, resp *http.Response) ErrorDetail {
+func decodeEnvelope(t *testing.T, resp *http.Response) api.ErrorDetail {
 	t.Helper()
 	defer resp.Body.Close()
-	var e ErrorBody
+	var e api.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&e); err != nil {
 		t.Fatalf("error response is not the v1 envelope: %v", err)
 	}
@@ -88,12 +92,12 @@ func TestErrorEnvelope(t *testing.T) {
 		status             int
 		code               string
 	}{
-		{"POST", "/api/v1/advance", `{"micros":-5}`, http.StatusBadRequest, CodeBadRequest},
-		{"GET", "/api/v1/tenants/ghost/verify", "", http.StatusNotFound, CodeNotFound},
-		{"DELETE", "/api/v1/tenants/ghost", "", http.StatusNotFound, CodeNotFound},
-		{"GET", "/api/v1/fleet/hosts/nope/report", "", http.StatusNotFound, CodeNotFound},
-		{"GET", "/api/v1/no-such-endpoint", "", http.StatusNotFound, CodeNotFound},
-		{"GET", "/definitely-not-api", "", http.StatusNotFound, CodeNotFound},
+		{"POST", "/api/v1/advance", `{"micros":-5}`, http.StatusBadRequest, api.CodeBadRequest},
+		{"GET", "/api/v1/tenants/ghost/verify", "", http.StatusNotFound, api.CodeNotFound},
+		{"DELETE", "/api/v1/tenants/ghost", "", http.StatusNotFound, api.CodeNotFound},
+		{"GET", "/api/v1/fleet/hosts/nope/report", "", http.StatusNotFound, api.CodeNotFound},
+		{"GET", "/api/v1/no-such-endpoint", "", http.StatusNotFound, api.CodeNotFound},
+		{"GET", "/definitely-not-api", "", http.StatusNotFound, api.CodeNotFound},
 	}
 	for _, tc := range cases {
 		req, err := http.NewRequest(tc.method, ts.URL+tc.path, strings.NewReader(tc.body))
@@ -127,8 +131,55 @@ func TestCanceledRequestGets499(t *testing.T) {
 	if rec.Code != StatusClientClosedRequest {
 		t.Fatalf("status %d, want 499", rec.Code)
 	}
-	var e ErrorBody
-	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code != CodeCanceled {
+	var e api.ErrorBody
+	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil || e.Error.Code != api.CodeCanceled {
 		t.Fatalf("body %q, want canceled envelope", rec.Body.String())
+	}
+}
+
+// TestREADMERouteTables parses the README's two v1 route tables and
+// requires one row per route and exactly the routes of hostRoutes()
+// and fleetRoutes(), so a new route fails the build until it is
+// documented.
+func TestREADMERouteTables(t *testing.T) {
+	data, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, section, ok := strings.Cut(string(data), "\n### v1 API\n")
+	if !ok {
+		t.Fatal("README has no v1 API section")
+	}
+	section, _, _ = strings.Cut(section, "\n## ")
+	row := regexp.MustCompile("^\\| `(GET|POST|PUT|DELETE) (/[^` ]*)` \\|")
+	documented := map[string]bool{}
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "| `") {
+			continue
+		}
+		m := row.FindStringSubmatch(line)
+		if m == nil {
+			t.Errorf("README route row is not one route: %s", line)
+			continue
+		}
+		documented[m[1]+" "+m[2]] = true
+	}
+	s, _ := newServer(t) // one host: the fleet table includes its alias
+	want := map[string]bool{}
+	for _, rt := range s.hostRoutes() {
+		want[rt.Method+" "+rt.Pattern] = true
+	}
+	for _, rt := range s.fleetRoutes() {
+		want[rt.Method+" "+rt.Path()] = true
+	}
+	for key := range want {
+		if !documented[key] {
+			t.Errorf("route %s is missing from the README's v1 API tables", key)
+		}
+	}
+	for key := range documented {
+		if !want[key] {
+			t.Errorf("README documents %s, which no route table serves", key)
+		}
 	}
 }

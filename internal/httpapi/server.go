@@ -19,8 +19,10 @@
 //     /healthz), with /api/v1/advance as the one-host alias of
 //     /api/v1/fleet/advance.
 //
-// Every non-2xx response carries the single typed error envelope
-// {"error":{"code","message"}} (see envelope.go). Handlers honor
+// Every route's request and response types live in internal/api;
+// typed handlers return them and one adapter writes every reply (see
+// envelope.go). Every non-2xx response carries the single typed error
+// envelope {"error":{"code","message"}}. Handlers honor
 // r.Context(): a client that disconnects mid-operation gets a 499
 // envelope instead of a partial body, and long advances abort between
 // epochs.
@@ -46,6 +48,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/experiments"
 	"repro/internal/fleet"
 	"repro/internal/obs"
@@ -160,18 +163,6 @@ func (s *Server) Advance(d simtime.Duration) {
 	}
 }
 
-// hostHandler serves one operation on a resolved host.
-type hostHandler func(http.ResponseWriter, *http.Request, *fleet.Host)
-
-// hostRoute is one row of the host table. Pattern is the path below
-// the host's mount point.
-type hostRoute struct {
-	Method  string
-	Pattern string
-	Lock    lockMode
-	Handler hostHandler
-}
-
 // hostPrefix is where the host table is mounted for every host.
 const hostPrefix = "/fleet/hosts/{host}"
 
@@ -182,39 +173,40 @@ const hostPrefix = "/fleet/hosts/{host}"
 // verify, telemetry, solver sizing, state hashing). lockNone endpoints
 // (trace events, the event stream) synchronize on their own and never
 // stall the simulation — a wedged simulation never hides the evidence.
-func (s *Server) hostRoutes() []hostRoute {
-	return []hostRoute{
-		{"GET", "/topology", lockRead, getTopology},
-		{"GET", "/report", lockWrite, getReport},
-		{"GET", "/alerts", lockRead, getAlerts},
-		{"GET", "/detections", lockRead, getDetections},
-		{"GET", "/tenants", lockRead, getTenants},
-		{"POST", "/tenants", lockWrite, postTenant},
-		{"DELETE", "/tenants/{id}", lockWrite, deleteTenant},
-		{"GET", "/tenants/{id}/verify", lockWrite, getVerify},
-		{"GET", "/tenants/{id}/usage", lockWrite, getTenantUsage},
+func (s *Server) hostRoutes() []route {
+	const ok, created = http.StatusOK, http.StatusCreated
+	return []route{
+		{"GET", "/topology", lockRead, hostJSON(ok, getTopology)},
+		{"GET", "/report", lockWrite, hostJSON(ok, getReport)},
+		{"GET", "/alerts", lockRead, hostJSON(ok, getAlerts)},
+		{"GET", "/detections", lockRead, hostJSON(ok, getDetections)},
+		{"GET", "/tenants", lockRead, hostJSON(ok, getTenants)},
+		{"POST", "/tenants", lockWrite, hostJSON(created, postTenant)},
+		{"DELETE", "/tenants/{id}", lockWrite, hostJSON(ok, deleteTenant)},
+		{"GET", "/tenants/{id}/verify", lockWrite, hostJSON(ok, getVerify)},
+		{"GET", "/tenants/{id}/usage", lockWrite, hostJSON(ok, getTenantUsage)},
 		// Batched mutations: one envelope, one journal entry, one
 		// solver settle (see batch.go).
-		{"POST", "/batch", lockWrite, postBatch},
-		{"GET", "/fabric/solver", lockWrite, getSolver},
-		{"GET", "/diag/ping", lockWrite, getPing},
-		{"GET", "/diag/trace", lockWrite, getTrace},
-		{"GET", "/diag/perf", lockWrite, getPerf},
-		{"GET", "/telemetry", lockWrite, getTelemetry},
+		{"POST", "/batch", lockWrite, hostJSON(ok, postBatch)},
+		{"GET", "/fabric/solver", lockWrite, hostJSON(ok, getSolver)},
+		{"GET", "/diag/ping", lockWrite, hostJSON(ok, getPing)},
+		{"GET", "/diag/trace", lockWrite, hostJSON(ok, getTrace)},
+		{"GET", "/diag/perf", lockWrite, hostJSON(ok, getPerf)},
+		{"GET", "/telemetry", lockWrite, hostJSON(ok, getTelemetry)},
 		// Checkpoint/restore and the command journal.
-		{"POST", "/snapshot", lockWrite, s.postSnapshot},
-		{"POST", "/restore", lockWrite, s.postRestore},
-		{"GET", "/journal", lockRead, getJournal},
+		{"POST", "/snapshot", lockWrite, raw(s.postSnapshot)},
+		{"POST", "/restore", lockWrite, hostJSON(ok, s.postRestore)},
+		{"GET", "/journal", lockRead, raw(getJournal)},
 		// Canonical state fingerprint — what the e2e harness compares
 		// across a kill/restart cycle.
-		{"GET", "/state/hash", lockWrite, s.getStateHash},
+		{"GET", "/state/hash", lockWrite, hostJSON(ok, s.getStateHash)},
 		// Closed-loop remediation (unavailable unless the daemon was
 		// started with -remedy).
-		{"GET", "/remedy/status", lockRead, s.getRemedyStatus},
-		{"GET", "/remedy/policy", lockRead, s.getRemedyPolicy},
-		{"PUT", "/remedy/policy", lockWrite, s.putRemedyPolicy},
-		{"GET", "/trace/events", lockNone, getTraceEvents},
-		{"GET", "/events", lockNone, getEvents},
+		{"GET", "/remedy/status", lockRead, s.needRemedy(hostJSON(ok, s.getRemedyStatus))},
+		{"GET", "/remedy/policy", lockRead, s.needRemedy(hostJSON(ok, s.getRemedyPolicy))},
+		{"PUT", "/remedy/policy", lockWrite, s.needRemedy(hostJSON(ok, s.putRemedyPolicy))},
+		{"GET", "/trace/events", lockNone, hostJSON(ok, getTraceEvents)},
+		{"GET", "/events", lockNone, raw(getEvents)},
 	}
 }
 
@@ -224,27 +216,28 @@ func (s *Server) hostRoutes() []hostRoute {
 // roll-ups read host registries through the same atomics the writers
 // use, and a stalled SSE client must never hold the server lock.
 func (s *Server) fleetRoutes() []route {
+	const ok, created = http.StatusOK, http.StatusCreated
 	rs := []route{
-		{"GET", "/fleet/hosts", lockWrite, s.getHosts},
-		{"GET", "/fleet/report", lockWrite, s.getFleetReport},
-		{"POST", "/fleet/advance", lockWrite, s.postFleetAdvance},
-		{"POST", "/fleet/tenants", lockWrite, s.postPlace},
-		{"DELETE", "/fleet/tenants/{id}", lockWrite, s.deleteFleetTenant},
-		{"POST", "/fleet/tenants/{id}/migrate", lockWrite, s.postMigrate},
-		{"POST", "/fleet/rebalance", lockWrite, s.postRebalance},
-		{"GET", "/fleet/fabric/solver", lockWrite, s.getFleetSolver},
-		{"GET", "/fleet/state/hash", lockWrite, s.getFleetStateHash},
-		{"GET", "/fleet/shards", lockRead, s.getFleetShards},
-		{"GET", "/fleet/metrics/rollup", lockNone, s.getFleetRollup},
-		{"GET", "/fleet/events", lockNone, s.getFleetEvents},
-		{"GET", "/fleet/remedy/status", lockRead, s.getFleetRemedyStatus},
-		{"GET", "/fleet/remedy/policy", lockRead, s.getFleetRemedyPolicy},
-		{"PUT", "/fleet/remedy/policy", lockWrite, s.putFleetRemedyPolicy},
-		{"GET", "/healthz", lockRead, s.getHealthz},
-		{"GET", "/experiments/{id}", lockNone, getExperiment},
+		{"GET", "/fleet/hosts", lockWrite, fleetJSON(ok, s.getHosts)},
+		{"GET", "/fleet/report", lockWrite, fleetJSON(ok, s.getFleetReport)},
+		{"POST", "/fleet/advance", lockWrite, fleetJSON(ok, s.postFleetAdvance)},
+		{"POST", "/fleet/tenants", lockWrite, fleetJSON(created, s.postPlace)},
+		{"DELETE", "/fleet/tenants/{id}", lockWrite, fleetJSON(ok, s.deleteFleetTenant)},
+		{"POST", "/fleet/tenants/{id}/migrate", lockWrite, fleetJSON(ok, s.postMigrate)},
+		{"POST", "/fleet/rebalance", lockWrite, fleetJSON(ok, s.postRebalance)},
+		{"GET", "/fleet/fabric/solver", lockWrite, fleetJSON(ok, s.getFleetSolver)},
+		{"GET", "/fleet/state/hash", lockWrite, fleetJSON(ok, s.getFleetStateHash)},
+		{"GET", "/fleet/shards", lockRead, fleetJSON(ok, s.getFleetShards)},
+		{"GET", "/fleet/metrics/rollup", lockNone, fleetJSON(ok, s.getFleetRollup)},
+		{"GET", "/fleet/events", lockNone, raw(s.getFleetEvents)},
+		{"GET", "/fleet/remedy/status", lockRead, s.needRemedy(fleetJSON(ok, s.getFleetRemedyStatus))},
+		{"GET", "/fleet/remedy/policy", lockRead, s.needRemedy(fleetJSON(ok, s.getFleetRemedyPolicy))},
+		{"PUT", "/fleet/remedy/policy", lockWrite, s.needRemedy(fleetJSON(ok, s.putFleetRemedyPolicy))},
+		{"GET", "/healthz", lockRead, fleetJSON(ok, s.getHealthz)},
+		{"GET", "/experiments/{id}", lockNone, fleetJSON(ok, getExperiment)},
 	}
 	if s.only != nil {
-		rs = append(rs, route{"POST", "/advance", lockWrite, s.postFleetAdvance})
+		rs = append(rs, route{"POST", "/advance", lockWrite, fleetJSON(ok, s.postFleetAdvance)})
 	}
 	return rs
 }
@@ -261,10 +254,10 @@ func (s *Server) apiRoutes() []route {
 		}
 	}
 	for _, hr := range s.hostRoutes() {
-		h := s.onHost(hr.Lock, hr.Handler)
-		rs = append(rs, route{hr.Method, hostPrefix + hr.Pattern, hr.Lock, h})
+		hr.Handler = s.onHost(hr.Lock, hr.Handler)
+		rs = append(rs, route{hr.Method, hostPrefix + hr.Pattern, hr.Lock, hr.endpoint})
 		if s.only != nil {
-			rs = append(rs, route{hr.Method, hr.Pattern, hr.Lock, h})
+			rs = append(rs, hr)
 		}
 	}
 	return rs
@@ -297,7 +290,7 @@ func (s *Server) wrap(lock lockMode, h http.HandlerFunc) http.HandlerFunc {
 			s.mu.RLock()
 			defer s.mu.RUnlock()
 			if err := r.Context().Err(); err != nil {
-				writeErr(w, StatusClientClosedRequest, err)
+				writeErr(w, fail(StatusClientClosedRequest, err))
 				return
 			}
 			h(w, r)
@@ -307,7 +300,7 @@ func (s *Server) wrap(lock lockMode, h http.HandlerFunc) http.HandlerFunc {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			if err := r.Context().Err(); err != nil {
-				writeErr(w, StatusClientClosedRequest, err)
+				writeErr(w, fail(StatusClientClosedRequest, err))
 				return
 			}
 			h(w, r)
@@ -316,20 +309,20 @@ func (s *Server) wrap(lock lockMode, h http.HandlerFunc) http.HandlerFunc {
 	return h
 }
 
-// onHost adapts a host handler to the mux: it resolves the {host}
-// path value (or the sole host, on the one-host aliases) and, on
-// write routes, roots the journal span at the request ID on that
-// host's session and marks the host's shard dirty afterwards. lockNone
-// handlers see a copy of the host taken under the swap lock, since a
-// concurrent restore replaces the live fields.
-func (s *Server) onHost(lock lockMode, fn hostHandler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+// onHost resolves the route's host: the {host} path value, or the
+// sole host on the one-host aliases. On write routes it roots the
+// journal span at the request ID on that host's session and marks the
+// host's shard dirty afterwards. lockNone handlers see a copy of the
+// host taken under the swap lock, since a concurrent restore replaces
+// the live fields.
+func (s *Server) onHost(lock lockMode, fn hostHandler) hostHandler {
+	return func(w http.ResponseWriter, r *http.Request, _ *fleet.Host) {
 		h := s.only
 		if name := r.PathValue("host"); name != "" {
 			h = s.hosts[name]
 		}
 		if h == nil {
-			writeErr(w, http.StatusNotFound, fmt.Errorf("unknown host %q", r.PathValue("host")))
+			writeErr(w, fail(http.StatusNotFound, fmt.Errorf("unknown host %q", r.PathValue("host"))))
 			return
 		}
 		switch lock {
@@ -353,11 +346,11 @@ func (s *Server) onHost(lock lockMode, fn hostHandler) http.HandlerFunc {
 // session for the duration of a fleet-wide write: whichever hosts the
 // operation journals on carry the request's span, and no span outlives
 // the request.
-func (s *Server) rootSpans(fn http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
+func (s *Server) rootSpans(fn hostHandler) hostHandler {
+	return func(w http.ResponseWriter, r *http.Request, h *fleet.Host) {
 		id := RequestID(r)
 		if id == "" {
-			fn(w, r)
+			fn(w, r, h)
 			return
 		}
 		for _, h := range s.hosts {
@@ -368,7 +361,7 @@ func (s *Server) rootSpans(fn http.HandlerFunc) http.HandlerFunc {
 				h.Sess.SetSpan("")
 			}
 		}()
-		fn(w, r)
+		fn(w, r, h)
 	}
 }
 
@@ -399,133 +392,100 @@ func (s *Server) rollup() obs.Snapshot {
 	return s.runner.Rollup()
 }
 
-// buildVersion reports the main module version from build info
-// ("(devel)" for tree builds).
-func buildVersion() string {
-	if bi, ok := debug.ReadBuildInfo(); ok && bi.Main.Version != "" {
-		return bi.Main.Version
-	}
-	return "unknown"
-}
-
 // getHealthz reports liveness: build info, uptime, the fleet clock,
 // observability counts summed over hosts, the engine's shape, and a
-// per-subsystem status map. Any alerted heartbeat pair, open
-// remediation incident or quarantined host flips the top-level status,
-// so `ihctl health` (which exits non-zero on anything but "ok") is a
-// usable automation probe.
-func (s *Server) getHealthz(w http.ResponseWriter, _ *http.Request) {
-	module, vcsRev := "", ""
+// per-subsystem status. Any alerted heartbeat pair, open remediation
+// incident or quarantined host flips the top-level status, so `ihctl
+// health` (which exits non-zero on anything but "ok") is a usable
+// automation probe.
+func (s *Server) getHealthz(*http.Request) (api.Health, error) {
+	out := api.Health{
+		Mode:          boolStatus(s.only != nil, "host", "fleet"),
+		Version:       "unknown",
+		GoVersion:     runtime.Version(),
+		UptimeSeconds: time.Since(s.started).Seconds(),
+		VirtualTimeNs: int64(s.runner.Now()),
+		MetricCount:   s.reg.MetricCount(),
+		Hosts:         len(s.hosts),
+		Workers:       s.runner.Workers(),
+		Shards:        s.runner.Shards(),
+		EpochNs:       int64(s.runner.Epoch()),
+	}
 	if bi, ok := debug.ReadBuildInfo(); ok {
-		module = bi.Main.Path
+		if bi.Main.Version != "" {
+			out.Version = bi.Main.Version // "(devel)" for tree builds
+		}
+		out.Module = bi.Main.Path
 		for _, kv := range bi.Settings {
 			if kv.Key == "vcs.revision" {
-				vcsRev = kv.Value
+				out.VCSRevision = kv.Value
 			}
 		}
 	}
-	var flows, tenants, detections, journal, metrics, subs int
-	var processed, traced, traceDropped, busDropped uint64
+	var journal, detections, subs int
+	var busDropped uint64
 	alerted, telemetry := false, true
 	for _, h := range s.hosts {
 		m, o := h.Mgr, h.Mgr.Obs()
-		flows += m.Fabric().Flows()
-		tenants += len(m.Tenants())
+		out.ActiveFlows += m.Fabric().Flows()
+		out.Tenants += len(m.Tenants())
 		detections += m.Anomaly().DetectionCount()
 		alerted = alerted || m.Anomaly().Alerted()
 		telemetry = telemetry && m.Telemetry() != nil
 		journal += h.Sess.Journal().Len()
-		processed += m.Engine().Processed
-		metrics += o.Registry.MetricCount()
-		traced += o.Tracer.Total()
-		traceDropped += o.Tracer.Dropped()
+		out.EventsProcessed += m.Engine().Processed
+		out.MetricCount += o.Registry.MetricCount()
+		out.TraceEvents += o.Tracer.Total()
+		out.TraceDropped += o.Tracer.Dropped()
 		subs += o.Bus.Subscribers()
 		busDropped += o.Bus.Dropped()
 	}
 	failed := s.runner.Failed()
+	out.Quarantined = len(failed)
 	quarantined := make([]string, 0, len(failed))
 	for name := range failed {
 		quarantined = append(quarantined, name)
 	}
 	sort.Strings(quarantined)
 	remedyDegraded := s.rem != nil && s.rem.Degraded()
+	out.Status = boolStatus(!alerted && !remedyDegraded && len(failed) == 0, "ok", "degraded")
 	bus := s.runner.Bus()
 	st := s.runner.Stats()
-	subsystems := map[string]any{
-		"fabric": map[string]any{"status": "ok", "active_flows": flows},
-		"snap":   map[string]any{"status": "ok", "enabled": true, "journal_entries": journal},
-		"telemetry": map[string]any{
-			"status": boolStatus(telemetry, "ok", "disabled"),
+	out.Subsystems = api.Subsystems{
+		Fabric:    api.FabricHealth{Status: "ok", ActiveFlows: out.ActiveFlows},
+		Snap:      api.SnapHealth{Status: "ok", Enabled: true, JournalEntries: journal},
+		Telemetry: api.TelemetryHealth{Status: boolStatus(telemetry, "ok", "disabled")},
+		ObsBus: api.BusHealth{
+			Status:      "ok",
+			Subscribers: subs + bus.Subscribers(),
+			Published:   bus.Seq(),
+			Dropped:     busDropped + bus.Dropped(),
 		},
-		"obs_bus": map[string]any{
-			"status":      "ok",
-			"subscribers": subs + bus.Subscribers(),
-			"published":   bus.Seq(),
-			"dropped":     busDropped + bus.Dropped(),
+		Anomaly: api.AnomalyHealth{Status: boolStatus(!alerted, "ok", "degraded"), Detections: detections},
+		Runner: api.RunnerHealth{
+			Status:      boolStatus(len(failed) == 0, "ok", "degraded"),
+			Workers:     s.runner.Workers(),
+			Shards:      s.runner.Shards(),
+			OuterEvery:  s.runner.OuterEvery(),
+			OuterEpochs: st.OuterEpochs,
+			Quarantined: quarantined,
 		},
-		"anomaly": map[string]any{
-			"status":     boolStatus(!alerted, "ok", "degraded"),
-			"detections": detections,
-		},
-		"runner": map[string]any{
-			"status":       boolStatus(len(failed) == 0, "ok", "degraded"),
-			"workers":      s.runner.Workers(),
-			"shards":       s.runner.Shards(),
-			"outer_every":  s.runner.OuterEvery(),
-			"outer_epochs": st.OuterEpochs,
-			"quarantined":  quarantined,
-		},
-		"rollup_cache": map[string]any{
-			"status": "ok",
-			"hits":   st.RollupCacheHits,
-			"misses": st.RollupCacheMisses,
-		},
-		"remedy": map[string]any{"status": "disabled"},
-		"store":  map[string]any{"status": "disabled"},
+		RollupCache: api.RollupCacheHealth{Status: "ok", Hits: st.RollupCacheHits, Misses: st.RollupCacheMisses},
+		Remedy:      api.RemedyHealth{Status: "disabled"},
+		Store:       api.StoreHealth{Status: "disabled"},
 	}
 	if s.rem != nil {
 		rs := s.rem.Stats()
-		subsystems["remedy"] = map[string]any{
-			"status":         boolStatus(!remedyDegraded, "ok", "degraded"),
-			"open_incidents": rs.Open,
-			"resolved":       rs.Resolved,
+		out.Subsystems.Remedy = api.RemedyHealth{
+			Status:       boolStatus(!remedyDegraded, "ok", "degraded"),
+			RemedyCounts: &api.RemedyCounts{OpenIncidents: rs.Open, Resolved: rs.Resolved},
 		}
 	}
 	if s.stores != nil {
 		fst := s.stores.Stats()
-		subsystems["store"] = map[string]any{
-			"status":            "ok",
-			"dir":               fst.Dir,
-			"sync":              string(fst.Sync),
-			"hosts":             fst.Hosts,
-			"wal_records":       fst.WalRecords,
-			"wal_segments":      fst.WalSegments,
-			"snapshotted_hosts": fst.SnapshottedHosts,
-			"snapshot_seq":      fst.SnapshotSeq,
-		}
+		out.Subsystems.Store = api.StoreHealth{Status: "ok", FleetStats: &fst}
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"status":           boolStatus(!alerted && !remedyDegraded && len(failed) == 0, "ok", "degraded"),
-		"mode":             boolStatus(s.only != nil, "host", "fleet"),
-		"version":          buildVersion(),
-		"go_version":       runtime.Version(),
-		"module":           module,
-		"vcs_revision":     vcsRev,
-		"uptime_seconds":   time.Since(s.started).Seconds(),
-		"virtual_time_ns":  int64(s.runner.Now()),
-		"events_processed": processed,
-		"metric_count":     metrics + s.reg.MetricCount(),
-		"trace_events":     traced,
-		"trace_dropped":    traceDropped,
-		"active_flows":     flows,
-		"tenants":          tenants,
-		"hosts":            len(s.hosts),
-		"quarantined":      len(failed),
-		"workers":          s.runner.Workers(),
-		"shards":           s.runner.Shards(),
-		"epoch_ns":         int64(s.runner.Epoch()),
-		"subsystems":       subsystems,
-	})
+	return out, nil
 }
 
 // boolStatus maps a condition to one of two status strings.
@@ -538,20 +498,17 @@ func boolStatus(ok bool, yes, no string) string {
 
 // getExperiment runs one of the paper's experiments server-side. It
 // builds its own hosts, so it touches no served state.
-func getExperiment(w http.ResponseWriter, r *http.Request) {
-	id := strings.ToUpper(r.PathValue("id"))
-	exp, err := experiments.ByID(id)
+func getExperiment(r *http.Request) (api.Experiment, error) {
+	exp, err := experiments.ByID(strings.ToUpper(r.PathValue("id")))
 	if err != nil {
-		writeErr(w, http.StatusNotFound, err)
-		return
+		return api.Experiment{}, fail(http.StatusNotFound, err)
 	}
 	tab, err := exp.Run(42)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return api.Experiment{}, err
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"id": tab.ID, "title": tab.Title, "columns": tab.Columns,
-		"rows": tab.Rows, "notes": tab.Notes, "rendered": tab.Render(),
-	})
+	return api.Experiment{
+		ID: tab.ID, Title: tab.Title, Columns: tab.Columns,
+		Rows: tab.Rows, Notes: tab.Notes, Rendered: tab.Render(),
+	}, nil
 }

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/simtime"
@@ -57,11 +58,11 @@ func TestOneHostAdvanceJournalMatchesSlices(t *testing.T) {
 		}
 	}
 	slices(2500 * simtime.Microsecond)
-	var req admitDTO
+	var req api.Admit
 	if err := json.Unmarshal([]byte(`{"tenant":"kv","targets":[{"src":"nic0","dst":"memory:socket0","rate_gbps":40}]}`), &req); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ref.Admit(req.Tenant, req.intentTargets()); err != nil {
+	if _, err := ref.Admit(req.Tenant, intentTargets(req)); err != nil {
 		t.Fatal(err)
 	}
 	slices(1700 * simtime.Microsecond)
@@ -122,7 +123,7 @@ func TestRestoreRebindsRemediation(t *testing.T) {
 	if !healed {
 		t.Fatalf("controller action missing from the restored session's journal: %+v", restored.Journal().Entries)
 	}
-	var st remedyStatusDTO
+	var st api.RemedyStatus
 	if code := getJSON(t, ts.URL+"/api/v1/remedy/status", &st); code != http.StatusOK || st.Stats.Executed == 0 {
 		t.Fatalf("remedy status after restore: %d %+v", code, st.Stats)
 	}
@@ -195,7 +196,7 @@ func TestFleetPerHostRoutes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var view viewDTO
+	var view api.TenantView
 	_ = json.NewDecoder(resp.Body).Decode(&view)
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusCreated || view.Host != "box-b" {

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 )
 
@@ -52,17 +53,17 @@ func parseResumeSeq(r *http.Request) (uint64, error) {
 // reconnects to the new bus.
 func streamSSE(w http.ResponseWriter, r *http.Request, bus *obs.Bus) {
 	if bus == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("event streaming unavailable: tracing is disabled"))
+		writeErr(w, fail(http.StatusNotFound, fmt.Errorf("event streaming unavailable: tracing is disabled")))
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeErr(w, http.StatusInternalServerError, fmt.Errorf("response writer cannot stream"))
+		writeErr(w, fmt.Errorf("response writer cannot stream"))
 		return
 	}
 	after, err := parseResumeSeq(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, fail(http.StatusBadRequest, err))
 		return
 	}
 	sub := bus.SubscribeFrom(after)
@@ -101,7 +102,7 @@ func streamSSE(w http.ResponseWriter, r *http.Request, bus *obs.Bus) {
 }
 
 func writeSSEFrame(w http.ResponseWriter, be obs.BusEvent) error {
-	data, err := json.Marshal(busEventDTO(be))
+	data, err := json.Marshal(traceEvent(be))
 	if err != nil {
 		return err
 	}
@@ -110,12 +111,12 @@ func writeSSEFrame(w http.ResponseWriter, be obs.BusEvent) error {
 	return err
 }
 
-// busEventDTO converts a bus event to the wire envelope. BusSeq is
-// the fleet/host stream position (the SSE id); Seq remains the
+// traceEvent converts a bus event to its wire form. BusSeq is the
+// fleet/host stream position (the SSE id); Seq remains the
 // originating tracer's ring sequence.
-func busEventDTO(be obs.BusEvent) traceEventDTO {
+func traceEvent(be obs.BusEvent) api.TraceEvent {
 	ev := be.Event
-	return traceEventDTO{
+	return api.TraceEvent{
 		BusSeq: be.Seq, Seq: ev.Seq, VirtualNs: int64(ev.Virtual), WallNs: ev.Wall,
 		Kind: ev.Kind.String(), Subject: ev.Subject, Detail: ev.Detail,
 		Value: ev.Value, WallDurNs: int64(ev.WallDur), Span: ev.Span, Host: ev.Host,

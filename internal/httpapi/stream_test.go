@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/api"
 	"repro/internal/core"
 	"repro/internal/fleet"
 	"repro/internal/simtime"
@@ -25,7 +26,7 @@ import (
 type sseFrame struct {
 	ID    uint64
 	Event string
-	Data  traceEventDTO
+	Data  api.TraceEvent
 }
 
 // readSSE consumes frames from an open event stream until n frames
@@ -273,10 +274,13 @@ func TestAccessLogMiddleware(t *testing.T) {
 	ts := httptest.NewServer(logged)
 	defer ts.Close()
 
+	// Each body is read to its end: the server finishes a response only
+	// after the middleware chain, access log included, has returned.
 	resp, err := http.Get(ts.URL + "/api/v1/topology")
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _ = io.Copy(io.Discard, resp.Body)
 	resp.Body.Close()
 	minted := resp.Header.Get("X-Request-ID")
 	if minted == "" {
@@ -289,6 +293,7 @@ func TestAccessLogMiddleware(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	_, _ = io.Copy(io.Discard, resp2.Body)
 	resp2.Body.Close()
 	if got := resp2.Header.Get("X-Request-ID"); got != "client-chosen-7" {
 		t.Fatalf("client-supplied ID not echoed: %q", got)
@@ -355,7 +360,7 @@ func TestRequestIDRootsSpan(t *testing.T) {
 
 	// And the trace events emitted during that command carry it too.
 	var events struct {
-		Events []traceEventDTO `json:"events"`
+		Events []api.TraceEvent `json:"events"`
 	}
 	if code := getJSON(t, ts.URL+"/api/v1/trace/events", &events); code != 200 {
 		t.Fatalf("trace events status %d", code)
@@ -483,11 +488,7 @@ func TestTraceWireContract(t *testing.T) {
 	}
 	emitted := bus.Seq()
 
-	var tr struct {
-		Events  []traceEventDTO `json:"events"`
-		Total   uint64          `json:"total"`
-		Dropped uint64          `json:"dropped"`
-	}
+	var tr api.TraceEvents
 	if code := getJSON(t, ts.URL+"/api/v1/trace/events", &tr); code != 200 {
 		t.Fatalf("trace/events status %d", code)
 	}

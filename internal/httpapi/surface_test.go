@@ -14,6 +14,7 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/api"
 	"repro/internal/obs"
 )
 
@@ -22,7 +23,7 @@ import (
 func envelopeCode(t *testing.T, resp *http.Response) string {
 	t.Helper()
 	defer resp.Body.Close()
-	var body ErrorBody
+	var body api.ErrorBody
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		t.Fatalf("response is not the typed envelope: %v", err)
 	}
@@ -63,8 +64,8 @@ func TestAuthTokenRequired(t *testing.T) {
 	if got := resp.Header.Get("WWW-Authenticate"); !strings.Contains(got, "Bearer") {
 		t.Fatalf("WWW-Authenticate %q", got)
 	}
-	if code := envelopeCode(t, resp); code != CodeUnauthorized {
-		t.Fatalf("envelope code %q, want %q", code, CodeUnauthorized)
+	if code := envelopeCode(t, resp); code != api.CodeUnauthorized {
+		t.Fatalf("envelope code %q, want %q", code, api.CodeUnauthorized)
 	}
 
 	// Wrong token: denied, constant-time comparison notwithstanding.
@@ -144,8 +145,8 @@ func TestBodyCapReturns413Envelope(t *testing.T) {
 	if resp.StatusCode != http.StatusRequestEntityTooLarge {
 		t.Fatalf("oversize body: status %d, want 413", resp.StatusCode)
 	}
-	if code := envelopeCode(t, resp); code != CodePayloadTooLarge {
-		t.Fatalf("envelope code %q, want %q", code, CodePayloadTooLarge)
+	if code := envelopeCode(t, resp); code != api.CodePayloadTooLarge {
+		t.Fatalf("envelope code %q, want %q", code, api.CodePayloadTooLarge)
 	}
 }
 
@@ -163,8 +164,8 @@ func TestRestoreAcceptsLargerBodies(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("2MB restore body: status %d, want 400 (not a body-cap 413)", resp.StatusCode)
 	}
-	if code := envelopeCode(t, resp); code != CodeBadRequest {
-		t.Fatalf("envelope code %q, want %q", code, CodeBadRequest)
+	if code := envelopeCode(t, resp); code != api.CodeBadRequest {
+		t.Fatalf("envelope code %q, want %q", code, api.CodeBadRequest)
 	}
 }
 
@@ -229,7 +230,7 @@ func TestTelemetrySinceNsRejectsNegative(t *testing.T) {
 			t.Fatalf("telemetry%s: status %d, want %d", tc.query, resp.StatusCode, tc.want)
 		}
 		if tc.want == http.StatusBadRequest {
-			if code := envelopeCode(t, resp); code != CodeBadRequest {
+			if code := envelopeCode(t, resp); code != api.CodeBadRequest {
 				t.Fatalf("telemetry%s: envelope code %q", tc.query, code)
 			}
 		} else {
@@ -250,7 +251,7 @@ func TestEventStreamRejectsNegativeResume(t *testing.T) {
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Fatalf("events%s: status %d, want 400", q, resp.StatusCode)
 		}
-		if code := envelopeCode(t, resp); code != CodeBadRequest {
+		if code := envelopeCode(t, resp); code != api.CodeBadRequest {
 			t.Fatalf("events%s: envelope code %q", q, code)
 		}
 	}
