@@ -1,18 +1,22 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race solver-race bench bench-smoke bench-json bench-json-obs bench-json-remedy chaos-smoke remedy-smoke fleet-smoke store-smoke check clean
+.PHONY: all build vet fmt test race solver-race bench bench-smoke bench-json bench-json-obs bench-json-scale bench-json-remedy chaos-smoke remedy-smoke fleet-smoke store-smoke check clean
 
 all: check
 
-# Memory preflight for the gates that build 1024- or 10000-host
-# fleets: each checks MemAvailable in /proc/meminfo against what it
+# Memory preflight for the gates that build fleets of 512 hosts or
+# more: each checks MemAvailable in /proc/meminfo against what it
 # needs and stops with a named error instead of being OOM-killed part
 # way through. Needs are peak RSS measured on linux/amd64 at 256-host
-# scale and scaled linearly (about 6.3 MB per host), rounded up:
-#   fleet-smoke     two 1024-host fleets alive at once    13500 MB
-#   store-smoke     one 1024-host recording ihnetd         7000 MB
-#   bench-json-obs  the 10000-host sharded RunFor tier    64000 MB
-# A machine without /proc/meminfo skips the check.
+# scale and scaled linearly (about 6.3 MB per host), rounded up (the
+512-host placement tier peaked at 3.0 GB):
+#   fleet-smoke       two 1024-host fleets alive at once    13500 MB
+#   store-smoke       one 1024-host recording ihnetd         7000 MB
+#   bench-json-obs    the 512-host placement tier            3500 MB
+#   bench-json-scale  the 10000-host sharded RunFor tier    64000 MB
+# fleet-smoke and bench-json-scale do not fit a hosted CI runner; CI
+# runs them only when dispatched by hand. A machine without
+# /proc/meminfo skips the check.
 #
 # $(call mem_preflight,target,need_mb)
 mem_preflight = @if [ -r /proc/meminfo ]; then \
@@ -81,33 +85,46 @@ bench-json:
 	  $(GO) test -bench 'BenchmarkFabricRecomputeSteadyState' -benchtime 100x -benchmem -run '^$$' ./internal/fabric; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_fabric.json
 
-# Same trajectory gate for the observability pipeline: the event-bus
-# publish path (with and without fan-out) must stay at 0 allocs/op —
-# it runs inside the simulation hot loop — the fleet roll-up must
-# stay allocation-flat as hosts grow, and a built host's heap
-# (bytes_per_host) must stay within its budget. The steady-state
-# scrape (one dirty shard between scrapes) is budgeted at a constant
-# ~64 allocs/op from 16 to 1024 hosts; the cold all-shards-dirty fold
-# grows only with the shard count, not the host count. The sharded RunFor tiers
-# (1024 and 10000 hosts) pin the epoch engine's per-advance allocation
-# trajectory; they run at -benchtime 1x because one op is a full
-# millisecond of fleet virtual time (allocs/op are per-op and
-# deterministic, so one iteration gates as well as a hundred), and
-# with -timeout 0 because building a 10k-host fleet alone outlasts the
-# default 10m test timeout.
+# Same trajectory gate for the observability pipeline, sized for a CI
+# runner (at most 512 hosts alive at once): the event-bus publish path
+# (with and without fan-out) must stay at 0 allocs/op — it runs inside
+# the simulation hot loop — the fleet roll-up must stay
+# allocation-flat as hosts grow, a built host's heap (bytes_per_host)
+# must stay within its budget, a host-pressure read must stay at 0
+# allocs/op, and one fleet placement's allocations must stay flat from
+# 128 to 512 hosts. The steady-state scrape (one dirty shard between
+# scrapes) is budgeted at a constant ~64 allocs/op from 16 to 256
+# hosts; the cold all-shards-dirty fold grows only with the shard
+# count, not the host count.
 bench-json-obs:
-	$(call mem_preflight,bench-json-obs,64000)
+	$(call mem_preflight,bench-json-obs,3500)
 	{ $(GO) test -bench 'BenchmarkBusPublish' -benchtime 100x -benchmem -run '^$$' ./internal/obs; \
-	  $(GO) test -bench 'BenchmarkFleetRollup' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
+	  $(GO) test -bench 'BenchmarkFleetRollup(Cold)?/hosts=(16|64|256)$$' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkFleetBytesPerHost' -benchtime 1x -run '^$$' ./internal/fleet; \
-	  $(GO) test -bench 'BenchmarkFleetRunFor/hosts=(1024|10000)/sharded' -benchtime 1x -benchmem -timeout 0 -run '^$$' ./internal/fleet; } \
+	  $(GO) test -bench 'BenchmarkHostPressure' -benchtime 1000x -benchmem -run '^$$' ./internal/fleet; \
+	  $(GO) test -bench 'BenchmarkFleetPlace' -benchtime 20x -benchmem -run '^$$' ./internal/fleet; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_obs.json
+
+# The scale tiers of the same gate, run by hand on a machine that holds
+# them: the 1024-host roll-ups (same budgets as their smaller tiers)
+# and the sharded RunFor tiers (1024 and 10000 hosts), which pin the
+# epoch engine's per-advance allocation trajectory. RunFor runs at
+# -benchtime 1x because one op is a full millisecond of fleet virtual
+# time (allocs/op are per-op and deterministic, so one iteration gates
+# as well as a hundred), and with -timeout 0 because building a
+# 10k-host fleet alone outlasts the default 10m test timeout.
+bench-json-scale:
+	$(call mem_preflight,bench-json-scale,64000)
+	{ $(GO) test -bench 'BenchmarkFleetRollup(Cold)?/hosts=1024$$' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
+	  $(GO) test -bench 'BenchmarkFleetRunFor/hosts=(1024|10000)/sharded' -benchtime 1x -benchmem -timeout 0 -run '^$$' ./internal/fleet; } \
+		| $(GO) run ./cmd/benchjson -out BENCH_scale.json
 
 # Sharded-fleet smoke: 1024 synthetic hosts advance 2ms on the sharded
 # epoch engine under two different (shards, workers) configurations,
 # and the test asserts byte-identical roll-ups and spot-checked state
 # hashes — the determinism contract at four-digit scale. Gated behind
-# an env var so `go test ./...` stays fast; CI runs it explicitly.
+# an env var so `go test ./...` stays fast; CI runs it only when
+# dispatched by hand (it needs about 13.5 GB).
 fleet-smoke:
 	$(call mem_preflight,fleet-smoke,13500)
 	IHNET_FLEET_SMOKE=1 $(GO) test ./internal/fleet -run TestFleetSmokeSharded1k -v -timeout 20m

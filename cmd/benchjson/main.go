@@ -2,7 +2,8 @@
 // committed benchmark-trajectory file and enforces allocation budgets.
 // Budgets are keyed by the output filename, so one binary gates every
 // trajectory file (BENCH_fabric.json for the fabric hot path,
-// BENCH_obs.json for the observability pipeline).
+// BENCH_obs.json for the observability pipeline and fleet placement,
+// BENCH_scale.json for the fleet tiers too large for a CI runner).
 //
 // Usage:
 //
@@ -47,7 +48,13 @@ import (
 // reuses per-runner scratch accumulators, so its budget is a flat 64
 // allocs/op regardless of host count — any O(hosts) allocation growth
 // busts it immediately. The cold roll-up (every shard dirty) may
-// allocate O(shards) snapshot copies, never O(hosts). The sharded
+// allocate O(shards) snapshot copies, never O(hosts). A host-pressure
+// read is a stored field, so it must not allocate; a placement's
+// allocations are its one admission's, flat in the host count.
+//
+// BENCH_scale.json holds the tiers that need more memory than a CI
+// runner has (the 1024-host roll-ups, the 1024- and 10000-host RunFor
+// advances); `make bench-json-scale` runs them by hand. The sharded
 // RunFor tiers budget the epoch engine's per-advance allocations —
 // dominated by the hosts' own simulation work, so they scale with
 // host-milliseconds, with ~40% headroom over the observed cost.
@@ -71,14 +78,22 @@ var allocBudgetsByFile = map[string]map[string]int64{
 		// Steady-state scrape: one shard refold + S-way merge from
 		// cached snapshots. Observed 40-47 allocs/op from 16 to 256
 		// recording hosts.
-		"BenchmarkFleetRollup/hosts=16":   64,
-		"BenchmarkFleetRollup/hosts=64":   64,
-		"BenchmarkFleetRollup/hosts=256":  64,
-		"BenchmarkFleetRollup/hosts=1024": 64,
+		"BenchmarkFleetRollup/hosts=16":  64,
+		"BenchmarkFleetRollup/hosts=64":  64,
+		"BenchmarkFleetRollup/hosts=256": 64,
 		// Cold fold: every shard refolds, then the merge. Observed
-		// 125-129 at 4 shards (256 recording hosts) and 319 at 16
-		// shards (1024, last measured on hosts without a session).
-		"BenchmarkFleetRollupCold/hosts=256":  192,
+		// 125-129 at 4 shards (256 recording hosts).
+		"BenchmarkFleetRollupCold/hosts=256": 192,
+		"BenchmarkHostPressure":              0,
+		// One place plus one evict. Observed 1683 allocs/op at both
+		// 128 and 512 hosts, most of them the admission's.
+		"BenchmarkFleetPlace/hosts=128": 2400,
+		"BenchmarkFleetPlace/hosts=512": 2400,
+	},
+	"BENCH_scale.json": {
+		"BenchmarkFleetRollup/hosts=1024": 64,
+		// Observed 319 at 16 shards, last measured on hosts without a
+		// session.
 		"BenchmarkFleetRollupCold/hosts=1024": 512,
 		// One millisecond of sharded fleet virtual time. Observed
 		// 5.6M allocs at 1024 hosts, ~10x that at 10000.

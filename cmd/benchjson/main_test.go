@@ -126,3 +126,28 @@ func TestFabricBudgetsCoverAllTiers(t *testing.T) {
 		}
 	}
 }
+
+// TestScaleTiersStayOutOfCI guards the split between the CI-sized
+// observability gate and the manual scale gate: every budgeted tier at
+// 1024 or more hosts lives in BENCH_scale.json, never in
+// BENCH_obs.json, whose recipe must fit a CI runner's memory.
+func TestScaleTiersStayOutOfCI(t *testing.T) {
+	for name := range allocBudgetsByFile["BENCH_obs.json"] {
+		if strings.Contains(name, "hosts=1024") || strings.Contains(name, "hosts=10000") {
+			t.Errorf("BENCH_obs.json budgets scale tier %s", name)
+		}
+	}
+	for _, name := range []string{
+		"BenchmarkFleetRollup/hosts=1024",
+		"BenchmarkFleetRollupCold/hosts=1024",
+		"BenchmarkFleetRunFor/hosts=1024/sharded",
+		"BenchmarkFleetRunFor/hosts=10000/sharded",
+	} {
+		if _, ok := allocBudgetsByFile["BENCH_scale.json"][name]; !ok {
+			t.Errorf("BENCH_scale.json budget missing for %s", name)
+		}
+	}
+	if b, ok := allocBudgetsByFile["BENCH_obs.json"]["BenchmarkHostPressure"]; !ok || b != 0 {
+		t.Errorf("BenchmarkHostPressure budget = %d (present %v), want 0", b, ok)
+	}
+}

@@ -42,7 +42,7 @@ func main() {
 
 	// Tenants place by least pressure; their intents are host-agnostic.
 	place := func(tenant fabric.TenantID, targets []intent.Target) {
-		_, host, err := fl.Place(tenant, targets)
+		_, host, err := fl.Place(tenant, targets, nil)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -71,7 +71,7 @@ func main() {
 		dets[0].Pair, dets[0].Suspects[0].Link)
 	fmt.Printf("affected tenants: %v\n", fleet.AffectedTenants(hostA))
 
-	rep := fl.Rebalance()
+	rep := fl.Rebalance(nil)
 	fmt.Println("\nrebalance:")
 	for tenant, dst := range rep.Moved {
 		fmt.Printf("  moved %-10s -> %s\n", tenant, dst)

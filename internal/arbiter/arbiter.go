@@ -82,6 +82,16 @@ type Arbiter struct {
 	// Adjustments counts re-arbitration passes (Q3 overhead metric).
 	adjustments uint64
 
+	// links lists the fabric's links in ID order; linkIdx inverts it.
+	// Every per-link walk of FreeMap, CapacityMap and the pressure
+	// figure follows this order.
+	links   []topology.LinkID
+	linkIdx map[topology.LinkID]int
+	// pressure is the reserved fraction of total effective capacity.
+	// updatePressure recomputes it whenever guarantees or capacities
+	// change, so Pressure is a plain read.
+	pressure float64
+
 	// Observability (nil when unattached).
 	tracer         *obs.Tracer
 	mAdjustments   *obs.Counter
@@ -115,12 +125,20 @@ func New(fab *fabric.Fabric, cfg Config) (*Arbiter, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
-	return &Arbiter{
+	a := &Arbiter{
 		fab:        fab,
 		cfg:        cfg,
 		guarantees: make(map[fabric.TenantID]resmodel.Reservation),
 		installed:  make(map[topology.LinkID]map[fabric.TenantID]topology.Rate),
-	}, nil
+		linkIdx:    make(map[topology.LinkID]int),
+	}
+	for i, l := range fab.Topology().Links() {
+		a.links = append(a.links, l.ID)
+		a.linkIdx[l.ID] = i
+	}
+	fab.OnCapacityChange(a.updatePressure)
+	a.updatePressure()
+	return a, nil
 }
 
 // Mode returns the arbiter's mode.
@@ -144,6 +162,7 @@ func (a *Arbiter) Install(tenant fabric.TenantID, res resmodel.Reservation) erro
 	}
 	g.Merge(res)
 	a.apply()
+	a.updatePressure()
 	return nil
 }
 
@@ -155,6 +174,7 @@ func (a *Arbiter) Remove(tenant fabric.TenantID) {
 	}
 	delete(a.guarantees, tenant)
 	a.apply()
+	a.updatePressure()
 }
 
 // Guaranteed returns a tenant's merged reservation (zero-value if
@@ -168,28 +188,62 @@ func (a *Arbiter) Guaranteed(tenant fabric.TenantID) resmodel.Reservation {
 
 // FreeMap returns per-link unreserved capacity — the scheduler's Free
 // input: effective capacity minus the sum of installed guarantees.
-// Guarantees are subtracted in sorted tenant order: the per-link
-// result is a float accumulation, so iterating the guarantees map
-// directly would make the scheduler's admission input (and therefore
-// replayed runs) depend on Go's randomized map order.
 func (a *Arbiter) FreeMap() map[topology.LinkID]topology.Rate {
-	out := make(map[topology.LinkID]topology.Rate)
-	for _, l := range a.fab.Topology().Links() {
-		c, err := a.fab.EffectiveCapacity(l.ID)
-		if err != nil {
-			continue
-		}
-		out[l.ID] = c
+	_, free := a.unreserved()
+	out := make(map[topology.LinkID]topology.Rate, len(a.links))
+	for i, id := range a.links {
+		out[id] = free[i]
+	}
+	return out
+}
+
+// unreserved returns every link's effective capacity and unreserved
+// capacity, indexed like a.links. Guarantees are subtracted in sorted
+// tenant order and clamped at zero after each subtraction: the
+// per-link result is a float accumulation, so iterating the
+// guarantees map directly would make the scheduler's admission input
+// (and therefore replayed runs) depend on Go's randomized map order.
+func (a *Arbiter) unreserved() (capacity, free []topology.Rate) {
+	capacity = make([]topology.Rate, len(a.links))
+	free = make([]topology.Rate, len(a.links))
+	for i, id := range a.links {
+		c, _ := a.fab.EffectiveCapacity(id)
+		capacity[i], free[i] = c, c
 	}
 	for _, t := range a.GuaranteedTenants() {
-		for _, l := range a.guarantees[t].LinkIDs() {
-			out[l] -= a.guarantees[t].Links[l]
-			if out[l] < 0 {
-				out[l] = 0
+		for l, r := range a.guarantees[t].Links {
+			i := a.linkIdx[l]
+			free[i] -= r
+			if free[i] < 0 {
+				free[i] = 0
 			}
 		}
 	}
-	return out
+	return capacity, free
+}
+
+// Pressure is the host's reserved fraction of total effective
+// capacity, 1 − Σ free / Σ capacity over every link — the fleet
+// placement policy's load signal. It reads a stored figure: O(1), no
+// allocation, no write.
+func (a *Arbiter) Pressure() float64 { return a.pressure }
+
+// updatePressure recomputes the whole pressure figure, summing
+// in link-ID order so equal states always yield the same bits. Install
+// and Remove call it, and so does the fabric whenever a link's
+// capacity changes.
+func (a *Arbiter) updatePressure() {
+	capacity, free := a.unreserved()
+	var f, c float64
+	for i := range a.links {
+		c += float64(capacity[i])
+		f += float64(free[i])
+	}
+	if c == 0 {
+		a.pressure = 0
+		return
+	}
+	a.pressure = 1 - f/c
 }
 
 // GuaranteedTenants returns the sorted tenants holding at least one
@@ -206,13 +260,9 @@ func (a *Arbiter) GuaranteedTenants() []fabric.TenantID {
 // CapacityMap returns per-link effective capacity — the scheduler's
 // Capacity input.
 func (a *Arbiter) CapacityMap() map[topology.LinkID]topology.Rate {
-	out := make(map[topology.LinkID]topology.Rate)
-	for _, l := range a.fab.Topology().Links() {
-		c, err := a.fab.EffectiveCapacity(l.ID)
-		if err != nil {
-			continue
-		}
-		out[l.ID] = c
+	out := make(map[topology.LinkID]topology.Rate, len(a.links))
+	for _, id := range a.links {
+		out[id], _ = a.fab.EffectiveCapacity(id)
 	}
 	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/fleet"
@@ -24,8 +25,10 @@ const fleetEpoch = 250 * simtime.Microsecond
 // with every live host parked at the same barrier, so the schedule
 // stays a pure function of the seed even though hosts advance on a
 // worker pool.
-// On top of the per-host oracles it checks one fleet-level invariant:
-// every fleet-placed tenant lives on exactly one host.
+// On top of the per-host oracles it checks two fleet-level
+// invariants: every fleet-placed tenant lives on exactly one host, and
+// no automatic placement (fleet-place, fleet-rebalance) lands on a
+// quarantined host.
 func runFleet(cfg Config) (*Result, error) {
 	flt := fleet.New()
 	sessions := make([]*snap.Session, cfg.Hosts)
@@ -142,6 +145,20 @@ func runFleet(cfg Config) (*Result, error) {
 		}
 	}
 
+	// Fleet invariant: an automatic placement never lands on a
+	// quarantined host, whose frozen clock would never run the tenant.
+	checkLive := func(event string, t fabric.TenantID, dst string) {
+		if res.Violation != nil || quarantined < 0 || names[quarantined] != dst {
+			return
+		}
+		fail(quarantined, Violation{
+			Invariant: "fleet-quarantine", At: runner.Now(),
+			Seq:     sessions[quarantined].Journal().Len() - 1,
+			Subject: string(t),
+			Detail:  fmt.Sprintf("%s landed on quarantined host %s", event, dst),
+		})
+	}
+
 	fleetTargets := func() []intent.Target {
 		devs := injectors[0].devices
 		src := devs[rng.Intn(len(devs))]
@@ -164,9 +181,10 @@ func runFleet(cfg Config) (*Result, error) {
 				name = "fleet-place"
 				t := fabric.TenantID(fmt.Sprintf("f%02d", fleetSeq))
 				fleetSeq++
-				if _, _, err := flt.Place(t, fleetTargets()); err == nil {
+				if _, h, err := flt.Place(t, fleetTargets(), runner.Live); err == nil {
 					placed = append(placed, t)
 					applied = true
+					checkLive(name, t, h.Name)
 				}
 			case r == 8: // fleet eviction
 				name = "fleet-evict"
@@ -190,8 +208,16 @@ func runFleet(cfg Config) (*Result, error) {
 				}
 			case r == 10: // evacuate unhealthy hosts
 				name = "fleet-rebalance"
-				rep := flt.Rebalance()
+				rep := flt.Rebalance(runner.Live)
 				applied = len(rep.Moved) > 0
+				moved := make([]fabric.TenantID, 0, len(rep.Moved))
+				for t := range rep.Moved {
+					moved = append(moved, t)
+				}
+				slices.Sort(moved)
+				for _, t := range moved {
+					checkLive(name, t, rep.Moved[t])
+				}
 			default: // operator quarantine churn
 				name = "quarantine"
 				if quarantined < 0 {

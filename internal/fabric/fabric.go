@@ -218,6 +218,10 @@ type Fabric struct {
 	// sniffers receive a copy of every transaction record (ihdiag sniff).
 	sniffers []func(TxRecord)
 
+	// capacityHook runs after any link's effective capacity changes
+	// (see OnCapacityChange); nil when unset.
+	capacityHook func()
+
 	// met holds cached observability handles; nil when unattached.
 	met *fabricMetrics
 }

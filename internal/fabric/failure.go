@@ -50,6 +50,7 @@ func (f *Fabric) RestoreLink(id topology.LinkID) error {
 	ls.extraLatency = 0
 	ls.capacity = f.baseEffectiveCapacity(ls.link)
 	f.markLinkDirty(ls)
+	f.capacityChanged()
 	if f.met != nil {
 		f.met.linkRestores.Inc()
 		if f.met.tracer.Enabled() {
@@ -83,6 +84,7 @@ func (f *Fabric) DegradeLink(id topology.LinkID, lossFrac float64, extraLatency 
 	ls.extraLatency = extraLatency
 	ls.capacity = topology.Rate(float64(f.baseEffectiveCapacity(ls.link)) * (1 - lossFrac))
 	f.markLinkDirty(ls)
+	f.capacityChanged()
 	if f.met != nil {
 		f.met.linkDegrades.Inc()
 		if f.met.tracer.Enabled() {
@@ -95,6 +97,20 @@ func (f *Fabric) DegradeLink(id topology.LinkID, lossFrac float64, extraLatency 
 	}
 	f.markDirty()
 	return nil
+}
+
+// OnCapacityChange registers fn to run after DegradeLink or
+// RestoreLink changes a link's effective capacity — the one point
+// where capacity moves (the topology is immutable, and a hard failure
+// zeroes a link's rate, not its capacity). The arbiter registers here
+// to keep its host-pressure figure current. A fabric has one hook; a
+// later registration replaces the earlier one.
+func (f *Fabric) OnCapacityChange(fn func()) { f.capacityHook = fn }
+
+func (f *Fabric) capacityChanged() {
+	if f.capacityHook != nil {
+		f.capacityHook()
+	}
 }
 
 // baseEffectiveCapacity is raw link capacity after protocol derating

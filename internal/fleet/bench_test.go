@@ -6,7 +6,9 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/intent"
 	"repro/internal/simtime"
+	"repro/internal/topology"
 )
 
 // benchFleet builds n recording synthetic hosts — what ihnetd serves —
@@ -159,4 +161,46 @@ func BenchmarkFleetBytesPerHost(b *testing.B) {
 		perHost = float64(after.HeapInuse-before.HeapInuse) / hosts
 	}
 	b.ReportMetric(perHost, "bytes_per_host")
+}
+
+// BenchmarkHostPressure reads one host's pressure — what /fleet/hosts
+// does once per host and placement once per host per decision. The
+// arbiter keeps the figure current, so a read is budgeted at 0
+// allocs/op.
+func BenchmarkHostPressure(b *testing.B) {
+	h := benchFleet(b, 1).Hosts()[0]
+	b.ReportAllocs()
+	b.ResetTimer()
+	var sum float64
+	for i := 0; i < b.N; i++ {
+		sum += h.Pressure()
+	}
+	if sum < 0 {
+		b.Fatal("negative pressure")
+	}
+}
+
+// BenchmarkFleetPlace measures one least-pressure placement and its
+// eviction on a fleet of recording hosts, with the runner's Live
+// predicate as ihnetd passes it: the pressure ordering (one O(1) read
+// per host, then a sort), one admission through the chosen host's
+// journaled session, and the Locate scan behind Evict.
+func BenchmarkFleetPlace(b *testing.B) {
+	targets := []intent.Target{{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(4)}}
+	for _, hosts := range []int{128, 512} {
+		b.Run(fmt.Sprintf("hosts=%d", hosts), func(b *testing.B) {
+			f := benchFleet(b, hosts)
+			sr := NewShardedRunner(f, ShardConfig{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := f.Place("bench", targets, sr.Live); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := f.Evict("bench"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

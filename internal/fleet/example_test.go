@@ -38,7 +38,7 @@ func ExampleFleet_Rebalance() {
 	_ = hostA.Sess.DegradeLink("pcieswitch0->nic0", 0.2, 10*simtime.Microsecond)
 	_, _ = runner.RunFor(context.Background(), 2*simtime.Millisecond) // detect + localize
 
-	rep := fl.Rebalance()
+	rep := fl.Rebalance(nil)
 	fmt.Println("moved victim to:", rep.Moved["victim"])
 	fmt.Println("bystander stayed on:", fl.Locate("bystander").Name)
 	// Output:

@@ -55,20 +55,9 @@ func (h *Host) advanceTo(t simtime.Time) error {
 }
 
 // Pressure is the host's reserved fraction of total fabric capacity —
-// the placement policy's load signal.
-func (h *Host) Pressure() float64 {
-	free := h.Mgr.Arbiter().FreeMap()
-	capacity := h.Mgr.Arbiter().CapacityMap()
-	var f, c float64
-	for l, cv := range capacity {
-		c += float64(cv)
-		f += float64(free[l])
-	}
-	if c == 0 {
-		return 0
-	}
-	return 1 - f/c
-}
+// the placement policy's load signal. The arbiter keeps it current, so
+// reading it is O(1).
+func (h *Host) Pressure() float64 { return h.Mgr.Arbiter().Pressure() }
 
 // Fleet is a set of hosts under one operator.
 type Fleet struct {
@@ -112,7 +101,7 @@ func (f *Fleet) AddSession(name string, sess *snap.Session) (*Host, error) {
 }
 
 // Hosts returns the fleet's hosts sorted by name. The returned slice
-// is the caller's to reorder (Place sorts it by pressure).
+// is the caller's.
 func (f *Fleet) Hosts() []*Host {
 	return append([]*Host(nil), f.hostsSorted()...)
 }
@@ -138,14 +127,44 @@ func (f *Fleet) Host(name string) *Host {
 	return nil
 }
 
-// Place admits a tenant on the least-pressured host that accepts it
-// (ties broken by name). It returns the view and the chosen host.
-func (f *Fleet) Place(tenant fabric.TenantID, targets []intent.Target) (*vnet.View, *Host, error) {
-	if len(f.hosts) == 0 {
-		return nil, nil, fmt.Errorf("fleet: no hosts")
+// ByPressure returns the hosts eligible accepts (every host when
+// eligible is nil), least-pressured first with ties broken by name —
+// the one ordering behind every automatic placement choice (Place,
+// Rebalance, the remediation controller's rebalance). Each host's
+// pressure is read once. A runner's Live method is the eligibility
+// predicate that keeps quarantined hosts out.
+func (f *Fleet) ByPressure(eligible func(*Host) bool) []*Host {
+	type ranked struct {
+		h *Host
+		p float64
 	}
-	order := f.Hosts()
-	sort.SliceStable(order, func(i, j int) bool { return order[i].Pressure() < order[j].Pressure() })
+	rs := make([]ranked, 0, len(f.hosts))
+	for _, h := range f.hostsSorted() {
+		if eligible == nil || eligible(h) {
+			rs = append(rs, ranked{h, h.Pressure()})
+		}
+	}
+	sort.Slice(rs, func(i, j int) bool {
+		if rs[i].p != rs[j].p {
+			return rs[i].p < rs[j].p
+		}
+		return rs[i].h.Name < rs[j].h.Name
+	})
+	out := make([]*Host, len(rs))
+	for i, r := range rs {
+		out[i] = r.h
+	}
+	return out
+}
+
+// Place admits a tenant on the least-pressured eligible host that
+// accepts it (see ByPressure; nil eligible means every host). It
+// returns the view and the chosen host.
+func (f *Fleet) Place(tenant fabric.TenantID, targets []intent.Target, eligible func(*Host) bool) (*vnet.View, *Host, error) {
+	order := f.ByPressure(eligible)
+	if len(order) == 0 {
+		return nil, nil, fmt.Errorf("fleet: no eligible hosts")
+	}
 	var lastErr error
 	for _, h := range order {
 		view, err := h.Sess.Admit(string(tenant), cloneTargets(targets))
@@ -251,9 +270,10 @@ type EvacuationReport struct {
 }
 
 // Rebalance migrates, for every host with active anomaly detections,
-// the affected tenants to the least-pressured healthy host that will
-// take them. Unaffected tenants are never touched.
-func (f *Fleet) Rebalance() EvacuationReport {
+// the affected tenants to the least-pressured healthy eligible host
+// that will take them (see ByPressure; nil eligible means every host).
+// Unaffected tenants are never touched.
+func (f *Fleet) Rebalance(eligible func(*Host) bool) EvacuationReport {
 	rep := EvacuationReport{Moved: make(map[fabric.TenantID]string)}
 	unhealthy := make(map[string]bool)
 	for _, h := range f.Hosts() {
@@ -267,11 +287,7 @@ func (f *Fleet) Rebalance() EvacuationReport {
 		}
 		for _, tenant := range AffectedTenants(h) {
 			moved := false
-			candidates := f.Hosts()
-			sort.SliceStable(candidates, func(i, j int) bool {
-				return candidates[i].Pressure() < candidates[j].Pressure()
-			})
-			for _, dst := range candidates {
+			for _, dst := range f.ByPressure(eligible) {
 				if dst.Name == h.Name || unhealthy[dst.Name] {
 					continue
 				}

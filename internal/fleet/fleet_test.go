@@ -66,11 +66,11 @@ func TestPlaceLeastPressure(t *testing.T) {
 	targets := []intent.Target{{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(8)}}
 	// First placement goes somewhere; pressure that host, then the
 	// second distinct tenant should land on the other.
-	_, h1, err := f.Place("t1", targets)
+	_, h1, err := f.Place("t1", targets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, h2, err := f.Place("t2", targets)
+	_, h2, err := f.Place("t2", targets, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,14 +88,14 @@ func TestPlaceLeastPressure(t *testing.T) {
 func TestPlaceFailsWhenFull(t *testing.T) {
 	f := newFleet(t, 2)
 	big := []intent.Target{{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(25)}}
-	if _, _, err := f.Place("t1", big); err != nil {
+	if _, _, err := f.Place("t1", big, nil); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := f.Place("t2", big); err != nil {
+	if _, _, err := f.Place("t2", big, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Both hosts' nic0 uplinks are now fully reserved.
-	if _, _, err := f.Place("t3", big); err == nil {
+	if _, _, err := f.Place("t3", big, nil); err == nil {
 		t.Fatal("overcommit accepted")
 	}
 }
@@ -144,7 +144,7 @@ func TestRebalanceMovesOnlyAffectedTenants(t *testing.T) {
 	if len(affected) != 1 || affected[0] != "victim" {
 		t.Fatalf("affected = %v, want [victim]", affected)
 	}
-	rep := f.Rebalance()
+	rep := f.Rebalance(nil)
 	if dst, ok := rep.Moved["victim"]; !ok || dst != "b" {
 		t.Fatalf("rebalance moved %v", rep.Moved)
 	}
@@ -179,7 +179,7 @@ func TestRebalanceReportsUnplaceable(t *testing.T) {
 		t.Fatal(err)
 	}
 	runFor(t, sr, 2*simtime.Millisecond)
-	rep := f.Rebalance()
+	rep := f.Rebalance(nil)
 	if len(rep.Failed) != 1 || rep.Failed[0] != "victim" {
 		t.Fatalf("report: %+v", rep)
 	}
@@ -189,7 +189,7 @@ func TestRebalanceReportsUnplaceable(t *testing.T) {
 }
 
 func TestPlaceNoHosts(t *testing.T) {
-	if _, _, err := New().Place("t", nil); err == nil {
+	if _, _, err := New().Place("t", nil, nil); err == nil {
 		t.Fatal("placement on empty fleet accepted")
 	}
 }

@@ -76,7 +76,7 @@ func TestRunnerDeterminismGate(t *testing.T) {
 	// too (Place journals through the chosen host's session).
 	if _, _, err := f.Place("late", []intent.Target{
 		{Src: "gpu0", Dst: intent.AnyMemory, Rate: topology.GBps(4)},
-	}); err != nil {
+	}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := r.RunFor(context.Background(), 2*simtime.Millisecond); err != nil {

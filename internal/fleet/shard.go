@@ -305,6 +305,20 @@ func (sr *ShardedRunner) Failed() map[string]error {
 	return out
 }
 
+// Live reports whether h is a host of this runner that is not
+// quarantined. It is the eligibility predicate for Fleet.Place,
+// Fleet.Rebalance and Fleet.ByPressure: a quarantined host's clock is
+// frozen, so nothing placed on it would run. It reads the shards'
+// quarantine sets in place, which stay the only record of quarantine.
+func (sr *ShardedRunner) Live(h *Host) bool {
+	sh := sr.shardOf[h.Name]
+	if sh == nil {
+		return false
+	}
+	_, bad := sh.runner.failed[h.Name]
+	return !bad
+}
+
 // Quarantine fences a host out of its shard's epoch loop; the other
 // shards never notice. Same semantics as runner.Quarantine.
 func (sr *ShardedRunner) Quarantine(name string, reason error) error {

@@ -85,14 +85,15 @@ func (s *Server) postFleetAdvance(r *http.Request) (api.Advanced, error) {
 	return out, nil
 }
 
-// postPlace admits a tenant on the least-pressured host that accepts
-// it — the fleet-level counterpart of a host's POST /tenants.
+// postPlace admits a tenant on the least-pressured live host that
+// accepts it — the fleet-level counterpart of a host's POST /tenants.
+// Quarantined hosts are never candidates.
 func (s *Server) postPlace(r *http.Request) (api.TenantView, error) {
 	var req api.Admit
 	if err := decodeBody(r, &req); err != nil {
 		return api.TenantView{}, err
 	}
-	view, host, err := s.fleet.Place(fabric.TenantID(req.Tenant), intentTargets(req))
+	view, host, err := s.fleet.Place(fabric.TenantID(req.Tenant), intentTargets(req), s.runner.Live)
 	if err != nil {
 		return api.TenantView{}, fail(http.StatusConflict, err)
 	}
@@ -136,7 +137,7 @@ func (s *Server) postMigrate(r *http.Request) (api.TenantView, error) {
 }
 
 func (s *Server) postRebalance(*http.Request) (api.Rebalanced, error) {
-	rep := s.fleet.Rebalance()
+	rep := s.fleet.Rebalance(s.runner.Live)
 	s.runner.MarkAllDirty()
 	out := api.Rebalanced{
 		Moved:  make(map[string]string, len(rep.Moved)),

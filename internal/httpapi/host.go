@@ -177,7 +177,15 @@ func getTrace(r *http.Request, h *fleet.Host) (api.Trace, error) {
 
 func getPerf(r *http.Request, h *fleet.Host) (api.Perf, error) {
 	q := r.URL.Query()
-	rep, err := h.Sess.Perf(q.Get("src"), q.Get("dst"), q.Get("tenant"))
+	src, dst, tenant := q.Get("src"), q.Get("dst"), q.Get("tenant")
+	if intent.IsMemoryPseudo(topology.CompID(dst)) {
+		resolved, err := assignedDst(h, src, dst, tenant)
+		if err != nil {
+			return api.Perf{}, fail(http.StatusBadRequest, err)
+		}
+		dst = resolved
+	}
+	rep, err := h.Sess.Perf(src, dst, tenant)
 	if err != nil {
 		return api.Perf{}, fail(http.StatusBadRequest, err)
 	}
@@ -187,6 +195,28 @@ func getPerf(r *http.Request, h *fleet.Host) (api.Perf, error) {
 		PathCapacityBps: float64(rep.PathCapacity),
 		Bottleneck:      string(rep.BottleneckLink),
 	}, nil
+}
+
+// assignedDst resolves a memory pseudo-destination (memory:any,
+// memory:socketN) to the memory the tenant's admitted pipe from src to
+// dst was scheduled on, so a pipe can be probed by the name it was
+// admitted under. The probe then journals a concrete component and
+// replays without rescheduling anything.
+func assignedDst(h *fleet.Host, src, dst, tenant string) (string, error) {
+	if tenant == "" {
+		return "", fmt.Errorf("destination %q needs tenant= to name whose assigned memory to probe", dst)
+	}
+	rec := h.Mgr.Tenant(fabric.TenantID(tenant))
+	if rec == nil {
+		return "", fmt.Errorf("unknown tenant %q", tenant)
+	}
+	for _, a := range rec.Assignments {
+		t := a.Req.Target
+		if a.Admitted && t.Src == topology.CompID(src) && t.Dst == topology.CompID(dst) {
+			return string(a.Path.Dst()), nil
+		}
+	}
+	return "", fmt.Errorf("tenant %q has no admitted pipe %s -> %s", tenant, src, dst)
 }
 
 func getVerify(r *http.Request, h *fleet.Host) ([]api.Verification, error) {

@@ -258,6 +258,50 @@ func TestPerfVerifyAndUsageEndpoints(t *testing.T) {
 	}
 }
 
+// TestPerfResolvesMemoryPseudoDestination: a pipe admitted as
+// nic0 -> memory:socket0 can be probed by that name with tenant=; the
+// probe journals the concrete DIMM the pipe was scheduled on. Without
+// a tenant, or for a pipe the tenant does not hold, the pseudo-
+// destination is a 400 that says what is missing.
+func TestPerfResolvesMemoryPseudoDestination(t *testing.T) {
+	s, ts := newServer(t)
+	body := `{"tenant":"kv","targets":[{"src":"nic0","dst":"memory:socket0","rate_gbps":80}]}`
+	resp, err := http.Post(ts.URL+"/api/v1/tenants", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("admit status %d", resp.StatusCode)
+	}
+	var perf api.Perf
+	if code := getJSON(t, ts.URL+"/api/v1/diag/perf?src=nic0&dst=memory:socket0&tenant=kv", &perf); code != 200 {
+		t.Fatalf("perf status %d", code)
+	}
+	if perf.AchievedBps <= 0 {
+		t.Fatalf("perf: %+v", perf)
+	}
+	h := s.fleet.Host("two-socket")
+	want := string(h.Mgr.Tenant("kv").Assignments[0].Path.Dst())
+	j := h.Sess.Journal()
+	if last := j.Entries[j.Len()-1]; last.Kind != snap.KindPerf || last.Dst != want {
+		t.Fatalf("journaled perf dst %q (kind %s), want the assigned %q", last.Dst, last.Kind, want)
+	}
+	for _, c := range []struct{ query, msg string }{
+		{"src=nic0&dst=memory:socket0", "needs tenant="},
+		{"src=nic0&dst=memory:any&tenant=kv", "no admitted pipe"},
+		{"src=nic0&dst=memory:socket0&tenant=ghost", "unknown tenant"},
+	} {
+		var e api.ErrorBody
+		if code := getJSON(t, ts.URL+"/api/v1/diag/perf?"+c.query, &e); code != http.StatusBadRequest {
+			t.Fatalf("%s: status %d, want 400", c.query, code)
+		}
+		if !strings.Contains(e.Error.Message, c.msg) {
+			t.Fatalf("%s: message %q does not say %q", c.query, e.Error.Message, c.msg)
+		}
+	}
+}
+
 func TestDetectionsEndpoint(t *testing.T) {
 	s, ts := newServer(t)
 	// Calibrate, then break a link and let heartbeats find it.

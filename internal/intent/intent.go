@@ -32,6 +32,12 @@ const (
 	MemorySocketPrefix = "memory:socket"
 )
 
+// IsMemoryPseudo reports whether dst is a memory pseudo-destination
+// (AnyMemory or a MemorySocketPrefix name) rather than a component.
+func IsMemoryPseudo(dst topology.CompID) bool {
+	return dst == AnyMemory || strings.HasPrefix(string(dst), MemorySocketPrefix)
+}
+
 // Target is one application intent.
 type Target struct {
 	Tenant fabric.TenantID

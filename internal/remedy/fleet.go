@@ -155,19 +155,20 @@ type hostHook struct {
 }
 
 // RebalanceHost migrates this host's anomaly-affected tenants to the
-// least-pressured healthy host that will take them.
+// least-pressured healthy host that will take them, in
+// fleet.ByPressure order. Quarantined hosts are never destinations.
 func (hk *hostHook) RebalanceHost() (int, error) {
 	h := hk.fc.flt.Host(hk.name)
 	if h == nil {
 		return 0, fmt.Errorf("remedy: unknown host %s", hk.name)
 	}
+	var eligible func(*fleet.Host) bool
+	if hk.fc.runner != nil {
+		eligible = hk.fc.runner.Live
+	}
 	moved := 0
 	for _, tenant := range fleet.AffectedTenants(h) {
-		candidates := hk.fc.flt.Hosts()
-		sort.SliceStable(candidates, func(i, j int) bool {
-			return candidates[i].Pressure() < candidates[j].Pressure()
-		})
-		for _, dst := range candidates {
+		for _, dst := range hk.fc.flt.ByPressure(eligible) {
 			if dst.Name == hk.name || len(dst.Mgr.Anomaly().Detections()) > 0 {
 				continue
 			}

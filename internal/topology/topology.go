@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/simtime"
 )
@@ -19,6 +20,12 @@ type Topology struct {
 	links      map[LinkID]*Link
 	out        map[CompID][]*Link // outgoing adjacency, insertion order
 	in         map[CompID][]*Link
+	// compList and linkList hold every component and link sorted by
+	// ID. AddComponent and AddLink insert in place, so the ordered
+	// walks (Components, Links, and through them the fabric, the
+	// arbiter and the monitor) copy instead of sorting on every call.
+	compList []*Component
+	linkList []*Link
 }
 
 // New returns an empty topology with the given name.
@@ -43,6 +50,8 @@ func (t *Topology) AddComponent(id CompID, kind Kind, socket int) (*Component, e
 	}
 	c := &Component{ID: id, Kind: kind, Socket: socket}
 	t.components[id] = c
+	i, _ := slices.BinarySearchFunc(t.compList, id, func(c *Component, id CompID) int { return cmp.Compare(c.ID, id) })
+	t.compList = slices.Insert(t.compList, i, c)
 	return c, nil
 }
 
@@ -96,7 +105,15 @@ func (t *Topology) AddLink(spec LinkSpec) (fwd, rev LinkID, err error) {
 	t.out[spec.B] = append(t.out[spec.B], r)
 	t.in[spec.B] = append(t.in[spec.B], f)
 	t.in[spec.A] = append(t.in[spec.A], r)
+	t.insertLink(f)
+	t.insertLink(r)
 	return fwd, rev, nil
+}
+
+// insertLink adds l to the ID-sorted link list.
+func (t *Topology) insertLink(l *Link) {
+	i, _ := slices.BinarySearchFunc(t.linkList, l.ID, func(l *Link, id LinkID) int { return cmp.Compare(l.ID, id) })
+	t.linkList = slices.Insert(t.linkList, i, l)
 }
 
 // MustAddLink is AddLink that panics on error.
@@ -122,30 +139,21 @@ func (t *Topology) Outgoing(id CompID) []*Link { return t.out[id] }
 func (t *Topology) Incoming(id CompID) []*Link { return t.in[id] }
 
 // Components returns all components sorted by ID for deterministic
-// iteration.
+// iteration. The slice is the caller's.
 func (t *Topology) Components() []*Component {
-	out := make([]*Component, 0, len(t.components))
-	for _, c := range t.components {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append(make([]*Component, 0, len(t.compList)), t.compList...)
 }
 
-// Links returns all directed links sorted by ID.
+// Links returns all directed links sorted by ID. The slice is the
+// caller's.
 func (t *Topology) Links() []*Link {
-	out := make([]*Link, 0, len(t.links))
-	for _, l := range t.links {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	return append(make([]*Link, 0, len(t.linkList)), t.linkList...)
 }
 
 // ComponentsOfKind returns all components of kind k, sorted by ID.
 func (t *Topology) ComponentsOfKind(k Kind) []*Component {
 	var out []*Component
-	for _, c := range t.Components() {
+	for _, c := range t.compList {
 		if c.Kind == k {
 			out = append(out, c)
 		}
@@ -156,7 +164,7 @@ func (t *Topology) ComponentsOfKind(k Kind) []*Component {
 // Endpoints returns all traffic-originating components, sorted by ID.
 func (t *Topology) Endpoints() []*Component {
 	var out []*Component
-	for _, c := range t.Components() {
+	for _, c := range t.compList {
 		if c.Kind.IsEndpoint() {
 			out = append(out, c)
 		}
@@ -225,14 +233,14 @@ func (t *Topology) Validate() error {
 // per-tenant virtual views without aliasing the physical graph.
 func (t *Topology) Clone() *Topology {
 	nt := New(t.Name)
-	for _, c := range t.Components() {
+	for _, c := range t.compList {
 		nc := nt.MustAddComponent(c.ID, c.Kind, c.Socket)
 		for k, v := range c.Config {
 			nc.SetConfig(k, v)
 		}
 	}
 	done := make(map[LinkID]bool)
-	for _, l := range t.Links() {
+	for _, l := range t.linkList {
 		if done[l.ID] || done[l.Reverse] {
 			continue
 		}
