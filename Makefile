@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race solver-race bench bench-smoke bench-json bench-json-obs bench-json-scale bench-json-remedy chaos-smoke remedy-smoke fleet-smoke store-smoke check clean
+.PHONY: all build vet fmt test race solver-race bench bench-smoke bench-json bench-json-obs bench-json-scale bench-json-remedy chaos-smoke remedy-smoke drill-smoke fleet-smoke store-smoke check clean
 
 all: check
 
@@ -145,25 +145,31 @@ store-smoke:
 # seed, ~10 s total. Seeds are pinned so CI failures reproduce exactly
 # with the printed command; a violation also writes a minimized
 # journal artifact under chaos-artifacts/ (uploaded by CI) that
-# `ihscenario fuzz -replay` re-derives. Seed 3 on two-socket is the
+# `ihdiag fuzz -replay` re-derives. Seed 3 on two-socket is the
 # schedule that exposed the read-time byte-fold nondeterminism
 # (TestStatsReadsDoNotPerturbAccounting) — kept as a standing
 # regression.
 chaos-smoke:
-	$(GO) run ./cmd/ihscenario fuzz -seed 1 -seeds 3 -events 250 -dur 10ms -preset minimal -out chaos-artifacts
-	$(GO) run ./cmd/ihscenario fuzz -seed 3 -events 300 -dur 15ms -preset two-socket -out chaos-artifacts
+	$(GO) run ./cmd/ihdiag fuzz -seed 1 -seeds 3 -events 250 -dur 10ms -preset minimal -out chaos-artifacts
+	$(GO) run ./cmd/ihdiag fuzz -seed 3 -events 300 -dur 15ms -preset two-socket -out chaos-artifacts
 
 # Chaos-vs-controller smoke: the same seeded adversary, but with the
 # closed-loop remediation controller armed. Each pinned seed must heal
 # at least 95% of its eligible injected faults within the 2ms virtual
-# deadline with zero oracle violations, and the auto-remediation drill
-# must pass end to end. Failures reproduce exactly with the printed
-# seed, like chaos-smoke.
+# deadline with zero oracle violations. Failures reproduce exactly
+# with the printed seed, like chaos-smoke.
 remedy-smoke:
-	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 1 -events 150 -dur 10ms -out chaos-artifacts
-	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 7 -events 150 -dur 10ms -out chaos-artifacts
-	$(GO) run ./cmd/ihscenario fuzz -vs-controller -seed 42 -events 150 -dur 10ms -out chaos-artifacts
-	$(GO) run ./cmd/ihscenario scenarios/auto-remediation-drill.json
+	$(GO) run ./cmd/ihdiag fuzz -vs-controller -seed 1 -events 150 -dur 10ms -out chaos-artifacts
+	$(GO) run ./cmd/ihdiag fuzz -vs-controller -seed 7 -events 150 -dur 10ms -out chaos-artifacts
+	$(GO) run ./cmd/ihdiag fuzz -vs-controller -seed 42 -events 150 -dur 10ms -out chaos-artifacts
+
+# Drill smoke (~5 s): every incident drill in scenarios/ must pass its
+# assertions, and the journal each drill executed — remediation
+# controller ticks and actions included — must replay twice with
+# identical rolling state hashes.
+drill-smoke:
+	$(GO) run ./cmd/ihdiag drill scenarios/*.json
+	for d in scenarios/*.json; do $(GO) run ./cmd/ihdiag replay -scenario $$d || exit 1; done
 
 # Trajectory gate for the remediation controller: the idle control-loop
 # step must stay at 0 allocs/op (it runs every probe period), and the
@@ -192,4 +198,4 @@ check: fmt vet build race solver-race
 
 clean:
 	$(GO) clean ./...
-	rm -f benchjson ihctl ihdiag ihnetd ihscenario
+	rm -f benchjson ihctl ihdiag ihnetd

@@ -12,6 +12,13 @@
 // trace exports a managed run as Chrome trace_event JSON (Perfetto).
 // replay is the determinism gate: it replays a journal, snapshot or
 // scenario drill twice and fails if the rolling state hashes disagree.
+// drill runs declarative incident drills (scenarios/*.json) and checks
+// their assertions, exit 1 when one fails. fuzz runs seeded chaos
+// schedules against the full stack under a cross-layer invariant
+// oracle (internal/chaos), exit 1 on a violation; with -vs-controller
+// the schedule becomes the adversary of the remediation controller,
+// which must heal at least -remedy-ratio of the eligible faults within
+// -remedy-deadline of virtual time.
 // An unknown subcommand or a stray argument prints the usage, exit 2.
 //
 // Usage:
@@ -29,6 +36,11 @@
 //	ihdiag replay -preset two-socket journal.json
 //	ihdiag replay snapshot.json
 //	ihdiag replay -scenario scenarios/colocation-guarantee.json
+//	ihdiag drill -v scenarios/*.json
+//	ihdiag fuzz -seed 1 -seeds 20 -events 500
+//	ihdiag fuzz -fleet 4 -seed 7
+//	ihdiag fuzz -vs-controller -seed 7 -remedy-deadline 2ms
+//	ihdiag fuzz -replay chaos-artifacts/chaos-seed-7.json
 package main
 
 import (
@@ -66,6 +78,8 @@ var subcommands = []subcommand{
 	{"experiments", "regenerate the experiment tables", runExperiments},
 	{"trace", "export a managed run as Chrome trace_event JSON", runTrace},
 	{"replay", "replay a journal twice and compare state hashes", runReplay},
+	{"drill", "run incident drills and check their assertions", runDrill},
+	{"fuzz", "seeded chaos runs under the invariant oracle", runFuzz},
 }
 
 // exitStatus ends ihdiag with a status and no further message: the

@@ -39,6 +39,10 @@ func TestSubcommands(t *testing.T) {
 			"open in about://tracing (Chrome) or https://ui.perfetto.dev"},
 		{[]string{"replay", "-scenario", "../../scenarios/colocation-guarantee.json"}, 0,
 			"deterministic: "},
+		{[]string{"drill", "-v", "../../scenarios/silent-degradation.json"}, 0,
+			"      top_suspect                  ok       top suspect nic0->pcieswitch0"},
+		{[]string{"fuzz", "-seed", "2", "-events", "20", "-dur", "1ms", "-preset", "minimal"}, 0,
+			"PASS  seed 2    20 events"},
 		{[]string{"ping", "-src", "gpu0", "-dst", "nowhere"}, 1, ""},
 		{[]string{"topo", "-preset", "warp-core"}, 1, ""},
 	} {
@@ -73,6 +77,8 @@ func TestBadInvocationExits2(t *testing.T) {
 		{"topo", "-json", "extra"},
 		{"replay", "a.json", "b.json"},
 		{"replay", "-scenario", "drill.json", "extra.json"},
+		{"drill"},
+		{"fuzz", "stray"},
 	} {
 		var out, errOut bytes.Buffer
 		if code := run(args, &out, &errOut); code != 2 {
@@ -85,6 +91,36 @@ func TestBadInvocationExits2(t *testing.T) {
 			if !strings.Contains(errOut.String(), "  "+sc.name+" ") {
 				t.Errorf("%q: usage does not list %q:\n%s", args, sc.name, errOut.String())
 			}
+		}
+	}
+}
+
+// TestFuzzReproLineRoundTrip: the printed `or:` line, parsed by the
+// fuzz flag set, gives back the chaos config of the failing seed.
+func TestFuzzReproLineRoundTrip(t *testing.T) {
+	for _, args := range [][]string{
+		{},
+		{"-seed", "3", "-events", "150", "-dur", "10ms", "-preset", "minimal", "-fleet", "3"},
+		{"-seed", "9", "-seeds", "4", "-events", "150", "-dur", "10ms", "-preset", "minimal",
+			"-fleet", "3", "-workers", "2", "-vs-controller", "-remedy-deadline", "3ms", "-mode", "strict"},
+	} {
+		f := newFuzzFlags()
+		if err := f.fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		want := f.cfg
+		want.Seed += 2
+		line := f.reproLine(want.Seed)
+		words := strings.Fields(line)
+		if len(words) < 2 || words[0] != "ihdiag" || words[1] != "fuzz" {
+			t.Fatalf("repro line %q does not start with ihdiag fuzz", line)
+		}
+		g := newFuzzFlags()
+		if err := g.fs.Parse(words[2:]); err != nil {
+			t.Fatalf("%q: %v", line, err)
+		}
+		if g.cfg != want {
+			t.Errorf("%q parses to\n%+v\nwant\n%+v", line, g.cfg, want)
 		}
 	}
 }

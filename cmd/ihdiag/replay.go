@@ -20,13 +20,15 @@ import (
 // compares rolling state hashes, exiting non-zero at the first
 // divergence. Input is a journal file (paired with -preset/-seed), a
 // full snapshot file (self-describing; also verifies checksum and the
-// recorded final state hash), or a scenario drill via -scenario.
+// recorded final state hash), or a scenario drill via -scenario, which
+// runs the drill and checks the journal it executed — remediation
+// controller ticks and actions included.
 func runReplay(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("ihdiag replay", flag.ContinueOnError)
 	preset := fs.String("preset", "two-socket",
 		"host for a bare journal: "+strings.Join(topology.PresetNames(), ", "))
 	seed := fs.Int64("seed", 1, "simulation seed for a bare journal")
-	scenarioFile := fs.String("scenario", "", "convert this drill spec to a journal and check it")
+	scenarioFile := fs.String("scenario", "", "run this drill spec and check the journal it executed")
 	hashes := fs.Bool("hashes", false, "print the rolling state hash after every entry")
 	fs.Usage = func() {
 		fmt.Fprintln(fs.Output(), `usage: ihdiag replay [flags] <journal.json | snapshot.json>
@@ -86,17 +88,15 @@ state hashes. Exit status: 0 identical, 1 diverged or corrupt.`)
 // recorded state hash — before their journal is handed back.
 func loadReplayInput(w io.Writer, scenarioFile, path, preset string, seed int64) (snap.Config, snap.Journal, error) {
 	if scenarioFile != "" {
-		f, err := os.Open(scenarioFile)
+		spec, err := loadDrill(scenarioFile)
 		if err != nil {
 			return snap.Config{}, snap.Journal{}, err
 		}
-		defer f.Close()
-		spec, err := scenario.Load(f)
+		res, err := scenario.Run(spec)
 		if err != nil {
 			return snap.Config{}, snap.Journal{}, fmt.Errorf("%s: %w", scenarioFile, err)
 		}
-		cfg, journal := scenario.ToJournal(spec)
-		return cfg, journal, nil
+		return res.Snapshot.Config, res.Snapshot.Journal, nil
 	}
 
 	data, err := os.ReadFile(path)

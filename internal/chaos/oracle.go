@@ -76,7 +76,7 @@ type OracleConfig struct {
 	SnapshotEvery int
 }
 
-// DefaultOracleConfig returns the tolerances used by `ihscenario fuzz`
+// DefaultOracleConfig returns the tolerances used by `ihdiag fuzz`
 // and the chaos smoke tests.
 func DefaultOracleConfig() OracleConfig {
 	return OracleConfig{

@@ -7,7 +7,7 @@ import (
 )
 
 // Regression test for the read-perturbs-state bug the chaos harness
-// flushed out (`ihscenario fuzz -seed 3 -events 500 -preset
+// flushed out (`ihdiag fuzz -seed 3 -events 500 -preset
 // two-socket`: a mid-run snapshot→restore hash mismatch that the
 // journal alone could not reproduce). Stats reads used to fold the
 // partial rate×dt segment into the link and flow byte accumulators at

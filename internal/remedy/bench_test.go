@@ -6,24 +6,21 @@ import (
 	"repro/internal/core"
 	"repro/internal/intent"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 	"repro/internal/topology"
 )
 
-func benchController(b *testing.B) (*core.Manager, *Controller) {
+func benchController(b *testing.B) (*snap.Session, *Controller) {
 	b.Helper()
-	m := newManager(b)
-	c, err := New(m, ManagerActuator{Mgr: m}, Options{Policy: DefaultPolicy()})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(c.Close)
-	if _, err := m.Admit("kv", []intent.Target{
+	sess := newSession(b)
+	c := newController(b, sess, DefaultPolicy())
+	if _, err := sess.Admit("kv", []intent.Target{
 		{Src: "nic0", Dst: intent.AnyMemory, Rate: topology.GBps(8)},
 	}); err != nil {
 		b.Fatal(err)
 	}
-	warmup(m)
-	return m, c
+	warmup(b, sess)
+	return sess, c
 }
 
 // BenchmarkRemedyStepIdle measures the controller's steady-state
@@ -44,16 +41,16 @@ func BenchmarkRemedyStepIdle(b *testing.B) {
 // MTTR distribution. MTTR is virtual time — machine-independent and
 // CI-gateable — so the p50/p99 land in BENCH_remedy.json as budgets.
 func BenchmarkRemedyMTTR(b *testing.B) {
-	m, c := benchController(b)
+	sess, c := benchController(b)
 	period := core.DefaultOptions().Anomaly.Period
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		resolved := c.Stats().Resolved
-		if err := m.Fabric().DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
+		if err := sess.DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
 			b.Fatal(err)
 		}
 		for step := 0; step < 500; step++ {
-			m.Engine().RunFor(period)
+			advance(b, sess, period)
 			c.Step()
 			if c.Stats().Resolved > resolved {
 				break

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/fabric"
 	"repro/internal/intent"
 	"repro/internal/obs"
 	"repro/internal/simtime"
@@ -15,10 +14,9 @@ import (
 	"repro/internal/topology"
 )
 
-// Actuator executes remediation verbs. The journaled session actuator
-// is the production path (every action becomes a journal entry and a
-// correlated span); the direct manager actuator serves declarative
-// drills that run a bare manager.
+// Actuator executes remediation verbs. SessionActuator is the one
+// implementation: every action becomes a journal entry and a
+// correlated span.
 type Actuator interface {
 	RestoreLink(link string) error
 	// MigrateTenant re-places an admitted tenant's intents while
@@ -54,40 +52,6 @@ func (a SessionActuator) MigrateTenant(tenant string, targets []intent.Target, a
 
 // EvictTenant implements Actuator.
 func (a SessionActuator) EvictTenant(tenant string) error { return a.Sess.Evict(tenant) }
-
-// ManagerActuator acts directly on a bare manager (no journal) — used
-// by the declarative scenario runner, which drives the manager
-// directly rather than through a session.
-type ManagerActuator struct{ Mgr *core.Manager }
-
-// RestoreLink implements Actuator.
-func (a ManagerActuator) RestoreLink(link string) error {
-	return a.Mgr.Fabric().RestoreLink(topology.LinkID(link))
-}
-
-// MigrateTenant implements Actuator.
-func (a ManagerActuator) MigrateTenant(tenant string, targets []intent.Target, avoid []string) error {
-	id := fabric.TenantID(tenant)
-	ids := make([]topology.LinkID, len(avoid))
-	for i, l := range avoid {
-		ids[i] = topology.LinkID(l)
-	}
-	if err := a.Mgr.Evict(id); err != nil {
-		return err
-	}
-	if _, err := a.Mgr.AdmitAvoiding(id, targets, ids); err != nil {
-		if _, err2 := a.Mgr.Admit(id, targets); err2 != nil {
-			return fmt.Errorf("remedy: constrained re-admit: %v; recovery re-admit: %v", err, err2)
-		}
-		return err
-	}
-	return nil
-}
-
-// EvictTenant implements Actuator.
-func (a ManagerActuator) EvictTenant(tenant string) error {
-	return a.Mgr.Evict(fabric.TenantID(tenant))
-}
 
 // FleetHook gives a per-host controller access to fleet-scoped verbs.
 // Nil on single hosts; the fleet controller binds one per host.
@@ -217,8 +181,7 @@ type Options struct {
 }
 
 // New attaches a controller to a manager, subscribing to the host's
-// event bus for fault and verdict events. The actuator decides whether
-// actions are journaled.
+// event bus for fault and verdict events. Actions run through act.
 func New(mgr *core.Manager, act Actuator, opts Options) (*Controller, error) {
 	if err := opts.Policy.Validate(); err != nil {
 		return nil, err

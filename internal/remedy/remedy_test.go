@@ -13,27 +13,32 @@ import (
 	"repro/internal/topology"
 )
 
-func newManager(t testing.TB) *core.Manager {
+func newSession(t testing.TB) *snap.Session {
 	t.Helper()
-	m, err := core.New(topology.TwoSocketServer(), core.DefaultOptions())
+	sess, err := snap.NewSession(snap.Config{Preset: "two-socket", Options: core.DefaultOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Start(); err != nil {
+	return sess
+}
+
+// advance moves the session's virtual time forward by d, journaled.
+func advance(t testing.TB, sess *snap.Session, d simtime.Duration) {
+	t.Helper()
+	if err := sess.Advance(d); err != nil {
 		t.Fatal(err)
 	}
-	return m
 }
 
-// warmup runs the engine past anomaly calibration so detection is armed.
-func warmup(m *core.Manager) {
+// warmup runs the session past anomaly calibration so detection is armed.
+func warmup(t testing.TB, sess *snap.Session) {
 	acfg := core.DefaultOptions().Anomaly
-	m.Engine().RunFor(simtime.Duration(acfg.CalibrationRounds+5) * acfg.Period)
+	advance(t, sess, simtime.Duration(acfg.CalibrationRounds+5)*acfg.Period)
 }
 
-func newController(t testing.TB, m *core.Manager, pol Policy) *Controller {
+func newController(t testing.TB, sess *snap.Session, pol Policy) *Controller {
 	t.Helper()
-	c, err := New(m, ManagerActuator{Mgr: m}, Options{Policy: pol})
+	c, err := New(sess.Manager(), SessionActuator{Sess: sess}, Options{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +109,16 @@ func TestRuleFallback(t *testing.T) {
 // localized, rolled back and hysteresis-resolved, with MTTR measured
 // from the injection timestamp.
 func TestClosedLoopRollback(t *testing.T) {
-	m := newManager(t)
-	c := newController(t, m, DefaultPolicy())
-	warmup(m)
+	sess := newSession(t)
+	c := newController(t, sess, DefaultPolicy())
+	warmup(t, sess)
 
-	if err := m.Fabric().DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
+	if err := sess.DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	period := core.DefaultOptions().Anomaly.Period
 	for i := 0; i < 200 && c.Degraded() || i < 1; i++ {
-		m.Engine().RunFor(period)
+		advance(t, sess, period)
 		c.Step()
 		if s := c.Stats(); s.Resolved > 0 && !c.Degraded() {
 			break
@@ -159,7 +164,7 @@ func TestClosedLoopRollback(t *testing.T) {
 	if ds := c.MTTRs(); len(ds) != 1 || ds[0] != mttr {
 		t.Fatalf("MTTRs() = %v, want [%v]", ds, mttr)
 	}
-	if len(m.Fabric().UnhealthyLinks()) != 0 {
+	if len(sess.Manager().Fabric().UnhealthyLinks()) != 0 {
 		t.Fatal("link not actually restored")
 	}
 	var rolled bool
@@ -186,35 +191,36 @@ func (a *noopActuator) EvictTenant(string) error { a.calls++; return nil }
 
 // detectIncident warms up, injects a degrade and waits for anomaly
 // detection so the controller has a localized incident to plan for.
-func detectIncident(t *testing.T, m *core.Manager) {
+func detectIncident(t *testing.T, sess *snap.Session) {
 	t.Helper()
-	warmup(m)
-	if err := m.Fabric().DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
+	warmup(t, sess)
+	if err := sess.DegradeLink("cpu0->cpu1", 0, 50*simtime.Microsecond); err != nil {
 		t.Fatal(err)
 	}
 	period := core.DefaultOptions().Anomaly.Period
-	for i := 0; i < 50 && m.Anomaly().DetectionCount() == 0; i++ {
-		m.Engine().RunFor(period)
+	plat := sess.Manager().Anomaly()
+	for i := 0; i < 50 && plat.DetectionCount() == 0; i++ {
+		advance(t, sess, period)
 	}
-	if m.Anomaly().DetectionCount() == 0 {
+	if plat.DetectionCount() == 0 {
 		t.Fatal("degradation never detected")
 	}
 }
 
 func TestCooldownSuppressesRepeatActions(t *testing.T) {
-	m := newManager(t)
+	sess := newSession(t)
 	pol := DefaultPolicy()
 	pol.CooldownUs = 10_000 // 10ms: far longer than the test horizon
 	act := &noopActuator{}
-	c, err := New(m, act, Options{Policy: pol})
+	c, err := New(sess.Manager(), act, Options{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	detectIncident(t, m)
+	detectIncident(t, sess)
 
 	for i := 0; i < 5; i++ {
-		m.Engine().RunFor(10 * simtime.Microsecond)
+		advance(t, sess, 10*simtime.Microsecond)
 		c.Step()
 	}
 	s := c.Stats()
@@ -227,20 +233,20 @@ func TestCooldownSuppressesRepeatActions(t *testing.T) {
 }
 
 func TestEscalationCap(t *testing.T) {
-	m := newManager(t)
+	sess := newSession(t)
 	pol := DefaultPolicy()
 	pol.CooldownUs = 0
 	pol.MaxActionsPerIncident = 2
 	act := &noopActuator{}
-	c, err := New(m, act, Options{Policy: pol})
+	c, err := New(sess.Manager(), act, Options{Policy: pol})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer c.Close()
-	detectIncident(t, m)
+	detectIncident(t, sess)
 
 	for i := 0; i < 6; i++ {
-		m.Engine().RunFor(10 * simtime.Microsecond)
+		advance(t, sess, 10*simtime.Microsecond)
 		c.Step()
 	}
 	s := c.Stats()
@@ -256,28 +262,28 @@ func TestEscalationCap(t *testing.T) {
 // stops at the first step of the healthy run, not at the
 // hysteresis-confirmation step.
 func TestHysteresisEndpoint(t *testing.T) {
-	m := newManager(t)
+	sess := newSession(t)
 	pol := DefaultPolicy()
 	pol.HysteresisSteps = 3
-	c := newController(t, m, pol)
-	warmup(m)
+	c := newController(t, sess, pol)
+	warmup(t, sess)
 
 	in := &Incident{Subject: "phantom", Class: ClassLinkFail,
-		Detected: true, DetectAt: m.Engine().Now()}
+		Detected: true, DetectAt: sess.Now()}
 	c.openIncident(in)
 
-	m.Engine().RunFor(10 * simtime.Microsecond)
-	first := m.Engine().Now()
+	advance(t, sess, 10*simtime.Microsecond)
+	first := sess.Now()
 	c.Step() // healthy step 1
 	if in.Resolved {
 		t.Fatal("resolved before hysteresis")
 	}
-	m.Engine().RunFor(10 * simtime.Microsecond)
+	advance(t, sess, 10*simtime.Microsecond)
 	c.Step() // healthy step 2
 	if in.Resolved {
 		t.Fatal("resolved before hysteresis")
 	}
-	m.Engine().RunFor(10 * simtime.Microsecond)
+	advance(t, sess, 10*simtime.Microsecond)
 	c.Step() // healthy step 3: confirm
 	if !in.Resolved {
 		t.Fatal("not resolved after hysteresis steps")
@@ -291,9 +297,10 @@ func TestHysteresisEndpoint(t *testing.T) {
 // placement: a tenant whose pathway crosses an avoidable link must be
 // re-placed off the suspect while the fault persists.
 func TestMigratePlanAndExecute(t *testing.T) {
-	m := newManager(t)
-	c := newController(t, m, DefaultPolicy())
-	if _, err := m.Admit("t1", []intent.Target{
+	sess := newSession(t)
+	m := sess.Manager()
+	c := newController(t, sess, DefaultPolicy())
+	if _, err := sess.Admit("t1", []intent.Target{
 		{Src: "cpu0", Dst: intent.AnyMemory, Rate: topology.GBps(5)},
 	}); err != nil {
 		t.Fatal(err)

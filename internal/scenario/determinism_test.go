@@ -36,7 +36,7 @@ func loadSpecs(t *testing.T) map[string]Spec {
 
 // TestScenariosAreDeterministic runs every shipped drill twice with
 // its own seed and requires bit-identical results — assertion
-// outcomes, details, and the full timeline log.
+// outcomes, details, the full timeline log, and the executed journal.
 func TestScenariosAreDeterministic(t *testing.T) {
 	for name, spec := range loadSpecs(t) {
 		t.Run(name, func(t *testing.T) {
@@ -55,22 +55,30 @@ func TestScenariosAreDeterministic(t *testing.T) {
 	}
 }
 
-// TestScenarioJournalsReplayDeterministically converts every shipped
-// drill to a snap journal and runs the divergence checker over it —
-// the determinism-regression harness applied to real inputs.
+// TestScenarioJournalsReplayDeterministically checks every shipped
+// drill as the journal it executed: it passes its asserts, two replays
+// of that journal agree at every entry (snap.CheckDeterminism), and the
+// snapshot taken at the end of the run restores to the run's own state
+// hash.
 func TestScenarioJournalsReplayDeterministically(t *testing.T) {
 	for name, spec := range loadSpecs(t) {
 		t.Run(name, func(t *testing.T) {
-			cfg, j := ToJournal(spec)
-			if err := j.Validate(); err != nil {
-				t.Fatalf("converted journal invalid: %v", err)
+			res, err := Run(spec)
+			if err != nil {
+				t.Fatal(err)
 			}
-			div, err := snap.CheckDeterminism(cfg, j)
+			if !res.Passed {
+				t.Fatalf("shipped drill fails its asserts: %+v", res.Checks)
+			}
+			div, err := snap.CheckDeterminism(res.Snapshot.Config, res.Snapshot.Journal)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if div != nil {
-				t.Fatalf("scenario journal diverges: %v", div)
+				t.Fatalf("executed journal diverges: %v", div)
+			}
+			if _, err := snap.RestorePayload(res.Snapshot); err != nil {
+				t.Fatalf("end-of-drill snapshot does not restore: %v", err)
 			}
 		})
 	}

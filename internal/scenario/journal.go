@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"sort"
 
 	"repro/internal/arbiter"
@@ -11,54 +12,68 @@ import (
 
 // ToJournal converts a drill spec into a snap reconstruction config
 // and command journal: admissions at time zero, timeline operations in
-// schedule order, and a final advance to the drill's duration. A drill
-// on disk thereby doubles as a determinism-regression input — `ihdiag
-// replay` and snap.CheckDeterminism consume the result directly.
-//
-// The journal reproduces the drill's commands, not its event
-// interleaving: Run schedules timeline callbacks inside the engine
-// while replay applies them between RunUntil calls, so the two paths
-// allocate event sequence numbers differently. Determinism claims are
-// therefore always replay-vs-replay or run-vs-run, never across.
+// schedule order, and a final advance to the drill's duration. Run
+// executes exactly these entries (adding the remediation controller's
+// ticks and actions when the drill arms one), so a drill on disk is
+// also a determinism-regression input — `ihdiag replay` and
+// snap.CheckDeterminism consume the result directly.
 func ToJournal(spec Spec) (snap.Config, snap.Journal) {
+	var j snap.Journal
+	var lastNs int64
+	for i, st := range steps(spec) {
+		st.e.Seq = uint64(i)
+		j.Entries = append(j.Entries, st.e)
+		lastNs = st.e.AtNs
+	}
+	j.Entries = append(j.Entries, snap.Entry{Seq: uint64(len(j.Entries)),
+		AtNs: lastNs, Kind: snap.KindAdvance, ToNs: spec.DurationUs * 1000})
+	return config(spec), j
+}
+
+// config is the host a drill runs on.
+func config(spec Spec) snap.Config {
 	opts := core.DefaultOptions()
 	opts.Seed = spec.Seed
 	if spec.ArbiterMode != "" {
 		opts.Arbiter.Mode = arbiter.Mode(spec.ArbiterMode)
 	}
-	cfg := snap.Config{Preset: spec.Preset, Options: opts}
+	return snap.Config{Preset: spec.Preset, Options: opts}
+}
 
-	var j snap.Journal
-	add := func(e snap.Entry) {
-		e.Seq = uint64(len(j.Entries))
-		j.Entries = append(j.Entries, e)
-	}
+// step is one timeline operation: the journal entry that performs it,
+// the drill log line that reports it, and whether it injects a fault
+// (the first one starts the detection clock).
+type step struct {
+	e     snap.Entry
+	log   string
+	fault bool
+}
 
+// steps returns a drill's timeline in execution order: admissions at
+// time zero, then workloads and faults by at_us. Ties on at_us keep
+// every workload ahead of every fault, each in spec order (a stable
+// sort over workloads-first input).
+func steps(spec Spec) []step {
+	var out []step
 	for _, ts := range spec.Tenants {
 		e := snap.Entry{Kind: snap.KindAdmit, Tenant: ts.Tenant}
 		for _, tg := range ts.Targets {
 			e.Targets = append(e.Targets, snap.Target{
 				Src: tg.Src, Dst: tg.Dst,
-				// Same conversion Run uses, for identical floats.
 				RateBps: float64(topology.Gbps(tg.RateGbps)),
 			})
 		}
-		add(e)
+		out = append(out, step{e: e,
+			log: fmt.Sprintf("admitted tenant %s (%d targets)", ts.Tenant, len(ts.Targets))})
 	}
 
-	// Merge workloads and faults into one timeline. Run schedules all
-	// workloads before all faults, so ties on at_us keep that order
-	// (stable sort over workloads-first input).
-	type op struct {
-		atUs int64
-		e    snap.Entry
-	}
-	var ops []op
+	var timed []step
 	for _, w := range spec.Workloads {
-		ops = append(ops, op{w.AtUs, snap.Entry{
-			Kind: snap.KindWorkload, Workload: w.Kind,
-			Tenant: w.Tenant, Src: w.Src, Dst: w.Dst,
-		}})
+		timed = append(timed, step{
+			e: snap.Entry{AtNs: w.AtUs * 1000, Kind: snap.KindWorkload, Workload: w.Kind,
+				Tenant: w.Tenant, Src: w.Src, Dst: w.Dst},
+			log: fmt.Sprintf("started %s workload for tenant %s", w.Kind, w.Tenant),
+		})
 	}
 	for _, f := range spec.Faults {
 		var e snap.Entry
@@ -76,20 +91,11 @@ func ToJournal(spec Spec) (snap.Config, snap.Journal) {
 		default:
 			continue // Load already rejected unknown kinds
 		}
-		ops = append(ops, op{f.AtUs, e})
+		e.AtNs = f.AtUs * 1000
+		timed = append(timed, step{e: e,
+			log:   fmt.Sprintf("fault %s %s%s", f.Kind, f.Link, f.Component),
+			fault: f.Kind != "restore"})
 	}
-	sort.SliceStable(ops, func(i, k int) bool { return ops[i].atUs < ops[k].atUs })
-	var lastNs int64
-	for _, o := range ops {
-		o.e.AtNs = o.atUs * 1000
-		if o.e.AtNs > lastNs {
-			lastNs = o.e.AtNs
-		}
-		add(o.e)
-	}
-
-	if durNs := spec.DurationUs * 1000; durNs > lastNs {
-		add(snap.Entry{AtNs: lastNs, Kind: snap.KindAdvance, ToNs: durNs})
-	}
-	return cfg, j
+	sort.SliceStable(timed, func(i, k int) bool { return timed[i].e.AtNs < timed[k].e.AtNs })
+	return append(out, timed...)
 }

@@ -12,17 +12,17 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"strings"
 
 	"repro/internal/arbiter"
 	"repro/internal/core"
 	"repro/internal/fabric"
-	"repro/internal/intent"
 	"repro/internal/monitor"
 	"repro/internal/remedy"
 	"repro/internal/simtime"
+	"repro/internal/snap"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // Spec is the on-disk drill description.
@@ -114,6 +114,10 @@ type AssertSpec struct {
 	Gbps    float64 `json:"gbps,omitempty"`
 }
 
+// maxDurationUs bounds a drill so every timeline time converts to
+// virtual nanoseconds without overflow.
+const maxDurationUs = math.MaxInt64 / int64(simtime.Microsecond)
+
 // Load parses and validates a spec.
 func Load(r io.Reader) (Spec, error) {
 	var s Spec
@@ -128,15 +132,26 @@ func Load(r io.Reader) (Spec, error) {
 	if _, ok := topology.Presets[s.Preset]; !ok {
 		return Spec{}, fmt.Errorf("scenario: unknown preset %q", s.Preset)
 	}
-	if s.DurationUs <= 0 {
-		return Spec{}, fmt.Errorf("scenario: duration_us must be positive")
+	if s.DurationUs <= 0 || s.DurationUs > maxDurationUs {
+		return Spec{}, fmt.Errorf("scenario: duration_us must be in (0, %d]", maxDurationUs)
 	}
 	switch s.ArbiterMode {
 	case "", string(arbiter.Strict), string(arbiter.WorkConserving):
 	default:
 		return Spec{}, fmt.Errorf("scenario: unknown arbiter mode %q", s.ArbiterMode)
 	}
+	for i, ts := range s.Tenants {
+		if ts.Tenant == "" || len(ts.Targets) == 0 {
+			return Spec{}, fmt.Errorf("scenario: tenant %d needs a name and targets", i)
+		}
+	}
+	// A timeline time outside [0, duration_us] is an operation the
+	// drill would never apply.
+	inRange := func(atUs int64) bool { return atUs >= 0 && atUs <= s.DurationUs }
 	for i, w := range s.Workloads {
+		if !inRange(w.AtUs) {
+			return Spec{}, fmt.Errorf("scenario: workload %d at_us %d is outside [0, %d]", i, w.AtUs, s.DurationUs)
+		}
 		switch w.Kind {
 		case "kv", "ml", "loopback", "scan":
 		default:
@@ -147,6 +162,9 @@ func Load(r io.Reader) (Spec, error) {
 		}
 	}
 	for i, f := range s.Faults {
+		if !inRange(f.AtUs) {
+			return Spec{}, fmt.Errorf("scenario: fault %d at_us %d is outside [0, %d]", i, f.AtUs, s.DurationUs)
+		}
 		switch f.Kind {
 		case "degrade", "fail", "restore":
 			if f.Link == "" {
@@ -193,99 +211,76 @@ type Result struct {
 	Passed   bool
 	Checks   []CheckResult
 	Timeline []string
+	// Snapshot is the drill as executed, taken at its end: the host,
+	// every command applied to it (remediation ticks and actions
+	// included) and the state hash it reached. snap.CheckDeterminism
+	// checks its journal; snap.RestorePayload rebuilds it.
+	Snapshot snap.Payload
 }
 
-// Run executes a drill and evaluates its assertions.
+// Run executes a drill and evaluates its assertions. The drill runs as
+// a session journal: every ToJournal entry goes through
+// snap.Session.ReplayEntry, so an operation at t applies before the
+// engine's own events due at t. An armed remediation controller steps
+// every step_interval_us of virtual time, acting through the session;
+// a timeline operation due at a tick's time applies before that tick.
 func Run(spec Spec) (Result, error) {
-	opts := core.DefaultOptions()
-	opts.Seed = spec.Seed
-	if spec.ArbiterMode != "" {
-		opts.Arbiter.Mode = arbiter.Mode(spec.ArbiterMode)
-	}
-	build := topology.Presets[spec.Preset]
-	mgr, err := core.New(build(), opts)
+	sess, err := snap.NewSession(config(spec))
 	if err != nil {
 		return Result{}, err
 	}
-	if err := mgr.Start(); err != nil {
-		return Result{}, err
-	}
+	defer sess.Manager().Stop()
 	res := Result{Name: spec.Name}
-	logf := func(format string, args ...any) {
-		res.Timeline = append(res.Timeline,
-			fmt.Sprintf("t=%-12v %s", mgr.Engine().Now(), fmt.Sprintf(format, args...)))
-	}
-
-	for _, ts := range spec.Tenants {
-		targets := make([]intent.Target, len(ts.Targets))
-		for i, tg := range ts.Targets {
-			targets[i] = intent.Target{
-				Src: topology.CompID(tg.Src), Dst: topology.CompID(tg.Dst),
-				Rate: topology.Gbps(tg.RateGbps),
-			}
-		}
-		if _, err := mgr.Admit(fabric.TenantID(ts.Tenant), targets); err != nil {
-			return Result{}, fmt.Errorf("scenario: admit %q: %w", ts.Tenant, err)
-		}
-		logf("admitted tenant %s (%d targets)", ts.Tenant, len(targets))
-	}
-
-	kvs := make(map[string]*workload.KVClient)
-	engine := mgr.Engine()
 
 	// Arm the remediation controller before the timeline starts so the
 	// injected faults' trace events are observed with exact timestamps.
-	// The loop steps on a fixed virtual cadence via a self-rescheduling
-	// tick — the same deterministic clock the faults ride on.
 	var ctrl *remedy.Controller
+	var interval simtime.Duration
 	if spec.Remedy != nil && spec.Remedy.Enabled {
-		var err error
-		ctrl, err = remedy.New(mgr, remedy.ManagerActuator{Mgr: mgr},
+		ctrl, err = remedy.New(sess.Manager(), remedy.SessionActuator{Sess: sess},
 			remedy.Options{Policy: remedy.DefaultPolicy()})
 		if err != nil {
 			return Result{}, err
 		}
 		defer ctrl.Close()
-		interval := simtime.Duration(spec.Remedy.StepIntervalUs) * simtime.Microsecond
+		interval = simtime.Duration(spec.Remedy.StepIntervalUs) * simtime.Microsecond
 		if interval <= 0 {
 			interval = 100 * simtime.Microsecond
 		}
-		var tick func()
-		tick = func() {
+	}
+	// stepBefore runs the controller's ticks due before t: advance to
+	// the tick, then step.
+	tick := simtime.Time(interval)
+	stepBefore := func(t simtime.Time) error {
+		for ; ctrl != nil && tick < t; tick = tick.Add(interval) {
+			if err := sess.AdvanceTo(tick); err != nil {
+				return err
+			}
 			ctrl.Step()
-			engine.Schedule(engine.Now().Add(interval), tick)
 		}
-		engine.Schedule(simtime.Time(interval), tick)
+		return nil
 	}
 
-	var startErr error
-	for _, w := range spec.Workloads {
-		w := w
-		engine.Schedule(simtime.Time(w.AtUs)*simtime.Time(simtime.Microsecond), func() {
-			if err := startWorkload(mgr, w, kvs); err != nil && startErr == nil {
-				startErr = err
-				return
-			}
-			logf("started %s workload for tenant %s", w.Kind, w.Tenant)
-		})
-	}
 	var firstFault simtime.Time = -1
-	for _, fs := range spec.Faults {
-		fs := fs
-		engine.Schedule(simtime.Time(fs.AtUs)*simtime.Time(simtime.Microsecond), func() {
-			if err := applyFault(mgr, fs); err != nil && startErr == nil {
-				startErr = err
-				return
-			}
-			if firstFault < 0 && fs.Kind != "restore" {
-				firstFault = engine.Now()
-			}
-			logf("fault %s %s%s", fs.Kind, fs.Link, fs.Component)
-		})
+	for i, st := range steps(spec) {
+		if err := stepBefore(simtime.Time(st.e.AtNs)); err != nil {
+			return Result{}, err
+		}
+		if err := sess.ReplayEntry(st.e); err != nil {
+			return Result{}, fmt.Errorf("scenario: timeline entry %d (%s at %dns): %w", i, st.e.Kind, st.e.AtNs, err)
+		}
+		if st.fault && firstFault < 0 {
+			firstFault = sess.Now()
+		}
+		res.Timeline = append(res.Timeline, fmt.Sprintf("t=%-12v %s", sess.Now(), st.log))
 	}
-	mgr.RunFor(simtime.Duration(spec.DurationUs) * simtime.Microsecond)
-	if startErr != nil {
-		return Result{}, startErr
+	// The drill covers its last instant: a tick due at end still runs.
+	end := simtime.Time(spec.DurationUs) * simtime.Time(simtime.Microsecond)
+	if err := stepBefore(end + 1); err != nil {
+		return Result{}, err
+	}
+	if err := sess.AdvanceTo(end); err != nil {
+		return Result{}, err
 	}
 
 	// Replay the remediation ledger onto the timeline using the
@@ -308,90 +303,18 @@ func Run(spec Spec) (Result, error) {
 
 	res.Passed = true
 	for _, a := range spec.Asserts {
-		c := evaluate(mgr, ctrl, a, kvs, firstFault)
+		c := evaluate(sess, ctrl, a, firstFault)
 		if !c.Passed {
 			res.Passed = false
 		}
 		res.Checks = append(res.Checks, c)
 	}
-	mgr.Stop()
+	res.Snapshot = sess.BuildPayload()
 	return res, nil
 }
 
-func startWorkload(mgr *core.Manager, w WorkloadSpec, kvs map[string]*workload.KVClient) error {
-	fab := mgr.Fabric()
-	tenant := fabric.TenantID(w.Tenant)
-	switch w.Kind {
-	case "kv":
-		cfg := workload.DefaultKVConfig(tenant)
-		if w.Src != "" {
-			cfg.Client = topology.CompID(w.Src)
-		}
-		if w.Dst != "" {
-			cfg.Server = topology.CompID(w.Dst)
-		}
-		kv, err := workload.StartKV(fab, cfg)
-		if err != nil {
-			return err
-		}
-		kvs[w.Tenant] = kv
-		return nil
-	case "ml":
-		cfg := workload.DefaultMLConfig(tenant)
-		if w.Src != "" {
-			cfg.Memory = topology.CompID(w.Src)
-		}
-		if w.Dst != "" {
-			cfg.GPU = topology.CompID(w.Dst)
-		}
-		_, err := workload.StartML(fab, cfg)
-		return err
-	case "loopback":
-		nic, dimm := topology.CompID("nic0"), topology.CompID("socket0.dimm0_0")
-		if w.Src != "" {
-			nic = topology.CompID(w.Src)
-		}
-		if w.Dst != "" {
-			dimm = topology.CompID(w.Dst)
-		}
-		_, err := workload.StartLoopback(fab, tenant, nic, dimm)
-		return err
-	case "scan":
-		ssd, dimm := topology.CompID("ssd0"), topology.CompID("socket0.dimm0_0")
-		if w.Src != "" {
-			ssd = topology.CompID(w.Src)
-		}
-		if w.Dst != "" {
-			dimm = topology.CompID(w.Dst)
-		}
-		_, err := workload.StartScan(fab, tenant, ssd, dimm, 4<<20)
-		return err
-	}
-	return fmt.Errorf("scenario: unknown workload kind %q", w.Kind)
-}
-
-func applyFault(mgr *core.Manager, f FaultSpec) error {
-	fab := mgr.Fabric()
-	switch f.Kind {
-	case "degrade":
-		return fab.DegradeLink(topology.LinkID(f.Link), f.LossFrac,
-			simtime.Duration(f.ExtraUs)*simtime.Microsecond)
-	case "fail":
-		return fab.FailLink(topology.LinkID(f.Link))
-	case "restore":
-		return fab.RestoreLink(topology.LinkID(f.Link))
-	case "config":
-		c := mgr.Topology().Component(topology.CompID(f.Component))
-		if c == nil {
-			return fmt.Errorf("scenario: unknown component %q", f.Component)
-		}
-		c.SetConfig(f.Key, f.Value)
-		return nil
-	}
-	return fmt.Errorf("scenario: unknown fault kind %q", f.Kind)
-}
-
-func evaluate(mgr *core.Manager, ctrl *remedy.Controller, a AssertSpec, kvs map[string]*workload.KVClient, firstFault simtime.Time) CheckResult {
+func evaluate(sess *snap.Session, ctrl *remedy.Controller, a AssertSpec, firstFault simtime.Time) CheckResult {
+	mgr := sess.Manager()
 	c := CheckResult{Assert: a}
 	switch a.Kind {
 	case "remedy_action_executed":
@@ -461,8 +384,8 @@ func evaluate(mgr *core.Manager, ctrl *remedy.Controller, a AssertSpec, kvs map[
 		c.Passed = sameLink(mgr, string(top), a.Link)
 		c.Detail = fmt.Sprintf("top suspect %s", top)
 	case "p99_below_us", "p99_above_us":
-		kv, ok := kvs[a.Tenant]
-		if !ok {
+		kv := sess.KV(a.Tenant)
+		if kv == nil {
 			c.Detail = fmt.Sprintf("no kv workload for tenant %q", a.Tenant)
 			return c
 		}

@@ -1,8 +1,13 @@
 package scenario
 
 import (
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/snap"
 )
 
 const degradeDrill = `{
@@ -44,6 +49,77 @@ func TestLoadValidation(t *testing.T) {
 			t.Errorf("bad spec %d accepted", i)
 		}
 	}
+}
+
+// Timeline times outside [0, duration_us]: a workload before the
+// clock starts, and a config fault after the drill has ended.
+const (
+	negativeTimeDrill = `{"name": "early", "preset": "two-socket", "seed": 1, "duration_us": 1000,
+	  "workloads": [{"kind": "kv", "tenant": "kv", "at_us": -5}]}`
+	lateFaultDrill = `{"name": "late", "preset": "two-socket", "seed": 1, "duration_us": 1000,
+	  "faults": [{"kind": "config", "component": "socket0.llc", "key": "ddio", "value": "off", "at_us": 5000}],
+	  "asserts": [{"kind": "drift_alert"}]}`
+)
+
+func TestLoadRejectsNegativeTime(t *testing.T) {
+	_, err := Load(strings.NewReader(negativeTimeDrill))
+	if err == nil || !strings.Contains(err.Error(), "at_us -5 is outside [0, 1000]") {
+		t.Fatalf("Load = %v, want an out-of-range at_us error", err)
+	}
+}
+
+func TestLoadRejectsTimePastDuration(t *testing.T) {
+	_, err := Load(strings.NewReader(lateFaultDrill))
+	if err == nil || !strings.Contains(err.Error(), "at_us 5000 is outside [0, 1000]") {
+		t.Fatalf("Load = %v, want an out-of-range at_us error", err)
+	}
+}
+
+// TestRunAppliesOpAtDuration: an operation due at the drill's last
+// instant still applies, and the drill still runs through that instant.
+func TestRunAppliesOpAtDuration(t *testing.T) {
+	spec, err := Load(strings.NewReader(strings.Replace(lateFaultDrill, `"at_us": 5000`, `"at_us": 1000`, 1)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Run(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if last := res.Timeline[len(res.Timeline)-1]; !strings.HasPrefix(last, "t=1ms ") {
+		t.Fatalf("fault logged as %q, want it at t=1ms", last)
+	}
+	if j := res.Snapshot.Journal; j.Entries[j.Len()-1].Kind != snap.KindAdvance {
+		t.Fatalf("journal does not end with the advance to the drill's end: %+v", j.Entries)
+	}
+}
+
+// FuzzLoad: Load never panics, and a spec it accepts converts to a
+// journal that passes snap's structural validation.
+func FuzzLoad(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+	}
+	f.Add([]byte(degradeDrill))
+	f.Add([]byte(negativeTimeDrill))
+	f.Add([]byte(lateFaultDrill))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		spec, err := Load(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		if _, j := ToJournal(spec); j.Validate() != nil {
+			t.Fatalf("accepted spec gives an invalid journal: %v", j.Validate())
+		}
+	})
 }
 
 func TestRunDegradeDrillPasses(t *testing.T) {

@@ -267,6 +267,32 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
+// RunBefore processes the events due strictly before t, then advances
+// the clock to exactly t. Whatever the caller does next at t lands
+// ahead of every event already scheduled for t — the order a callback
+// scheduled for t in advance would have had. Journal replay uses it to
+// apply an entry issued at t before the engine's own events at t.
+// Canceled events at the head of the queue are discarded without
+// running anything past the horizon.
+func (e *Engine) RunBefore(t Time) {
+	if t < e.now {
+		panic(fmt.Sprintf("simtime: run before %v, before now %v", t, e.now))
+	}
+	e.stopped = false
+	for !e.stopped {
+		for len(e.queue) > 0 && e.queue[0].canceled {
+			heap.Pop(&e.queue)
+		}
+		if len(e.queue) == 0 || e.queue[0].at >= t {
+			break
+		}
+		e.Step()
+	}
+	if !e.stopped && e.now < t {
+		e.now = t
+	}
+}
+
 // RunFor processes events for duration d of virtual time from now.
 func (e *Engine) RunFor(d Duration) { e.RunUntil(e.now.Add(d)) }
 

@@ -154,6 +154,38 @@ func TestRunUntilInclusive(t *testing.T) {
 	}
 }
 
+// TestRunBeforeExclusive pins the "op at t" horizon: events due before
+// t run, events due at t wait, and the clock stands at t.
+func TestRunBeforeExclusive(t *testing.T) {
+	e := NewEngine(1)
+	var ran []Time
+	for _, at := range []Time{10, 25, 25, 30} {
+		e.Schedule(at, func() { ran = append(ran, e.Now()) })
+	}
+	e.RunBefore(25)
+	if len(ran) != 1 || e.Now() != 25 {
+		t.Fatalf("RunBefore(25) ran events at %v, clock %v; want [10ns] and 25ns", ran, e.Now())
+	}
+	e.RunUntil(25)
+	if len(ran) != 3 {
+		t.Fatalf("events at the horizon lost: ran %v", ran)
+	}
+}
+
+// TestRunBeforeSkipsCanceledHead: a canceled event at the head of the
+// queue must not let a later event run past the horizon.
+func TestRunBeforeSkipsCanceledHead(t *testing.T) {
+	e := NewEngine(1)
+	ran := false
+	h := e.Schedule(5, func() {})
+	e.Schedule(10, func() { ran = true })
+	h.Cancel()
+	e.RunBefore(7)
+	if ran || e.Now() != 7 {
+		t.Fatalf("ran=%v now=%v; want the event at 10ns pending and the clock at 7ns", ran, e.Now())
+	}
+}
+
 func TestRunFor(t *testing.T) {
 	e := NewEngine(1)
 	e.RunFor(100)

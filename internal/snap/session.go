@@ -389,27 +389,11 @@ const (
 func (s *Session) Ping(src, dst string) (diag.PingReport, error) {
 	e := s.entry(KindPing)
 	e.Src, e.Dst = src, dst
-	tr := s.mgr.Obs().Tracer
-	tr.BeginSpan(e.Span)
-	defer tr.EndSpan()
-	var rep diag.PingReport
-	done := false
-	_, err := diag.StartPing(s.mgr.Fabric(), topology.CompID(src), topology.CompID(dst),
-		diag.DefaultPingOptions(), func(pr diag.PingReport) { rep, done = pr, true })
+	p, err := s.probe(e)
 	if err != nil {
 		return diag.PingReport{}, err
 	}
-	// Probe traffic is in flight: journal even on timeout.
-	if err := s.record(e); err != nil {
-		return diag.PingReport{}, err
-	}
-	for i := 0; i < probeSlices && !done; i++ {
-		s.mgr.RunFor(probeSlice)
-	}
-	if !done {
-		return diag.PingReport{}, fmt.Errorf("snap: ping %s->%s did not complete", src, dst)
-	}
-	return rep, nil
+	return p.ping, nil
 }
 
 // Trace journals and runs an intra-host traceroute (see Ping for the
@@ -417,26 +401,11 @@ func (s *Session) Ping(src, dst string) (diag.PingReport, error) {
 func (s *Session) Trace(src, dst string) (diag.TraceReport, error) {
 	e := s.entry(KindTrace)
 	e.Src, e.Dst = src, dst
-	tr := s.mgr.Obs().Tracer
-	tr.BeginSpan(e.Span)
-	defer tr.EndSpan()
-	var rep diag.TraceReport
-	done := false
-	_, err := diag.StartTrace(s.mgr.Fabric(), topology.CompID(src), topology.CompID(dst), 64,
-		func(tr diag.TraceReport) { rep, done = tr, true })
+	p, err := s.probe(e)
 	if err != nil {
 		return diag.TraceReport{}, err
 	}
-	if err := s.record(e); err != nil {
-		return diag.TraceReport{}, err
-	}
-	for i := 0; i < probeSlices && !done; i++ {
-		s.mgr.RunFor(probeSlice)
-	}
-	if !done {
-		return diag.TraceReport{}, fmt.Errorf("snap: trace %s->%s did not complete", src, dst)
-	}
-	return rep, nil
+	return p.trace, nil
 }
 
 // Perf journals and runs an intra-host bandwidth probe (see Ping for
@@ -444,27 +413,31 @@ func (s *Session) Trace(src, dst string) (diag.TraceReport, error) {
 func (s *Session) Perf(src, dst, tenant string) (diag.PerfReport, error) {
 	e := s.entry(KindPerf)
 	e.Src, e.Dst, e.Tenant = src, dst, tenant
-	tr := s.mgr.Obs().Tracer
-	tr.BeginSpan(e.Span)
-	defer tr.EndSpan()
-	var rep diag.PerfReport
-	done := false
-	_, err := diag.StartPerf(s.mgr.Fabric(), topology.CompID(src), topology.CompID(dst),
-		diag.PerfOptions{Duration: 200 * simtime.Microsecond, Tenant: fabric.TenantID(tenant)},
-		func(pr diag.PerfReport) { rep, done = pr, true })
+	p, err := s.probe(e)
 	if err != nil {
 		return diag.PerfReport{}, err
 	}
+	return p.perf, nil
+}
+
+// probe runs a live diagnostic probe under its entry's span: start it,
+// journal it, then drive it to completion.
+func (s *Session) probe(e Entry) (*probeRun, error) {
+	tr := s.mgr.Obs().Tracer
+	tr.BeginSpan(e.Span)
+	defer tr.EndSpan()
+	p, err := s.startProbe(e)
+	if err != nil {
+		return nil, err
+	}
+	// Probe traffic is in flight: journal even on timeout.
 	if err := s.record(e); err != nil {
-		return diag.PerfReport{}, err
+		return nil, err
 	}
-	for i := 0; i < probeSlices && !done; i++ {
-		s.mgr.RunFor(probeSlice)
+	if !s.runProbe(p) {
+		return nil, fmt.Errorf("snap: %s %s->%s did not complete", e.Kind, e.Src, e.Dst)
 	}
-	if !done {
-		return diag.PerfReport{}, fmt.Errorf("snap: perf %s->%s did not complete", src, dst)
-	}
-	return rep, nil
+	return p, nil
 }
 
 // ReplayEntry re-executes one journaled command against this session.
@@ -473,12 +446,21 @@ func (s *Session) Perf(src, dst, tenant string) (diag.PerfReport, error) {
 // entries while staying on the exact replay path.
 func (s *Session) ReplayEntry(e Entry) error { return s.replayEntry(e) }
 
-// replayEntry re-executes one journaled command: advance the clock to
+// replayEntry re-executes one journaled command: bring the clock to
 // the entry's issue time, apply it through the shared path, and record
 // it so the rebuilt session continues journaling seamlessly.
+//
+// An entry issued at t applies before the engine's own events due at
+// t (simtime.Engine.RunBefore): the op-at-t rule. A live session
+// stamps each entry with its clock and journals every advance, so a
+// recorded entry never lies ahead of the clock and the rule changes
+// nothing for live journals. It decides the order only for journals
+// with gaps — drills, minimized chaos journals, hand-written ones —
+// where an op at t then lands ahead of, say, the heartbeat round due
+// at t, as a callback scheduled for t in advance would.
 func (s *Session) replayEntry(e Entry) error {
 	if at := simtime.Time(e.AtNs); at > s.mgr.Engine().Now() {
-		s.mgr.Engine().RunUntil(at)
+		s.mgr.Engine().RunBefore(at)
 	}
 	if err := s.apply(e); err != nil {
 		return err
@@ -571,8 +553,8 @@ func (s *Session) applyOp(e Entry) error {
 	return fmt.Errorf("snap: unknown entry kind %q", e.Kind)
 }
 
-// applyWorkload starts the journaled workload, mirroring the scenario
-// runner's defaults so drills and journals agree on semantics.
+// applyWorkload starts the journaled workload. Src and dst default
+// per kind (see StartWorkload).
 func (s *Session) applyWorkload(e Entry) error {
 	fab := s.mgr.Fabric()
 	tenant := fabric.TenantID(e.Tenant)
@@ -625,33 +607,57 @@ func (s *Session) applyWorkload(e Entry) error {
 	return fmt.Errorf("snap: unknown workload kind %q", e.Workload)
 }
 
-// applyProbe re-runs a journaled diagnostic probe: start it, then
-// advance bounded slices until done — the exact procedure the live
-// Ping/Trace/Perf methods perform.
-func (s *Session) applyProbe(e Entry) error {
+// probeRun is a started diagnostic probe: done flips when it
+// completes, and the report of its kind holds the result.
+type probeRun struct {
+	done  bool
+	ping  diag.PingReport
+	trace diag.TraceReport
+	perf  diag.PerfReport
+}
+
+// startProbe starts the probe a ping, trace or perf entry names.
+func (s *Session) startProbe(e Entry) (*probeRun, error) {
 	fab := s.mgr.Fabric()
 	src, dst := topology.CompID(e.Src), topology.CompID(e.Dst)
-	done := false
+	p := &probeRun{}
 	var err error
 	switch e.Kind {
 	case KindPing:
 		_, err = diag.StartPing(fab, src, dst, diag.DefaultPingOptions(),
-			func(diag.PingReport) { done = true })
+			func(r diag.PingReport) { p.ping, p.done = r, true })
 	case KindTrace:
 		_, err = diag.StartTrace(fab, src, dst, 64,
-			func(diag.TraceReport) { done = true })
+			func(r diag.TraceReport) { p.trace, p.done = r, true })
 	case KindPerf:
 		_, err = diag.StartPerf(fab, src, dst,
 			diag.PerfOptions{Duration: 200 * simtime.Microsecond, Tenant: fabric.TenantID(e.Tenant)},
-			func(diag.PerfReport) { done = true })
+			func(r diag.PerfReport) { p.perf, p.done = r, true })
 	}
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
+// runProbe advances virtual time in bounded slices until the probe
+// completes, and reports whether it did.
+func (s *Session) runProbe(p *probeRun) bool {
+	for i := 0; i < probeSlices && !p.done; i++ {
+		s.mgr.RunFor(probeSlice)
+	}
+	return p.done
+}
+
+// applyProbe re-runs a journaled diagnostic probe: the same start and
+// bounded run as the live Ping/Trace/Perf methods. A probe that timed
+// out live times out identically here; the advanced time is what
+// matters for determinism.
+func (s *Session) applyProbe(e Entry) error {
+	p, err := s.startProbe(e)
 	if err != nil {
 		return err
 	}
-	for i := 0; i < probeSlices && !done; i++ {
-		s.mgr.RunFor(probeSlice)
-	}
-	// A probe that timed out live times out identically here; the
-	// advanced time is what matters for determinism.
+	s.runProbe(p)
 	return nil
 }

@@ -257,6 +257,40 @@ func TestJournalValidate(t *testing.T) {
 	}
 }
 
+// TestReplayAppliesOpBeforeSameInstantEvents pins the op-at-t rule: an
+// entry at t that lies ahead of the clock applies before an engine
+// event already due at t, and the event still runs at t afterwards.
+func TestReplayAppliesOpBeforeSameInstantEvents(t *testing.T) {
+	s, err := NewSession(testConfig("minimal"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const at = simtime.Time(50 * simtime.Microsecond)
+	nic := s.Manager().Topology().Component("nic0")
+	seen := "unset"
+	s.Manager().Engine().Schedule(at, func() {
+		if v, ok := nic.ConfigValue("order"); ok {
+			seen = v
+		}
+	})
+	if err := s.ReplayEntry(Entry{AtNs: int64(at), Kind: KindSetConfig,
+		Component: "nic0", Key: "order", Value: "op-first"}); err != nil {
+		t.Fatal(err)
+	}
+	if now := s.Now(); now != at {
+		t.Fatalf("clock at %v after the entry, want %v", now, at)
+	}
+	if seen != "unset" {
+		t.Fatalf("the engine event at t ran before the entry (saw %q)", seen)
+	}
+	if err := s.AdvanceTo(at); err != nil {
+		t.Fatal(err)
+	}
+	if seen != "op-first" {
+		t.Fatalf("engine event at t saw %q, want the entry's value", seen)
+	}
+}
+
 func TestRestoredSessionKeepsJournaling(t *testing.T) {
 	s, err := NewSession(testConfig("minimal"))
 	if err != nil {
