@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt test race solver-race bench bench-smoke bench-json bench-json-obs bench-json-scale bench-json-remedy chaos-smoke remedy-smoke drill-smoke fleet-smoke store-smoke check clean
+.PHONY: all build vet fmt test race solver-race bench bench-smoke bench-json bench-json-obs bench-json-scale bench-json-remedy chaos-smoke remedy-smoke drill-smoke fuzz-smoke fleet-smoke store-smoke check clean
 
 all: check
 
@@ -91,8 +91,9 @@ bench-json:
 # the simulation hot loop — the fleet roll-up must stay
 # allocation-flat as hosts grow, a built host's heap (bytes_per_host)
 # must stay within its budget, a host-pressure read must stay at 0
-# allocs/op, and one fleet placement's allocations must stay flat from
-# 128 to 512 hosts. The steady-state scrape (one dirty shard between
+# allocs/op, one fleet placement's allocations must stay flat from
+# 128 to 512 hosts, and one admission and one arbitration pass must
+# stay within theirs. The steady-state scrape (one dirty shard between
 # scrapes) is budgeted at a constant ~64 allocs/op from 16 to 256
 # hosts; the cold all-shards-dirty fold grows only with the shard
 # count, not the host count.
@@ -102,7 +103,9 @@ bench-json-obs:
 	  $(GO) test -bench 'BenchmarkFleetRollup(Cold)?/hosts=(16|64|256)$$' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkFleetBytesPerHost' -benchtime 1x -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkHostPressure' -benchtime 1000x -benchmem -run '^$$' ./internal/fleet; \
-	  $(GO) test -bench 'BenchmarkFleetPlace' -benchtime 20x -benchmem -run '^$$' ./internal/fleet; } \
+	  $(GO) test -bench 'BenchmarkFleetPlace' -benchtime 20x -benchmem -run '^$$' ./internal/fleet; \
+	  $(GO) test -bench 'BenchmarkAdmit' -benchtime 100x -benchmem -run '^$$' ./internal/snap; \
+	  $(GO) test -bench 'BenchmarkArbitrationPass' -benchtime 1000x -benchmem -run '^$$' ./internal/arbiter; } \
 		| $(GO) run ./cmd/benchjson -out BENCH_obs.json
 
 # The scale tiers of the same gate, run by hand on a machine that holds
@@ -170,6 +173,19 @@ remedy-smoke:
 drill-smoke:
 	$(GO) run ./cmd/ihdiag drill scenarios/*.json
 	for d in scenarios/*.json; do $(GO) run ./cmd/ihdiag replay -scenario $$d || exit 1; done
+
+# Fuzz smoke (~30 s): every testing.F target over a decoder that reads
+# untrusted bytes runs for 10 s past its seed corpus (testdata/):
+# scenario specs (ihdiag drill), remediation policies (PUT
+# /remedy/policy) and snapshots (POST /restore). A crasher lands in the
+# package's testdata/fuzz/ and fails the target; commit it with the fix
+# and plain `go test` replays it from then on. Minimizing each new
+# coverage input is capped at 1 s: at the default 60 s, one input grown
+# from the 9 KB snapshot seed can spend the whole budget being shrunk.
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/scenario
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePolicy$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/remedy
+	$(GO) test -run '^$$' -fuzz '^FuzzReadSnapshot$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/snap
 
 # Trajectory gate for the remediation controller: the idle control-loop
 # step must stay at 0 allocs/op (it runs every probe period), and the

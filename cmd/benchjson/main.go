@@ -50,7 +50,9 @@ import (
 // busts it immediately. The cold roll-up (every shard dirty) may
 // allocate O(shards) snapshot copies, never O(hosts). A host-pressure
 // read is a stored field, so it must not allocate; a placement's
-// allocations are its one admission's, flat in the host count.
+// allocations are its one admission's, flat in the host count, and
+// that admission (BenchmarkAdmit) and the arbitration pass that runs
+// on every admit, evict and adjust tick are budgeted on their own.
 //
 // BENCH_scale.json holds the tiers that need more memory than a CI
 // runner has (the 1024-host roll-ups, the 1024- and 10000-host RunFor
@@ -85,10 +87,19 @@ var allocBudgetsByFile = map[string]map[string]int64{
 		// 125-129 at 4 shards (256 recording hosts).
 		"BenchmarkFleetRollupCold/hosts=256": 192,
 		"BenchmarkHostPressure":              0,
-		// One place plus one evict. Observed 1683 allocs/op at both
-		// 128 and 512 hosts, most of them the admission's.
-		"BenchmarkFleetPlace/hosts=128": 2400,
-		"BenchmarkFleetPlace/hosts=512": 2400,
+		// One place plus one evict. Observed 193 allocs/op at both
+		// 128 and 512 hosts once candidate paths come from the
+		// topology's table and views stopped cloning it (1683
+		// before); the budget is that plus ~40%.
+		"BenchmarkFleetPlace/hosts=128": 270,
+		"BenchmarkFleetPlace/hosts=512": 270,
+		// One admit plus one evict through a two-socket session with
+		// 16 resident tenants. Observed 166 allocs/op.
+		"BenchmarkAdmit": 232,
+		// One arbitration pass over kept per-link state and reused
+		// buffers (196 allocs/op when every pass rebuilt its maps).
+		// Observed 0.
+		"BenchmarkArbitrationPass": 20,
 	},
 	"BENCH_scale.json": {
 		"BenchmarkFleetRollup/hosts=1024": 64,

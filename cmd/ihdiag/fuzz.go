@@ -137,14 +137,10 @@ func remedySuffix(r *chaos.RemedyReport) string {
 // writeArtifact persists the violating run (optionally minimized) and
 // returns the artifact path.
 func writeArtifact(w io.Writer, dir string, res *chaos.Result, cfg chaos.Config, minimize bool) (string, error) {
-	ocfg := cfg.Oracle
-	if ocfg == (chaos.OracleConfig{}) {
-		ocfg = chaos.DefaultOracleConfig()
-	}
-	art := chaos.NewArtifact(res, ocfg)
+	art := chaos.NewArtifact(res, cfg)
 	if minimize {
-		if j, v, err := chaos.Minimize(res.Config, res.Journal, ocfg, 300); err == nil {
-			art.Journal, art.Violation = j, v
+		if j, v, err := chaos.Minimize(res.Config, res.Journal, art.Oracle, 300); err == nil {
+			art.Journal, art.Checks, art.Violation = j, nil, v
 			fmt.Fprintf(w, "      minimized journal: %d -> %d entries\n", res.Journal.Len(), j.Len())
 		}
 	}
@@ -175,5 +171,8 @@ func replayArtifact(w io.Writer, path string) error {
 		return nil
 	}
 	fmt.Fprintf(w, "FAIL  %s reproduces: %v\n", path, v)
+	if art.VsController {
+		fmt.Fprintf(w, "      the run armed the remediation controller (deadline %v); its actions replay from the journal\n", art.RemedyDeadline)
+	}
 	return exitStatus(1)
 }

@@ -17,8 +17,9 @@
 package arbiter
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/fabric"
 	"repro/internal/obs"
@@ -74,11 +75,28 @@ type Arbiter struct {
 
 	// guarantees maps tenant -> per-link reserved rates.
 	guarantees map[fabric.TenantID]resmodel.Reservation
-	// installed tracks every cap this arbiter has set, so stale caps
-	// are cleared when guarantees or tenants go away. The value is
-	// the current desired cap (work-conserving state).
-	installed map[topology.LinkID]map[fabric.TenantID]topology.Rate
-	ticker    *simtime.Ticker
+	// tenants lists the keys of guarantees, sorted. Install and Remove
+	// keep it, and per link, reserved, current.
+	tenants []fabric.TenantID
+	// reserved holds each link's guaranteed tenants, indexed like
+	// links.
+	reserved []linkGuarantees
+	// installed holds, per link (indexed like links) and sorted by
+	// tenant, every cap the last pass set, so stale caps are cleared
+	// when guarantees or tenants go away. The rate is the cap itself
+	// (work-conserving state). desired is the next pass's buffer; the
+	// two swap at the end of each pass.
+	installed [][]tenantCap
+	desired   [][]tenantCap
+	// Per-pass scratch: the tenants a link's caps go to (guaranteed
+	// first, then bystanders), the link's flow tenants, and the
+	// tenants' current rates.
+	all    []fabric.TenantID
+	onLink []fabric.TenantID
+	rates  []topology.Rate
+	// capacity and free are unreserved's reused results.
+	capacity, free []topology.Rate
+	ticker         *simtime.Ticker
 	// Adjustments counts re-arbitration passes (Q3 overhead metric).
 	adjustments uint64
 
@@ -99,6 +117,46 @@ type Arbiter struct {
 	mCapsCleared   *obs.Counter
 	mInstalledCaps *obs.Gauge
 }
+
+// linkGuarantees is one link's guaranteed tenants: those whose
+// reservation gives the link a positive rate, in tenant order, with
+// their rates and the rates' sum taken in that order.
+type linkGuarantees struct {
+	// holders counts the tenants whose reservation names the link at
+	// any rate; the link is reserved while it is positive.
+	holders int
+	tenants []fabric.TenantID
+	rates   []topology.Rate
+	total   topology.Rate
+}
+
+// set records tenant's rate on the link (dropping it when not
+// positive) and re-sums the total in tenant order.
+func (g *linkGuarantees) set(tenant fabric.TenantID, r topology.Rate) {
+	i, found := slices.BinarySearch(g.tenants, tenant)
+	switch {
+	case r > 0 && found:
+		g.rates[i] = r
+	case r > 0:
+		g.tenants = slices.Insert(g.tenants, i, tenant)
+		g.rates = slices.Insert(g.rates, i, r)
+	case found:
+		g.tenants = slices.Delete(g.tenants, i, i+1)
+		g.rates = slices.Delete(g.rates, i, i+1)
+	}
+	g.total = 0
+	for _, r := range g.rates {
+		g.total += r
+	}
+}
+
+// tenantCap is one installed (link, tenant) cap.
+type tenantCap struct {
+	tenant fabric.TenantID
+	rate   topology.Rate
+}
+
+func cmpTenantCap(a, b tenantCap) int { return cmp.Compare(a.tenant, b.tenant) }
 
 // SetObs attaches an observability substrate. Cap-change trace events
 // are emitted only on transitions (a 50 us work-conserving loop
@@ -129,13 +187,15 @@ func New(fab *fabric.Fabric, cfg Config) (*Arbiter, error) {
 		fab:        fab,
 		cfg:        cfg,
 		guarantees: make(map[fabric.TenantID]resmodel.Reservation),
-		installed:  make(map[topology.LinkID]map[fabric.TenantID]topology.Rate),
 		linkIdx:    make(map[topology.LinkID]int),
 	}
 	for i, l := range fab.Topology().Links() {
 		a.links = append(a.links, l.ID)
 		a.linkIdx[l.ID] = i
 	}
+	a.reserved = make([]linkGuarantees, len(a.links))
+	a.installed = make([][]tenantCap, len(a.links))
+	a.desired = make([][]tenantCap, len(a.links))
 	fab.OnCapacityChange(a.updatePressure)
 	a.updatePressure()
 	return a, nil
@@ -159,8 +219,19 @@ func (a *Arbiter) Install(tenant fabric.TenantID, res resmodel.Reservation) erro
 	if !ok {
 		g = resmodel.NewReservation()
 		a.guarantees[tenant] = g
+		i, _ := slices.BinarySearch(a.tenants, tenant)
+		a.tenants = slices.Insert(a.tenants, i, tenant)
 	}
-	g.Merge(res)
+	// Merge, keeping each named link's guarantees current.
+	for l, v := range res.Links {
+		_, had := g.Links[l]
+		g.Links[l] += v
+		lg := &a.reserved[a.linkIdx[l]]
+		if !had {
+			lg.holders++
+		}
+		lg.set(tenant, g.Links[l])
+	}
 	a.apply()
 	a.updatePressure()
 	return nil
@@ -169,10 +240,18 @@ func (a *Arbiter) Install(tenant fabric.TenantID, res resmodel.Reservation) erro
 // Remove drops a tenant's guarantees and re-arbitrates, releasing the
 // bandwidth promptly "when applications come and go".
 func (a *Arbiter) Remove(tenant fabric.TenantID) {
-	if _, ok := a.guarantees[tenant]; !ok {
+	g, ok := a.guarantees[tenant]
+	if !ok {
 		return
 	}
 	delete(a.guarantees, tenant)
+	i, _ := slices.BinarySearch(a.tenants, tenant)
+	a.tenants = slices.Delete(a.tenants, i, i+1)
+	for l := range g.Links {
+		lg := &a.reserved[a.linkIdx[l]]
+		lg.set(tenant, 0)
+		lg.holders--
+	}
 	a.apply()
 	a.updatePressure()
 }
@@ -198,19 +277,23 @@ func (a *Arbiter) FreeMap() map[topology.LinkID]topology.Rate {
 }
 
 // unreserved returns every link's effective capacity and unreserved
-// capacity, indexed like a.links. Guarantees are subtracted in sorted
-// tenant order and clamped at zero after each subtraction: the
-// per-link result is a float accumulation, so iterating the
-// guarantees map directly would make the scheduler's admission input
-// (and therefore replayed runs) depend on Go's randomized map order.
+// capacity, indexed like a.links, in buffers the next call reuses.
+// Guarantees are subtracted in sorted tenant order and clamped at zero
+// after each subtraction: the per-link result is a float
+// accumulation, so iterating the guarantees map directly would make
+// the scheduler's admission input (and therefore replayed runs) depend
+// on Go's randomized map order.
 func (a *Arbiter) unreserved() (capacity, free []topology.Rate) {
-	capacity = make([]topology.Rate, len(a.links))
-	free = make([]topology.Rate, len(a.links))
+	if a.capacity == nil {
+		a.capacity = make([]topology.Rate, len(a.links))
+		a.free = make([]topology.Rate, len(a.links))
+	}
+	capacity, free = a.capacity, a.free
 	for i, id := range a.links {
 		c, _ := a.fab.EffectiveCapacity(id)
 		capacity[i], free[i] = c, c
 	}
-	for _, t := range a.GuaranteedTenants() {
+	for _, t := range a.tenants {
 		for l, r := range a.guarantees[t].Links {
 			i := a.linkIdx[l]
 			free[i] -= r
@@ -249,12 +332,7 @@ func (a *Arbiter) updatePressure() {
 // GuaranteedTenants returns the sorted tenants holding at least one
 // installed guarantee.
 func (a *Arbiter) GuaranteedTenants() []fabric.TenantID {
-	out := make([]fabric.TenantID, 0, len(a.guarantees))
-	for t := range a.guarantees {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	return append(make([]fabric.TenantID, 0, len(a.tenants)), a.tenants...)
 }
 
 // CapacityMap returns per-link effective capacity — the scheduler's
@@ -287,22 +365,6 @@ func (a *Arbiter) Stop() {
 // Adjustments returns the number of re-arbitration passes so far.
 func (a *Arbiter) Adjustments() uint64 { return a.adjustments }
 
-// reservedLinks returns the sorted set of links with any guarantee.
-func (a *Arbiter) reservedLinks() []topology.LinkID {
-	seen := make(map[topology.LinkID]bool)
-	for _, g := range a.guarantees {
-		for l := range g.Links {
-			seen[l] = true
-		}
-	}
-	out := make([]topology.LinkID, 0, len(seen))
-	for l := range seen {
-		out = append(out, l)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // apply is one arbitration pass: recompute every cap on every reserved
 // link from guarantees, current occupancy and mode, then clear any cap
 // from a previous pass that is no longer wanted. The whole pass runs
@@ -316,76 +378,45 @@ func (a *Arbiter) apply() {
 func (a *Arbiter) applyLocked() {
 	a.adjustments++
 	a.mAdjustments.Inc()
-	desired := make(map[topology.LinkID]map[fabric.TenantID]topology.Rate)
-	setCap := func(link topology.LinkID, t fabric.TenantID, r topology.Rate) {
-		m := desired[link]
-		if m == nil {
-			m = make(map[fabric.TenantID]topology.Rate)
-			desired[link] = m
+	for i, link := range a.links {
+		a.desired[i] = a.desired[i][:0]
+		lg := &a.reserved[i]
+		if lg.holders == 0 {
+			continue
 		}
-		m[t] = r
-		_ = a.fab.SetTenantCap(link, t, r)
-		a.mCapsSet.Inc()
-		if a.tracer.Enabled() {
-			if prev, ok := a.installed[link][t]; !ok || prev != r {
-				a.tracer.Emit(obs.Event{
-					Kind: obs.KindCapSet, Virtual: a.fab.Engine().Now(),
-					Subject: string(link) + "/" + string(t), Value: float64(r),
-				})
-			}
-		}
-	}
-	for _, link := range a.reservedLinks() {
 		capacity, err := a.fab.EffectiveCapacity(link)
 		if err != nil {
 			continue
 		}
-		// Tenant guarantee map for this link.
-		guar := make(map[fabric.TenantID]topology.Rate)
-		var totalGuar topology.Rate
-		tenants := make([]fabric.TenantID, 0, len(a.guarantees))
-		for t := range a.guarantees {
-			tenants = append(tenants, t)
-		}
-		sort.Slice(tenants, func(i, j int) bool { return tenants[i] < tenants[j] })
-		guarTenants := tenants[:0]
-		for _, t := range tenants {
-			if r, ok := a.guarantees[t].Links[link]; ok && r > 0 {
-				guar[t] = r
-				totalGuar += r
-				guarTenants = append(guarTenants, t)
-			}
-		}
-		leftover := capacity - totalGuar
+		leftover := capacity - lg.total
 		if leftover < 0 {
 			leftover = 0
 		}
 		// Bystanders: tenants active on the link without a guarantee
 		// there (excluding the system tenant, which is never capped —
 		// heartbeats and monitoring must not be starved by tenants).
-		var bystanders []fabric.TenantID
-		for _, t := range a.fab.TenantsOn(link) {
+		// They follow the guaranteed tenants in all.
+		a.all = append(a.all[:0], lg.tenants...)
+		a.onLink = a.fab.AppendTenantsOn(a.onLink[:0], link)
+		for _, t := range a.onLink {
 			if t == fabric.SystemTenant {
 				continue
 			}
-			if _, ok := guar[t]; !ok {
-				bystanders = append(bystanders, t)
+			if _, ok := slices.BinarySearch(lg.tenants, t); !ok {
+				a.all = append(a.all, t)
 			}
 		}
-		baseline := func(t fabric.TenantID) topology.Rate {
-			if r, ok := guar[t]; ok {
-				return r
+		nGuar, nBy := len(lg.tenants), len(a.all)-len(lg.tenants)
+		baseline := func(j int) topology.Rate {
+			if j < nGuar {
+				return lg.rates[j]
 			}
-			if len(bystanders) == 0 {
-				return 0
-			}
-			return leftover / topology.Rate(len(bystanders))
+			return leftover / topology.Rate(nBy)
 		}
-		all := append(append([]fabric.TenantID(nil), guarTenants...), bystanders...)
 		switch a.cfg.Mode {
 		case Strict:
-			for _, t := range all {
-				setCap(link, t, baseline(t))
+			for j, t := range a.all {
+				a.setCap(i, t, baseline(j))
 			}
 		case WorkConserving:
 			// Guarantee-then-borrow: when the link has slack, each
@@ -394,24 +425,26 @@ func (a *Arbiter) applyLocked() {
 			// multiplicatively back toward baseline so returning
 			// guaranteed demand reclaims its share within a few
 			// periods.
+			a.rates = a.rates[:0]
 			var used topology.Rate
-			for _, t := range all {
-				used += a.fab.TenantRateOn(link, t)
+			for _, t := range a.all {
+				r := a.fab.TenantRateOn(link, t)
+				a.rates = append(a.rates, r)
+				used += r
 			}
 			slack := capacity - used
-			n := len(all)
+			n := len(a.all)
 			if n == 0 {
 				continue
 			}
-			prev := a.installed[link]
-			for _, t := range all {
-				base := baseline(t)
+			for j, t := range a.all {
+				base := baseline(j)
 				var next topology.Rate
 				if slack > capacity/100 {
 					lend := topology.Rate(float64(slack) * a.cfg.BorrowFraction / float64(n))
-					next = a.fab.TenantRateOn(link, t) + lend
+					next = a.rates[j] + lend
 				} else {
-					cur, ok := prev[t]
+					cur, ok := installedCap(a.installed[i], t)
 					if !ok {
 						cur = base
 					}
@@ -420,31 +453,63 @@ func (a *Arbiter) applyLocked() {
 				if next < base {
 					next = base
 				}
-				setCap(link, t, next)
+				a.setCap(i, t, next)
 			}
 		}
 	}
-	// Clear caps installed previously but not refreshed this pass.
-	for link, prev := range a.installed {
-		for t := range prev {
-			if _, ok := desired[link][t]; !ok {
-				_ = a.fab.ClearTenantCap(link, t)
-				a.mCapsCleared.Inc()
-				if a.tracer.Enabled() {
-					a.tracer.Emit(obs.Event{
-						Kind: obs.KindCapClear, Virtual: a.fab.Engine().Now(),
-						Subject: string(link) + "/" + string(t),
-					})
-				}
+	// Clear caps installed previously but not refreshed this pass, in
+	// link then tenant order.
+	n := 0
+	for i, prev := range a.installed {
+		cur := a.desired[i]
+		slices.SortFunc(cur, cmpTenantCap)
+		n += len(cur)
+		j := 0
+		for _, p := range prev {
+			for j < len(cur) && cur[j].tenant < p.tenant {
+				j++
+			}
+			if j < len(cur) && cur[j].tenant == p.tenant {
+				continue
+			}
+			_ = a.fab.ClearTenantCap(a.links[i], p.tenant)
+			a.mCapsCleared.Inc()
+			if a.tracer.Enabled() {
+				a.tracer.Emit(obs.Event{
+					Kind: obs.KindCapClear, Virtual: a.fab.Engine().Now(),
+					Subject: string(a.links[i]) + "/" + string(p.tenant),
+				})
 			}
 		}
 	}
-	a.installed = desired
+	a.installed, a.desired = a.desired, a.installed
 	if a.mInstalledCaps != nil {
-		n := 0
-		for _, m := range desired {
-			n += len(m)
-		}
 		a.mInstalledCaps.Set(float64(n))
 	}
+}
+
+// setCap sets tenant's cap on link a.links[i] and records it for this
+// pass.
+func (a *Arbiter) setCap(i int, t fabric.TenantID, r topology.Rate) {
+	link := a.links[i]
+	a.desired[i] = append(a.desired[i], tenantCap{t, r})
+	_ = a.fab.SetTenantCap(link, t, r)
+	a.mCapsSet.Inc()
+	if a.tracer.Enabled() {
+		if prev, ok := installedCap(a.installed[i], t); !ok || prev != r {
+			a.tracer.Emit(obs.Event{
+				Kind: obs.KindCapSet, Virtual: a.fab.Engine().Now(),
+				Subject: string(link) + "/" + string(t), Value: float64(r),
+			})
+		}
+	}
+}
+
+// installedCap looks tenant up in one link's tenant-sorted caps.
+func installedCap(caps []tenantCap, t fabric.TenantID) (topology.Rate, bool) {
+	j, ok := slices.BinarySearchFunc(caps, t, func(c tenantCap, t fabric.TenantID) int { return cmp.Compare(c.tenant, t) })
+	if !ok {
+		return 0, false
+	}
+	return caps[j].rate, true
 }

@@ -2,6 +2,9 @@ package arbiter
 
 import (
 	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/fabric"
@@ -317,6 +320,323 @@ func TestWorkConservingDecayReconvergesUnderChurn(t *testing.T) {
 	e.RunFor(500 * simtime.Microsecond)
 	if r := float64(kv.Rate()); r < 79 {
 		t.Fatalf("guarantee lost again under churn: %v", r)
+	}
+}
+
+// refArbiter is the arbitration pass as it was before the arbiter
+// kept per-link state: it rebuilds the reserved-link set, each link's
+// sorted guaranteed tenants and the desired caps from the guarantees
+// map on every pass. TestArbitrationPassMatchesReference runs it
+// beside the Arbiter as the bit-identity reference.
+type refArbiter struct {
+	fab         *fabric.Fabric
+	cfg         Config
+	guarantees  map[fabric.TenantID]resmodel.Reservation
+	installed   map[topology.LinkID]map[fabric.TenantID]topology.Rate
+	adjustments uint64
+}
+
+func (a *refArbiter) Install(tenant fabric.TenantID, res resmodel.Reservation) {
+	g, ok := a.guarantees[tenant]
+	if !ok {
+		g = resmodel.NewReservation()
+		a.guarantees[tenant] = g
+	}
+	g.Merge(res)
+	a.fab.Batch(a.applyLocked)
+}
+
+func (a *refArbiter) Remove(tenant fabric.TenantID) {
+	if _, ok := a.guarantees[tenant]; !ok {
+		return
+	}
+	delete(a.guarantees, tenant)
+	a.fab.Batch(a.applyLocked)
+}
+
+func (a *refArbiter) sortedTenants() []fabric.TenantID {
+	out := make([]fabric.TenantID, 0, len(a.guarantees))
+	for t := range a.guarantees {
+		out = append(out, t)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func (a *refArbiter) freeMap() map[topology.LinkID]topology.Rate {
+	free := make(map[topology.LinkID]topology.Rate)
+	for _, l := range a.fab.Topology().Links() {
+		free[l.ID], _ = a.fab.EffectiveCapacity(l.ID)
+	}
+	for _, t := range a.sortedTenants() {
+		for l, r := range a.guarantees[t].Links {
+			free[l] -= r
+			if free[l] < 0 {
+				free[l] = 0
+			}
+		}
+	}
+	return free
+}
+
+func (a *refArbiter) reservedLinks() []topology.LinkID {
+	seen := make(map[topology.LinkID]bool)
+	for _, g := range a.guarantees {
+		for l := range g.Links {
+			seen[l] = true
+		}
+	}
+	out := make([]topology.LinkID, 0, len(seen))
+	for l := range seen {
+		out = append(out, l)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+func (a *refArbiter) applyLocked() {
+	a.adjustments++
+	desired := make(map[topology.LinkID]map[fabric.TenantID]topology.Rate)
+	setCap := func(link topology.LinkID, t fabric.TenantID, r topology.Rate) {
+		m := desired[link]
+		if m == nil {
+			m = make(map[fabric.TenantID]topology.Rate)
+			desired[link] = m
+		}
+		m[t] = r
+		_ = a.fab.SetTenantCap(link, t, r)
+	}
+	for _, link := range a.reservedLinks() {
+		capacity, err := a.fab.EffectiveCapacity(link)
+		if err != nil {
+			continue
+		}
+		guar := make(map[fabric.TenantID]topology.Rate)
+		var totalGuar topology.Rate
+		tenants := a.sortedTenants()
+		guarTenants := tenants[:0]
+		for _, t := range tenants {
+			if r, ok := a.guarantees[t].Links[link]; ok && r > 0 {
+				guar[t] = r
+				totalGuar += r
+				guarTenants = append(guarTenants, t)
+			}
+		}
+		leftover := capacity - totalGuar
+		if leftover < 0 {
+			leftover = 0
+		}
+		var bystanders []fabric.TenantID
+		for _, t := range a.fab.AppendTenantsOn(nil, link) {
+			if t == fabric.SystemTenant {
+				continue
+			}
+			if _, ok := guar[t]; !ok {
+				bystanders = append(bystanders, t)
+			}
+		}
+		baseline := func(t fabric.TenantID) topology.Rate {
+			if r, ok := guar[t]; ok {
+				return r
+			}
+			if len(bystanders) == 0 {
+				return 0
+			}
+			return leftover / topology.Rate(len(bystanders))
+		}
+		all := append(append([]fabric.TenantID(nil), guarTenants...), bystanders...)
+		switch a.cfg.Mode {
+		case Strict:
+			for _, t := range all {
+				setCap(link, t, baseline(t))
+			}
+		case WorkConserving:
+			var used topology.Rate
+			for _, t := range all {
+				used += a.fab.TenantRateOn(link, t)
+			}
+			slack := capacity - used
+			n := len(all)
+			if n == 0 {
+				continue
+			}
+			prev := a.installed[link]
+			for _, t := range all {
+				base := baseline(t)
+				var next topology.Rate
+				if slack > capacity/100 {
+					lend := topology.Rate(float64(slack) * a.cfg.BorrowFraction / float64(n))
+					next = a.fab.TenantRateOn(link, t) + lend
+				} else {
+					cur, ok := prev[t]
+					if !ok {
+						cur = base
+					}
+					next = topology.Rate(float64(cur) * 0.7)
+				}
+				if next < base {
+					next = base
+				}
+				setCap(link, t, next)
+			}
+		}
+	}
+	for link, prev := range a.installed {
+		for t := range prev {
+			if _, ok := desired[link][t]; !ok {
+				_ = a.fab.ClearTenantCap(link, t)
+			}
+		}
+	}
+	a.installed = desired
+}
+
+// TestArbitrationPassMatchesReference is the differential gate for the
+// kept-state arbitration pass: an Arbiter and refArbiter on two
+// identical fabrics take the same 500 seeded steps of Install, Remove,
+// flow churn, RunFor, DegradeLink and RestoreLink, in both modes.
+// After every step and every adjust period of a RunFor, every link's
+// caps, the free map and the pass count must be bit-identical.
+func TestArbitrationPassMatchesReference(t *testing.T) {
+	for _, mode := range []Mode{Strict, WorkConserving} {
+		t.Run(string(mode), func(t *testing.T) {
+			cfg := Config{Mode: mode, AdjustPeriod: 10 * simtime.Microsecond, BorrowFraction: 0.9}
+			build := func() (*fabric.Fabric, *simtime.Engine) {
+				e := simtime.NewEngine(5)
+				return fabric.New(topology.TwoSocketServer(), e, fabric.DefaultConfig()), e
+			}
+			fabA, engA := build()
+			fabB, engB := build()
+			a, err := New(fabA, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := &refArbiter{fab: fabB, cfg: cfg,
+				guarantees: make(map[fabric.TenantID]resmodel.Reservation)}
+			if err := a.Start(); err != nil {
+				t.Fatal(err)
+			}
+			engB.Every(cfg.AdjustPeriod, func() { ref.fab.Batch(ref.applyLocked) })
+
+			topo := fabA.Topology()
+			pairs := [][2]topology.CompID{
+				{"nic0", "socket0.dimm0_0"}, {"nic0", "socket1.dimm1_0"}, {"gpu0", "socket0.dimm0_1"},
+				{"gpu1", "nic1"}, {"ssd0", "socket0.dimm0_0"}, {"nic1", "socket1.dimm1_1"},
+				{"gpu0", "gpu1"}, {"external0", "socket0.dimm0_0"},
+			}
+			var paths []topology.Path
+			for _, pr := range pairs {
+				p, err := topo.ShortestPath(pr[0], pr[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				paths = append(paths, p)
+			}
+			tenants := []fabric.TenantID{"t0", "t1", "t2", "t3", "t4", "t5", fabric.SystemTenant}
+			type flowPair struct{ a, b *fabric.Flow }
+			var flows []flowPair
+			degraded := map[topology.LinkID]bool{}
+
+			check := func(step int, what string) {
+				t.Helper()
+				if a.Adjustments() != ref.adjustments {
+					t.Fatalf("step %d (%s): %d passes, reference %d", step, what, a.Adjustments(), ref.adjustments)
+				}
+				freeA, freeB := a.FreeMap(), ref.freeMap()
+				for _, l := range topo.Links() {
+					ca, cb := fabA.CapsOn(l.ID), fabB.CapsOn(l.ID)
+					if len(ca) != len(cb) {
+						t.Fatalf("step %d (%s): %s caps %v, reference %v", step, what, l.ID, ca, cb)
+					}
+					for tn, r := range cb {
+						if got, ok := ca[tn]; !ok || math.Float64bits(float64(got)) != math.Float64bits(float64(r)) {
+							t.Fatalf("step %d (%s): %s/%s cap %v, reference %v", step, what, l.ID, tn, got, r)
+						}
+					}
+					if math.Float64bits(float64(freeA[l.ID])) != math.Float64bits(float64(freeB[l.ID])) {
+						t.Fatalf("step %d (%s): %s free %v, reference %v", step, what, l.ID, freeA[l.ID], freeB[l.ID])
+					}
+				}
+			}
+
+			rng := rand.New(rand.NewSource(27))
+			for step := 0; step < 500; step++ {
+				switch op := rng.Intn(10); {
+				case op < 2: // Install
+					tn := tenants[rng.Intn(len(tenants)-1)]
+					res := resmodel.NewReservation()
+					for n := 1 + rng.Intn(2); n > 0; n-- {
+						// Irregular rates make float sums order-sensitive;
+						// a zero rate names a link without guaranteeing it.
+						var rate topology.Rate
+						if rng.Intn(30) != 0 {
+							rate = topology.GBps(rng.Float64() * 15)
+						}
+						res.AddPipe(paths[rng.Intn(len(paths))], rate)
+					}
+					if err := a.Install(tn, res); err != nil {
+						t.Fatal(err)
+					}
+					ref.Install(tn, res)
+					check(step, "install")
+				case op < 3: // Remove
+					tn := tenants[rng.Intn(len(tenants)-1)]
+					a.Remove(tn)
+					ref.Remove(tn)
+					check(step, "remove")
+				case op < 5: // flow churn
+					if len(flows) > 0 && rng.Intn(3) == 0 {
+						i := rng.Intn(len(flows))
+						fabA.RemoveFlow(flows[i].a)
+						fabB.RemoveFlow(flows[i].b)
+						flows = append(flows[:i], flows[i+1:]...)
+						check(step, "remove-flow")
+						break
+					}
+					tn := tenants[rng.Intn(len(tenants))]
+					p := paths[rng.Intn(len(paths))]
+					var demand topology.Rate
+					if rng.Intn(2) == 0 {
+						demand = topology.GBps(float64(1 + rng.Intn(30)))
+					}
+					fa := &fabric.Flow{Tenant: tn, Path: p, Demand: demand}
+					fb := &fabric.Flow{Tenant: tn, Path: p, Demand: demand}
+					if err := fabA.AddFlow(fa); err != nil {
+						t.Fatal(err)
+					}
+					if err := fabB.AddFlow(fb); err != nil {
+						t.Fatal(err)
+					}
+					flows = append(flows, flowPair{fa, fb})
+					check(step, "add-flow")
+				case op < 8: // RunFor, checked after every adjust period
+					for n := 1 + rng.Intn(6); n > 0; n-- {
+						engA.RunFor(cfg.AdjustPeriod)
+						engB.RunFor(cfg.AdjustPeriod)
+						check(step, "run")
+					}
+				case op < 9: // DegradeLink
+					p := paths[rng.Intn(len(paths))]
+					l := p.Links[rng.Intn(len(p.Links))].ID
+					frac := float64(rng.Intn(90)) / 100
+					if err := fabA.DegradeLink(l, frac, 0); err != nil {
+						t.Fatal(err)
+					}
+					_ = fabB.DegradeLink(l, frac, 0)
+					degraded[l] = true
+					check(step, "degrade")
+				default: // RestoreLink
+					for _, l := range topo.Links() {
+						if degraded[l.ID] && rng.Intn(2) == 0 {
+							_ = fabA.RestoreLink(l.ID)
+							_ = fabB.RestoreLink(l.ID)
+							delete(degraded, l.ID)
+						}
+					}
+					check(step, "restore")
+				}
+			}
+		})
 	}
 }
 

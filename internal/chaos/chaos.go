@@ -135,6 +135,8 @@ type Result struct {
 	// fleet mode).
 	Config  snap.Config  `json:"config"`
 	Journal snap.Journal `json:"journal"`
+	// Checks is where the oracle checked that host (CheckJournal).
+	Checks []CheckPoint `json:"checks,omitempty"`
 	// Journals holds every host's journal in host-name order (fleet
 	// mode, clean runs): the cross-worker determinism fixture.
 	Journals []snap.Journal `json:"journals,omitempty"`
@@ -256,6 +258,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	check := func() bool {
+		res.Checks = append(res.Checks, CheckPoint{Entries: sess.Journal().Len(), AtNs: int64(sess.Now())})
 		if vs := o.Check(sess.Journal().Len() - 1); len(vs) > 0 {
 			res.Violation = &vs[0]
 			return true

@@ -116,7 +116,7 @@ func TestViolationReproAndMinimize(t *testing.T) {
 		t.Fatalf("unexpected invariant %q", res.Violation.Invariant)
 	}
 
-	v2, err := CheckJournal(res.Config, res.Journal, ocfg)
+	v2, err := CheckJournal(res.Config, res.Journal, res.Checks, ocfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestViolationReproAndMinimize(t *testing.T) {
 	}
 
 	path := filepath.Join(t.TempDir(), "repro.json")
-	art := NewArtifact(res, ocfg)
+	art := NewArtifact(res, cfg)
 	if err := WriteArtifact(path, art); err != nil {
 		t.Fatal(err)
 	}
@@ -150,6 +150,44 @@ func TestViolationReproAndMinimize(t *testing.T) {
 	}
 	if rv == nil || rv.Invariant != res.Violation.Invariant {
 		t.Fatalf("artifact recheck did not reproduce the violation: %v", rv)
+	}
+}
+
+// TestControllerArtifactReproduces writes the artifact of a failing
+// fleet run with the remediation controller armed and re-checks it
+// from disk into the same violation. The run is the one behind
+// `ihdiag fuzz -vs-controller -fleet 3 -seed 9 -events 150 -dur 10ms
+// -preset minimal`; its violation needs the live run's check schedule,
+// since checking after every entry resets the work-conservation streak.
+func TestControllerArtifactReproduces(t *testing.T) {
+	cfg := Config{Seed: 9, Events: 150, Duration: 10 * simtime.Millisecond, Preset: "minimal",
+		Hosts: 3, VsController: true}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation == nil {
+		t.Fatal("the controller run no longer violates: point this test at one that does")
+	}
+	path := filepath.Join(t.TempDir(), "repro.json")
+	if err := WriteArtifact(path, NewArtifact(res, cfg)); err != nil {
+		t.Fatal(err)
+	}
+	art, err := ReadArtifact(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !art.VsController || art.RemedyDeadline != 2*simtime.Millisecond || art.RemedyPolicy == nil || len(art.Checks) == 0 {
+		t.Fatalf("artifact lacks the controller run's shape: vs=%v deadline=%v policy=%v checks=%d",
+			art.VsController, art.RemedyDeadline, art.RemedyPolicy != nil, len(art.Checks))
+	}
+	v, err := art.Recheck()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := *res.Violation
+	if v == nil || v.Invariant != want.Invariant || v.Subject != want.Subject || v.At != want.At || v.Seq != want.Seq {
+		t.Fatalf("recheck gave %v, want %v", v, &want)
 	}
 }
 

@@ -101,12 +101,14 @@ func runFleet(cfg Config) (*Result, error) {
 		return i
 	}
 
+	checks := make([][]CheckPoint, cfg.Hosts)
 	fail := func(i int, v Violation) {
 		v.Host = names[i]
 		res.Violation = &v
 		res.Host = names[i]
 		res.Config = cfg.SnapConfig(i)
 		res.Journal = sessions[i].Journal()
+		res.Checks = checks[i]
 	}
 
 	checkAll := func() {
@@ -117,8 +119,9 @@ func runFleet(cfg Config) (*Result, error) {
 			if i == quarantined {
 				continue
 			}
-			seq := sessions[i].Journal().Len() - 1
-			if vs := oracles[i].Check(seq); len(vs) > 0 {
+			n := sessions[i].Journal().Len()
+			checks[i] = append(checks[i], CheckPoint{Entries: n, AtNs: int64(sessions[i].Now())})
+			if vs := oracles[i].Check(n - 1); len(vs) > 0 {
 				fail(i, vs[0])
 				return
 			}

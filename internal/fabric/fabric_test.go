@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/simtime"
@@ -440,6 +441,29 @@ func TestTenantsList(t *testing.T) {
 	ts := f.Tenants()
 	if len(ts) != 2 || ts[0] != "alpha" || ts[1] != "zeta" {
 		t.Fatalf("Tenants = %v", ts)
+	}
+}
+
+// TestAppendTenantsOn: the link's flow tenants come back sorted, each
+// once, appended after what the buffer already holds; an unknown link
+// appends nothing.
+func TestAppendTenantsOn(t *testing.T) {
+	f, _, p := newLineFabric()
+	for _, tn := range []TenantID{"m", "b", "m", "z", "b", "a", "m"} {
+		_ = f.AddFlow(&Flow{Tenant: tn, Path: p})
+	}
+	_ = f.AddFlow(&Flow{Tenant: "q", Path: topology.Path{Links: p.Links[1:]}})
+	buf := []TenantID{"kept"}
+	got := f.AppendTenantsOn(buf, p.Links[0].ID)
+	want := []TenantID{"kept", "a", "b", "m", "z"}
+	if !slices.Equal(got, want) {
+		t.Fatalf("AppendTenantsOn = %v, want %v", got, want)
+	}
+	if got := f.AppendTenantsOn(got[:0], p.Links[1].ID); !slices.Equal(got, []TenantID{"a", "b", "m", "q", "z"}) {
+		t.Fatalf("second link: %v", got)
+	}
+	if got := f.AppendTenantsOn(nil, "zz->qq"); len(got) != 0 {
+		t.Fatalf("unknown link: %v", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/simtime"
@@ -146,23 +147,24 @@ func (f *Fabric) TenantUsage(t TenantID) map[topology.LinkClass]topology.Rate {
 	return out
 }
 
-// TenantsOn returns the sorted tenants with at least one active flow
-// crossing the given directed link.
-func (f *Fabric) TenantsOn(link topology.LinkID) []TenantID {
+// AppendTenantsOn appends to dst the tenants with at least one
+// active flow crossing the given directed link, sorted and each once,
+// and returns the extended slice. A caller that passes its own buffer
+// back in reads the link without allocating.
+func (f *Fabric) AppendTenantsOn(dst []TenantID, link topology.LinkID) []TenantID {
 	ls, err := f.state(link)
 	if err != nil {
-		return nil
+		return dst
 	}
-	seen := make(map[TenantID]bool)
+	start := len(dst)
 	for _, fl := range ls.flows {
-		seen[fl.Tenant] = true
+		if len(dst) == start || dst[len(dst)-1] != fl.Tenant {
+			dst = append(dst, fl.Tenant)
+		}
 	}
-	out := make([]TenantID, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	added := dst[start:]
+	slices.Sort(added)
+	return dst[:start+len(slices.Compact(added))]
 }
 
 // TenantRateOn returns a tenant's current aggregate allocated rate on

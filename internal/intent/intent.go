@@ -172,6 +172,9 @@ func (in *Interpreter) compilePipe(t Target) (Requirement, error) {
 	if err != nil {
 		return Requirement{}, err
 	}
+	// The enumeration comes from the topology's candidate-path table:
+	// the graph is fixed, so only the feasibility filter below, which
+	// reads effective capacity, has to run on every compile.
 	var candidates []topology.Path
 	for _, d := range dsts {
 		if d == t.Src {

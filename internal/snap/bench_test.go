@@ -2,6 +2,7 @@ package snap
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/intent"
@@ -84,4 +85,42 @@ func BenchmarkSnapshotEncode(b *testing.B) {
 		}
 	}
 	b.SetBytes(int64(buf.Len()))
+}
+
+// BenchmarkAdmit measures one admission and its eviction through the
+// journaled session on the two-socket preset with 16 resident tenants
+// and flows on the fabric: compile (candidate pathways to the four
+// DIMMs of memory:socket0), schedule, arbitrate, view, journal. It is
+// the per-host cost a fleet placement pays on its chosen host.
+func BenchmarkAdmit(b *testing.B) {
+	s, err := NewSession(testConfig("two-socket"))
+	if err != nil {
+		b.Fatal(err)
+	}
+	srcs := []string{"nic0", "nic1", "gpu0", "gpu1", "ssd0", "ssd1"}
+	for i := 0; i < 16; i++ {
+		if _, err := s.Admit(fmt.Sprintf("r%02d", i), []intent.Target{{
+			Src: topology.CompID(srcs[i%len(srcs)]), Dst: topology.CompID(fmt.Sprintf("memory:socket%d", i%2)),
+			Rate: topology.GBps(0.5),
+		}}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := s.StartWorkload("scan", "r00", "", ""); err != nil {
+		b.Fatal(err)
+	}
+	if err := s.Advance(time500us); err != nil {
+		b.Fatal(err)
+	}
+	targets := []intent.Target{{Src: "nic0", Dst: "memory:socket0", Rate: topology.GBps(1)}}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Admit("bench", targets); err != nil {
+			b.Fatal(err)
+		}
+		if err := s.Evict("bench"); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

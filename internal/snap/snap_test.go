@@ -3,6 +3,8 @@ package snap
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -394,4 +396,64 @@ func TestSpanThreading(t *testing.T) {
 			t.Errorf("replay entry %d span %q != recorded %q", i, e.Span, j.Entries[i].Span)
 		}
 	}
+}
+
+// FuzzReadSnapshot: ReadSnapshot (the POST /restore decoder) never
+// panics, and a snapshot it accepts carries a valid journal and reads
+// back the same after re-encoding. Random bytes seldom pass the
+// checksum, so each input is also tried as a payload inside a
+// well-formed envelope, which takes the fuzzer into payload decoding.
+func FuzzReadSnapshot(f *testing.F) {
+	paths, err := filepath.Glob(filepath.Join("testdata", "*.json"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range paths {
+		data, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(data)
+		var env Snapshot
+		if err := json.Unmarshal(data, &env); err == nil {
+			f.Add([]byte(env.Payload))
+		}
+	}
+	f.Add([]byte(`{"journal":{"entries":[{"seq":0,"at_ns":5,"kind":"advance","to_ns":1}]}}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		inputs := [][]byte{data}
+		if json.Valid(data) {
+			inputs = append(inputs, envelope(data))
+		}
+		for _, in := range inputs {
+			p, err := ReadSnapshot(bytes.NewReader(in))
+			if err != nil {
+				continue
+			}
+			if err := p.Journal.Validate(); err != nil {
+				t.Fatalf("accepted snapshot has an invalid journal: %v", err)
+			}
+			raw, err := json.Marshal(p)
+			if err != nil {
+				t.Fatalf("accepted payload does not encode: %v", err)
+			}
+			if _, err := ReadSnapshot(bytes.NewReader(envelope(raw))); err != nil {
+				t.Fatalf("re-encoded snapshot rejected: %v", err)
+			}
+		}
+	})
+}
+
+// envelope wraps a payload in a current-format snapshot envelope with
+// its checksum. HTML escaping stays off so the payload keeps the bytes
+// the checksum covers.
+func envelope(payload []byte) []byte {
+	var out bytes.Buffer
+	enc := json.NewEncoder(&out)
+	enc.SetEscapeHTML(false)
+	if err := enc.Encode(Snapshot{Format: SnapshotFormat, Version: SnapshotVersion,
+		Payload: payload, ChecksumSHA256: checksum(payload)}); err != nil {
+		panic(err)
+	}
+	return out.Bytes()
 }

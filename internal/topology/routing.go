@@ -201,7 +201,60 @@ func (t *Topology) shortestPathAvoiding(src, dst CompID, banLinks map[LinkID]boo
 // KShortestPaths returns up to k loop-free minimum-latency paths from
 // src to dst in increasing latency order, using Yen's algorithm. It is
 // the candidate-set generator for the topology-aware scheduler.
+//
+// The answer depends only on the graph, which never changes after the
+// topology is built, so each (src, dst, k) is computed once and kept
+// in the topology's candidate-path table, errors included. Every call
+// returns its own copy: a caller may append to or overwrite the
+// result without touching the table.
 func (t *Topology) KShortestPaths(src, dst CompID, k int) ([]Path, error) {
+	key := pathKey{src, dst, k}
+	t.pathMu.Lock()
+	e, ok := t.pathTable[key]
+	if !ok {
+		e.paths, e.err = t.kShortestPaths(src, dst, k)
+		if t.pathTable == nil {
+			t.pathTable = make(map[pathKey]pathEntry)
+		}
+		t.pathTable[key] = e
+	}
+	t.pathMu.Unlock()
+	if e.err != nil {
+		return nil, e.err
+	}
+	return copyPaths(e.paths), nil
+}
+
+// pathKey and pathEntry are one row of the candidate-path table.
+type pathKey struct {
+	src, dst CompID
+	k        int
+}
+
+type pathEntry struct {
+	paths []Path
+	err   error
+}
+
+// copyPaths returns a copy of ps whose link slices share one new
+// backing array, each clipped to its own length.
+func copyPaths(ps []Path) []Path {
+	n := 0
+	for _, p := range ps {
+		n += len(p.Links)
+	}
+	links := make([]*Link, 0, n)
+	out := make([]Path, len(ps))
+	for i, p := range ps {
+		start := len(links)
+		links = append(links, p.Links...)
+		out[i] = Path{Links: links[start:len(links):len(links)]}
+	}
+	return out
+}
+
+// kShortestPaths is Yen's algorithm itself, uncached.
+func (t *Topology) kShortestPaths(src, dst CompID, k int) ([]Path, error) {
 	if k <= 0 {
 		return nil, fmt.Errorf("topology: k must be positive, got %d", k)
 	}

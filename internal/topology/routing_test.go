@@ -1,6 +1,9 @@
 package topology
 
 import (
+	"fmt"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -234,6 +237,107 @@ func TestKShortestPathsKValidation(t *testing.T) {
 	paths, err := top.KShortestPaths("nic0", "gpu0", 1)
 	if err != nil || len(paths) != 1 {
 		t.Fatalf("k=1: %v, %d paths", err, len(paths))
+	}
+}
+
+// TestKShortestPathsTableMatchesUncached is the differential gate for
+// the candidate-path table: on every preset, for every ordered pair of
+// components and every k in 1..4, the table's answer equals a fresh
+// run of Yen's algorithm path for path, errors included, both on the
+// call that fills the entry and on the call that reads it back.
+func TestKShortestPathsTableMatchesUncached(t *testing.T) {
+	for _, name := range PresetNames() {
+		top := Presets[name]()
+		comps := top.Components()
+		for _, a := range comps {
+			for _, b := range comps {
+				for k := 1; k <= 4; k++ {
+					want, wantErr := top.kShortestPaths(a.ID, b.ID, k)
+					for pass := 0; pass < 2; pass++ {
+						got, err := top.KShortestPaths(a.ID, b.ID, k)
+						if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+							t.Fatalf("%s %s->%s k=%d pass %d: error %v, want %v", name, a.ID, b.ID, k, pass, err, wantErr)
+						}
+						if !samePaths(got, want) {
+							t.Fatalf("%s %s->%s k=%d pass %d: table %v, uncached %v", name, a.ID, b.ID, k, pass, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+func samePaths(a, b []Path) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !slices.Equal(a[i].Links, b[i].Links) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestKShortestPathsResultIsCallers: writing into or appending to a
+// returned slice, or to one of its paths' links, leaves the next
+// call's answer unchanged.
+func TestKShortestPathsResultIsCallers(t *testing.T) {
+	top := DGXStyle()
+	want, err := top.kShortestPaths("cpu0", "external0", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := top.KShortestPaths("cpu0", "external0", 4)
+	if err != nil || len(got) < 2 {
+		t.Fatalf("got %d paths, err %v", len(got), err)
+	}
+	stray := top.Links()[0]
+	got[0].Links[0] = stray
+	got[1].Links = append(got[1].Links, stray)
+	_ = append(got[0].Links, stray)
+	got[len(got)-1] = Path{}
+	_ = append(got, Path{Links: []*Link{stray}})
+	again, err := top.KShortestPaths("cpu0", "external0", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !samePaths(again, want) {
+		t.Fatalf("table corrupted through a returned slice: %v, want %v", again, want)
+	}
+}
+
+// TestKShortestPathsConcurrent runs table fills and reads from several
+// goroutines on one topology; under -race it proves the table's
+// locking.
+func TestKShortestPathsConcurrent(t *testing.T) {
+	top := TwoSocketServer()
+	comps := top.Endpoints()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i, a := range comps {
+				b := comps[(i+g+1)%len(comps)]
+				ps, err := top.KShortestPaths(a.ID, b.ID, 1+g%3)
+				if err == nil && len(ps) > 0 {
+					ps[0].Links = nil
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for i, a := range comps {
+		for g := 0; g < 4; g++ {
+			b := comps[(i+g+1)%len(comps)]
+			got, err := top.KShortestPaths(a.ID, b.ID, 1+g%3)
+			want, wantErr := top.kShortestPaths(a.ID, b.ID, 1+g%3)
+			if fmt.Sprint(err) != fmt.Sprint(wantErr) || !samePaths(got, want) {
+				t.Fatalf("%s->%s: %v (%v), want %v (%v)", a.ID, b.ID, got, err, want, wantErr)
+			}
+		}
 	}
 }
 

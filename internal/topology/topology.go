@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+	"sync"
 
 	"repro/internal/simtime"
 )
@@ -26,6 +27,12 @@ type Topology struct {
 	// arbiter and the monitor) copy instead of sorting on every call.
 	compList []*Component
 	linkList []*Link
+
+	// pathTable is the candidate-path table behind KShortestPaths,
+	// filled on first use and never invalidated: links, latencies and
+	// adjacency are fixed once the topology is built.
+	pathMu    sync.Mutex
+	pathTable map[pathKey]pathEntry
 }
 
 // New returns an empty topology with the given name.
@@ -107,6 +114,9 @@ func (t *Topology) AddLink(spec LinkSpec) (fwd, rev LinkID, err error) {
 	t.in[spec.A] = append(t.in[spec.A], r)
 	t.insertLink(f)
 	t.insertLink(r)
+	// A new link can open new paths; the table holds only answers for
+	// the finished graph.
+	t.pathTable = nil
 	return fwd, rev, nil
 }
 
@@ -227,32 +237,4 @@ func (t *Topology) Validate() error {
 			t.Name, len(seen), len(t.components))
 	}
 	return nil
-}
-
-// Clone returns a deep copy of the topology. Used by vnet to derive
-// per-tenant virtual views without aliasing the physical graph.
-func (t *Topology) Clone() *Topology {
-	nt := New(t.Name)
-	for _, c := range t.compList {
-		nc := nt.MustAddComponent(c.ID, c.Kind, c.Socket)
-		for k, v := range c.Config {
-			nc.SetConfig(k, v)
-		}
-	}
-	done := make(map[LinkID]bool)
-	for _, l := range t.linkList {
-		if done[l.ID] || done[l.Reverse] {
-			continue
-		}
-		done[l.ID], done[l.Reverse] = true, true
-		nt.MustAddLink(LinkSpec{A: l.From, B: l.To, Class: l.Class,
-			Capacity: l.Capacity, BaseLatency: l.BaseLatency})
-	}
-	// Preserve any asymmetric capacities set after construction.
-	for id, l := range t.links {
-		nl := nt.links[id]
-		nl.Capacity = l.Capacity
-		nl.BaseLatency = l.BaseLatency
-	}
-	return nt
 }

@@ -196,32 +196,6 @@ func TestConfigRegistry(t *testing.T) {
 	}
 }
 
-func TestCloneIndependence(t *testing.T) {
-	top := TwoSocketServer()
-	cl := top.Clone()
-	if err := cl.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cl.NumComponents() != top.NumComponents() || cl.NumLinks() != top.NumLinks() {
-		t.Fatal("clone size mismatch")
-	}
-	// Mutating the clone must not affect the original.
-	var someLink *Link
-	for _, l := range cl.Links() {
-		someLink = l
-		break
-	}
-	orig := top.Link(someLink.ID).Capacity
-	someLink.Capacity = orig / 2
-	if top.Link(someLink.ID).Capacity != orig {
-		t.Fatal("clone aliases original links")
-	}
-	cl.Component("cpu0").SetConfig("x", "y")
-	if _, ok := top.Component("cpu0").ConfigValue("x"); ok {
-		t.Fatal("clone aliases original config")
-	}
-}
-
 func TestEndpoints(t *testing.T) {
 	top := MinimalHost()
 	for _, c := range top.Endpoints() {

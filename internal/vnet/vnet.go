@@ -18,9 +18,10 @@ import (
 // View is one tenant's virtual intra-host network.
 type View struct {
 	Tenant fabric.TenantID
-	// Topo is the virtual topology: same shape as the physical host,
-	// with guaranteed links' capacities replaced by the allocation.
-	Topo *topology.Topology
+	// Physical is the host's topology. The virtual topology has its
+	// shape, with guaranteed links' capacities replaced by the
+	// allocation; Capacity answers for it without a copy.
+	Physical *topology.Topology
 	// Reservation is the tenant's per-link allocation.
 	Reservation resmodel.Reservation
 	// HostName records which physical host preset the view derives
@@ -34,18 +35,14 @@ func Build(physical *topology.Topology, tenant fabric.TenantID, res resmodel.Res
 	if tenant == "" {
 		return nil, fmt.Errorf("vnet: empty tenant")
 	}
-	vt := physical.Clone()
-	vt.Name = string(tenant) + "@" + physical.Name
-	for l, r := range res.Links {
-		vl := vt.Link(l)
-		if vl == nil {
+	for l := range res.Links {
+		if physical.Link(l) == nil {
 			return nil, fmt.Errorf("vnet: reservation references unknown link %q", l)
 		}
-		vl.Capacity = r
 	}
 	return &View{
 		Tenant:      tenant,
-		Topo:        vt,
+		Physical:    physical,
 		Reservation: res.Clone(),
 		HostName:    physical.Name,
 	}, nil
@@ -61,9 +58,12 @@ func (v *View) Guaranteed(link topology.LinkID) bool {
 // Capacity returns the capacity the tenant perceives on a link: its
 // allocation where guaranteed, physical capacity otherwise.
 func (v *View) Capacity(link topology.LinkID) (topology.Rate, error) {
-	l := v.Topo.Link(link)
+	l := v.Physical.Link(link)
 	if l == nil {
 		return 0, fmt.Errorf("vnet: unknown link %q", link)
+	}
+	if r, ok := v.Reservation.Links[link]; ok {
+		return r, nil
 	}
 	return l.Capacity, nil
 }

@@ -21,8 +21,8 @@ func TestBuildView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.HostName != "two-socket" || v.Topo.Name != "kv@two-socket" {
-		t.Fatalf("names: %q, %q", v.HostName, v.Topo.Name)
+	if v.HostName != "two-socket" || v.Physical != topo {
+		t.Fatalf("host %q, physical %p, want two-socket, %p", v.HostName, v.Physical, topo)
 	}
 	// Guaranteed links show the allocation as capacity.
 	for _, l := range p.Links {
@@ -38,7 +38,7 @@ func TestBuildView(t *testing.T) {
 		}
 	}
 	// The tenant's illusion: the path bottleneck is its allocation.
-	vp, err := v.Topo.ShortestPath("gpu0", "nic0")
+	vp, err := v.Physical.ShortestPath("gpu0", "nic0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,19 +56,58 @@ func TestBuildView(t *testing.T) {
 	}
 }
 
+// TestBuildDoesNotAliasPhysical: a view reads the physical topology
+// and never writes it, and its Capacity answers what a per-tenant copy
+// of the topology, with guaranteed links set to the allocation, would:
+// the reservation's rate where there is one (zero included), the
+// physical capacity elsewhere.
 func TestBuildDoesNotAliasPhysical(t *testing.T) {
 	topo := topology.TwoSocketServer()
+	before := make(map[topology.LinkID]topology.Rate)
+	for _, l := range topo.Links() {
+		before[l.ID] = l.Capacity
+	}
 	p, _ := topo.ShortestPath("gpu0", "nic0")
-	orig := p.Links[0].Capacity
-	res := resmodel.NewReservation()
-	res.AddPipe(p, 1)
-	v, err := Build(topo, "kv", res)
+	q, _ := topo.ShortestPath("nic1", "socket1.dimm1_0")
+	kvRes := resmodel.NewReservation()
+	kvRes.AddPipe(p, topology.GBps(3))
+	kvRes.Add(q.Links[0].ID, 0)
+	mlRes := resmodel.NewReservation()
+	mlRes.AddPipe(p, topology.GBps(7))
+	kv, err := Build(topo, "kv", kvRes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = v
-	if topo.Link(p.Links[0].ID).Capacity != orig {
-		t.Fatal("Build mutated physical topology")
+	ml, err := Build(topo, "ml", mlRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The caller's reservation stays the caller's.
+	kvRes.Add(p.Links[0].ID, topology.GBps(100))
+	for _, v := range []*View{kv, ml} {
+		res := mlRes
+		if v == kv {
+			res = resmodel.NewReservation()
+			res.AddPipe(p, topology.GBps(3))
+			res.Add(q.Links[0].ID, 0)
+		}
+		for _, l := range topo.Links() {
+			want := before[l.ID]
+			if r, ok := res.Links[l.ID]; ok {
+				want = r
+			}
+			got, err := v.Capacity(l.ID)
+			if err != nil || got != want {
+				t.Fatalf("%s: Capacity(%s) = %v, %v; want %v", v.Tenant, l.ID, got, err, want)
+			}
+		}
+		v.PathCapacity(p)
+		v.PathCapacity(q)
+	}
+	for _, l := range topo.Links() {
+		if l.Capacity != before[l.ID] {
+			t.Fatalf("a view changed physical %s: %v, was %v", l.ID, l.Capacity, before[l.ID])
+		}
 	}
 }
 
@@ -114,7 +153,7 @@ func TestBuildValidation(t *testing.T) {
 	if _, err := Build(topo, "kv", bad); err == nil {
 		t.Fatal("unknown link accepted")
 	}
-	if _, err := (&View{Topo: topo}).Capacity("zz->qq"); err == nil {
+	if _, err := (&View{Physical: topo}).Capacity("zz->qq"); err == nil {
 		t.Fatal("unknown link capacity query accepted")
 	}
 }
