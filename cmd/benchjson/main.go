@@ -68,11 +68,9 @@ var allocBudgetsByFile = map[string]map[string]int64{
 		"BenchmarkFabricFlowChurn/flows=10000":   64,
 		"BenchmarkFabricFlowChurn/flows=100000":  64,
 		"BenchmarkFabricFlowChurn/flows=1000000": 96,
-		// The component-solve pair: serial re-solves reuse scratch
-		// arenas (near-zero); the parallel flavor may allocate a
-		// handful of coordination objects per solve.
-		"BenchmarkFabricComponentSolve/serial":   8,
-		"BenchmarkFabricComponentSolve/parallel": 32,
+		// A full 64-component re-solve reuses the scratch arenas
+		// (near-zero).
+		"BenchmarkFabricComponentSolve": 8,
 	},
 	"BENCH_obs.json": {
 		"BenchmarkBusPublish":        0,

@@ -90,14 +90,12 @@ func TestCheckBudgetsOverBudgetFails(t *testing.T) {
 // violations — the gate only bites on regressions.
 func TestCheckBudgetsCleanPass(t *testing.T) {
 	current := map[string]Result{
-		"BenchmarkFabricFlowChurn/flows=100000":  {AllocsPerOp: 16},
-		"BenchmarkFabricComponentSolve/serial":   {AllocsPerOp: 0},
-		"BenchmarkFabricComponentSolve/parallel": {AllocsPerOp: 1},
+		"BenchmarkFabricFlowChurn/flows=100000": {AllocsPerOp: 16},
+		"BenchmarkFabricComponentSolve":         {AllocsPerOp: 0},
 	}
 	alloc := map[string]int64{
-		"BenchmarkFabricFlowChurn/flows=100000":  64,
-		"BenchmarkFabricComponentSolve/serial":   8,
-		"BenchmarkFabricComponentSolve/parallel": 32,
+		"BenchmarkFabricFlowChurn/flows=100000": 64,
+		"BenchmarkFabricComponentSolve":         8,
 	}
 	if v := checkBudgets(current, alloc, nil); len(v) != 0 {
 		t.Fatalf("violations = %v, want none", v)
@@ -105,8 +103,8 @@ func TestCheckBudgetsCleanPass(t *testing.T) {
 }
 
 // TestFabricBudgetsCoverAllTiers guards the budget table itself: every
-// churn tier exercised by BenchmarkFabricFlowChurn and both component-
-// solve flavors must carry a budget, so adding a tier to the benchmark
+// churn tier exercised by BenchmarkFabricFlowChurn and the component
+// solve must carry a budget, so adding a tier to the benchmark
 // without budgeting it is caught here rather than silently unguarded.
 func TestFabricBudgetsCoverAllTiers(t *testing.T) {
 	budgets := allocBudgetsByFile["BENCH_fabric.json"]
@@ -117,8 +115,7 @@ func TestFabricBudgetsCoverAllTiers(t *testing.T) {
 		"BenchmarkFabricFlowChurn/flows=10000",
 		"BenchmarkFabricFlowChurn/flows=100000",
 		"BenchmarkFabricFlowChurn/flows=1000000",
-		"BenchmarkFabricComponentSolve/serial",
-		"BenchmarkFabricComponentSolve/parallel",
+		"BenchmarkFabricComponentSolve",
 	}
 	for _, name := range want {
 		if _, ok := budgets[name]; !ok {

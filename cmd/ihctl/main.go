@@ -542,20 +542,14 @@ func (c command) renderSolverStats(prefix string, st fabric.SolverStats) {
 	if st.Solves > 0 {
 		coalesce = float64(st.Mutations) / float64(st.Solves)
 	}
-	util := 0.0
-	if st.ParallelWallNs > 0 && st.Workers > 0 {
-		util = float64(st.WorkerBusyNs) / (float64(st.ParallelWallNs) * float64(st.Workers))
-	}
 	fmt.Fprintf(c.out, "%scomponents: %d (largest %d of %d flows)\n",
 		prefix, st.Components, st.LargestComponent, st.Flows)
-	fmt.Fprintf(c.out, "%ssolves: %d (+%d noop, %d parallel)  rounds: %d\n",
-		prefix, st.Solves, st.NoopSolves, st.ParallelSolves, st.Rounds)
+	fmt.Fprintf(c.out, "%ssolves: %d (+%d noop)  rounds: %d\n",
+		prefix, st.Solves, st.NoopSolves, st.Rounds)
 	fmt.Fprintf(c.out, "%sdirty region: %d components / %d flows solved, %d flows skipped\n",
 		prefix, st.ComponentsSolved, st.FlowsSolved, st.FlowsSkipped)
 	fmt.Fprintf(c.out, "%smutations: %d (%d batched in %d batches, coalesce %.1fx)\n",
 		prefix, st.Mutations, st.BatchedMutations, st.Batches, coalesce)
-	fmt.Fprintf(c.out, "%sworkers: %d (threshold %d)  utilization: %.0f%%\n",
-		prefix, st.Workers, st.ParallelThreshold, util*100)
 }
 
 // toFile renders a response body by writing it to a file, reporting

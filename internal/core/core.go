@@ -227,7 +227,7 @@ func (m *Manager) Start() error {
 	return nil
 }
 
-// Stop halts all control loops and the fabric's solver worker pool.
+// Stop halts all control loops.
 func (m *Manager) Stop() {
 	m.mon.Stop()
 	m.arb.Stop()
@@ -235,7 +235,6 @@ func (m *Manager) Stop() {
 	if m.pipeline != nil {
 		m.pipeline.Stop()
 	}
-	m.fab.StopSolver()
 	m.started = false
 }
 

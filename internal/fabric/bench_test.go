@@ -154,25 +154,18 @@ func benchIslands(b *testing.B, n, flowsPer int) (*simtime.Engine, *Fabric) {
 
 // BenchmarkFabricComponentSolve measures a full re-solve of a fabric
 // whose constraint graph splits into 64 independent components
-// (islandTopology), serial against the forced-parallel worker pool.
-// On a single-core host the parallel flavor measures the coordination
-// overhead; with cores available it measures the speedup.
+// (islandTopology): every link is marked dirty, so each iteration
+// solves all 64 components one after another.
 func BenchmarkFabricComponentSolve(b *testing.B) {
 	const islands, flowsPer = 64, 256
-	run := func(b *testing.B, workers, threshold int) {
-		_, f := benchIslands(b, islands, flowsPer)
-		f.SetSolverTuning(threshold, workers)
-		defer f.StopSolver()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			f.markAllLinksDirty()
-			f.dirty = true
-			f.recomputeIfDirty()
-		}
+	_, f := benchIslands(b, islands, flowsPer)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f.markAllLinksDirty()
+		f.dirty = true
+		f.recomputeIfDirty()
 	}
-	b.Run("serial", func(b *testing.B) { run(b, 1, 1<<30) })
-	b.Run("parallel", func(b *testing.B) { run(b, 4, 1) })
 }
 
 // BenchmarkFabricRecomputeSteadyState measures one demand-update →

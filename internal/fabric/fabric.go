@@ -193,14 +193,8 @@ type Fabric struct {
 	linkDirty       []bool
 	bridgedRemovals int
 
-	// Parallel solver: lazily started worker pool, tuning, cumulative
-	// stats, and pre-allocated broadcast tasks.
-	parThreshold int
-	fixedWorkers int
-	pool         *solverPool
-	sc           solverCounters
-	scanT        scanTask
-	compT        compTask
+	// sc holds the solver's cumulative counters (see SolverStats).
+	sc solverCounters
 
 	// pathScratch is reused by AddFlow to resolve a candidate path's
 	// links before the flow is committed.
@@ -243,7 +237,6 @@ func New(topo *topology.Topology, engine *simtime.Engine, cfg Config) *Fabric {
 		flows:        make(map[FlowID]*Flow),
 		tenantWeight: make(map[TenantID]float64),
 		tenantSlots:  make(map[TenantID]int32),
-		parThreshold: defaultParallelThreshold,
 	}
 	for _, l := range topo.Links() {
 		cap := l.Capacity

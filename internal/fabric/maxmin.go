@@ -129,8 +129,6 @@ type maxminScratch struct {
 	// linkIdx. Each component clears the flags it set (its touched list,
 	// carved from touchedArena) right after the scan that consumes them,
 	// so the array is all-false between rounds and between passes.
-	// Components never share links, so parallel component solves touch
-	// disjoint elements.
 	roundDirty   []bool
 	touchedArena []int32
 	// conLink mirrors cons[i].linkIdx for link and cap constraints and
@@ -156,17 +154,11 @@ type maxminScratch struct {
 	fillEpoch uint64
 
 	// comps are the dirty components of the current pass; dirtyList
-	// indexes their constraints, and activeArena/weightArena back the
+	// indexes their constraints, and activeArena backs the
 	// per-component active lists.
 	comps       []compSolve
 	dirtyList   []int32
 	activeArena []int32
-	weightArena []int32
-	smallComps  []int32
-
-	// Parallel-round scratch (see solver.go).
-	chunkBounds []int32
-	chunkRes    []chunkResult
 
 	// tenants is reused when ordering a link's cap key-set.
 	tenants []TenantID
@@ -210,17 +202,14 @@ func growBools(s []bool, n int) []bool {
 // members at their weighted fair share. Effective weight is the flow's
 // Weight times its tenant's global weight.
 //
-// Three exact optimizations keep this off the O(flows × rounds) cliff
+// Two exact optimizations keep this off the O(flows × rounds) cliff
 // (see solver.go for the partition machinery and the soundness
 // argument):
 //   - only dirty components are re-solved; every other flow keeps its
 //     rate, which is bit-identical to what a full solve would assign;
 //   - within a round, only constraints whose member set changed since
 //     their last scan are rescanned; clean constraints reuse their
-//     cached share, which is the exact float a rescan would produce;
-//   - when the dirty region is large enough and more than one worker
-//     is available, rounds scan in parallel chunks merged in
-//     deterministic chunk order.
+//     cached share, which is the exact float a rescan would produce.
 //
 // The iteration order of every loop here is part of the simulation's
 // deterministic contract: float accumulation is not associative, so
@@ -286,7 +275,7 @@ func (f *Fabric) computeRates() {
 		if slot < 0 {
 			slot = int32(len(s.comps))
 			s.rootSlot[root] = slot
-			s.comps = append(s.comps, compSolve{root: root})
+			s.comps = append(s.comps, compSolve{})
 		}
 		comp := &s.comps[slot]
 		switch c.kind {
@@ -296,15 +285,12 @@ func (f *Fabric) computeRates() {
 			} else {
 				c.capacity = float64(c.ls.capacity)
 			}
-			comp.members += len(c.ls.memSlots)
 			comp.links++
 		case consTenantCap:
 			c.capacity = float64(c.ls.caps[c.tenant])
-			comp.members += c.n
 		case consDemand:
 			// Demand capacities are written through at mutation time
 			// (SetDemand, splice, rebuild); nothing to refresh.
-			comp.members++
 		}
 		s.conDirty[ci] = true
 		comp.nCons++
@@ -316,7 +302,6 @@ func (f *Fabric) computeRates() {
 	// active list is the global scan order restricted to it — which is
 	// what makes the per-component solve bit-identical to a full one.
 	s.activeArena = growInt32s(s.activeArena, len(s.dirtyList))
-	s.weightArena = growInt32s(s.weightArena, len(s.dirtyList))
 	s.roundDirty = growBools(s.roundDirty, nLinks)
 	s.touchedArena = growInt32s(s.touchedArena, nLinks)
 	off := 0
@@ -324,7 +309,6 @@ func (f *Fabric) computeRates() {
 	for i := range s.comps {
 		comp := &s.comps[i]
 		comp.active = s.activeArena[off : off : off+comp.nCons]
-		comp.weights = s.weightArena[off : off : off+comp.nCons]
 		off += comp.nCons
 		comp.touched = s.touchedArena[tOff : tOff : tOff+comp.links]
 		tOff += comp.links
@@ -333,41 +317,16 @@ func (f *Fabric) computeRates() {
 		c := &s.cons[ci]
 		comp := &s.comps[s.rootSlot[s.linkRoot[c.linkIdx]]]
 		comp.active = append(comp.active, ci)
-		var w int32
-		switch c.kind {
-		case consLink:
-			w = int32(len(c.ls.memSlots))
-		case consTenantCap:
-			w = int32(c.n)
-		default:
-			w = 1
-		}
-		comp.weights = append(comp.weights, w)
 	}
 
 	// A new epoch unfreezes every flow; no reset sweep is needed.
 	s.fillEpoch++
 	n := len(f.flowList)
 
-	// Solve the dirty components, serially or on the worker pool.
 	f.sc.componentsSolved += uint64(len(s.comps))
-	totalWork := 0
-	for i := range s.comps {
-		totalWork += s.comps[i].members
-	}
-	var pool *solverPool
-	if totalWork >= f.parThreshold {
-		pool = f.ensurePool()
-	}
-	if pool == nil {
-		for i := range s.comps {
-			f.fillComponent(&s.comps[i])
-		}
-	} else {
-		f.solveParallel(pool)
-	}
 	var solved, rounds uint64
 	for i := range s.comps {
+		f.fillComponent(&s.comps[i])
 		solved += uint64(s.comps[i].frozenCount)
 		rounds += s.comps[i].rounds
 	}
@@ -429,14 +388,11 @@ func (f *Fabric) computeRates() {
 // monotone, so a spent constraint can never become the bottleneck
 // again.
 func (f *Fabric) fillComponent(cs *compSolve) {
-	nAct := len(cs.active)
 	for {
 		cs.rounds++
-		keep, bestShare, bestCi := f.scanRange(cs.active, cs.weights, 0, nAct)
+		keep, bestShare, bestCi := f.scan(cs.active)
 		f.clearTouched(cs)
-		nAct = keep
 		cs.active = cs.active[:keep]
-		cs.weights = cs.weights[:keep]
 		if bestCi < 0 {
 			return
 		}
@@ -455,25 +411,23 @@ func (f *Fabric) clearTouched(cs *compSolve) {
 	cs.touched = cs.touched[:0]
 }
 
-// scanRange scans active[lo:hi), compacting spent constraints out in
-// place (of both the active list and its parallel weight list) and
-// returning the number of survivors plus the tightest constraint of
-// the range. Dirty constraints are rescanned member by member in flow
-// order — remaining capacity minus frozen allocations, accumulated
-// weight of unfrozen members — and their share re-cached; clean
-// constraints reuse the cached share, which is exact because no member
-// of theirs froze since it was computed. Both the serial and the
-// parallel solve paths funnel through this one function, so their
-// arithmetic agrees by construction.
-func (f *Fabric) scanRange(active, weights []int32, lo, hi int) (int, float64, int32) {
+// scan runs one filling round's scan over a component's active list,
+// compacting spent constraints out in place and returning the number
+// of survivors plus the round's tightest constraint (the first with
+// the smallest share, in constraint order). Dirty constraints are
+// rescanned member by member in flow order — remaining capacity minus
+// frozen allocations, accumulated weight of unfrozen members — and
+// their share re-cached; clean constraints reuse the cached share,
+// which is exact because no member of theirs froze since it was
+// computed.
+func (f *Fabric) scan(active []int32) (int, float64, int32) {
 	s := &f.scr
 	ep := s.fillEpoch
 	fill := f.fill
 	bestShare := math.Inf(1)
 	bestCi := int32(-1)
-	w := lo
-	for k := lo; k < hi; k++ {
-		ci := active[k]
+	w := 0
+	for _, ci := range active {
 		if li := s.conLink[ci]; s.conDirty[ci] || (li >= 0 && s.roundDirty[li]) {
 			s.conDirty[ci] = false
 			c := &s.cons[ci]
@@ -513,14 +467,13 @@ func (f *Fabric) scanRange(active, weights []int32, lo, hi int) (int, float64, i
 			s.conShare[ci] = share
 		}
 		active[w] = ci
-		weights[w] = weights[k]
 		w++
 		if sh := s.conShare[ci]; sh < bestShare {
 			bestShare = sh
 			bestCi = ci
 		}
 	}
-	return w - lo, bestShare, bestCi
+	return w, bestShare, bestCi
 }
 
 // freezeBest freezes every unfrozen member of the round's tightest

@@ -26,10 +26,8 @@ type fabricMetrics struct {
 	linkRestores   *obs.Counter
 
 	solverComponents       *obs.Gauge
-	solverWorkers          *obs.Gauge
 	solverSolves           *obs.Counter
 	solverNoop             *obs.Counter
-	solverParallel         *obs.Counter
 	solverComponentsSolved *obs.Counter
 	solverFlowsSolved      *obs.Counter
 	solverFlowsSkipped     *obs.Counter
@@ -76,14 +74,10 @@ func (f *Fabric) SetObs(o *obs.Obs) {
 			"Links restored to health (failure or degradation cleared)."),
 		solverComponents: r.Gauge("ihnet_fabric_solver_components",
 			"Independent constraint-graph components in the fabric."),
-		solverWorkers: r.Gauge("ihnet_fabric_solver_workers",
-			"Worker goroutines the component solver would use."),
 		solverSolves: r.Counter("ihnet_fabric_solver_solves_total",
 			"Rate recomputations that ran the component solver."),
 		solverNoop: r.Counter("ihnet_fabric_solver_noop_total",
 			"Rate recomputations skipped: no component was dirty."),
-		solverParallel: r.Counter("ihnet_fabric_solver_parallel_solves_total",
-			"Solves dispatched to the worker pool."),
 		solverComponentsSolved: r.Counter("ihnet_fabric_solver_components_solved_total",
 			"Dirty components re-solved."),
 		solverFlowsSolved: r.Counter("ihnet_fabric_solver_flows_solved_total",
@@ -115,13 +109,11 @@ func (f *Fabric) observedComputeRates() {
 	after := f.sc
 	f.met.solverSolves.Add(after.solves - before.solves)
 	f.met.solverNoop.Add(after.noopSolves - before.noopSolves)
-	f.met.solverParallel.Add(after.parallelSolves - before.parallelSolves)
 	f.met.solverComponentsSolved.Add(after.componentsSolved - before.componentsSolved)
 	f.met.solverFlowsSolved.Add(after.flowsSolved - before.flowsSolved)
 	f.met.solverFlowsSkipped.Add(after.flowsSkipped - before.flowsSkipped)
 	f.met.solverRounds.Add(after.rounds - before.rounds)
 	f.met.solverComponents.Set(float64(f.liveComponents()))
-	f.met.solverWorkers.Set(float64(f.solverWorkers()))
 	if f.met.tracer.Enabled() {
 		f.met.tracer.Emit(obs.Event{
 			Kind:    obs.KindRateRecompute,

@@ -1,15 +1,7 @@
 package fabric
 
-import (
-	"math"
-	"runtime"
-	"sync/atomic"
-	"time"
-)
-
-// This file holds the component partition and the bounded worker pool
-// behind the parallel max-min solver (see maxmin.go for the filling
-// algorithm itself).
+// This file holds the component partition behind the dirty-region
+// max-min solver (see maxmin.go for the filling algorithm itself).
 //
 // The constraint graph decomposes into independent connected
 // components: two links are connected when some flow traverses both,
@@ -20,38 +12,16 @@ import (
 // own component's state, and the global "tightest first" order merely
 // interleaves the per-component bottleneck sequences without changing
 // any float operation or its operand order. That identity is what
-// makes both solver optimizations sound:
-//
-//   - dirty-region solving: only components touched by a mutation
-//     since the last pass are re-solved; every other flow keeps its
-//     rate, which is exactly the rate a full solve would re-derive;
-//   - parallel solving: dirty components are solved concurrently, and
-//     a single large component runs its filling rounds as chunked
-//     scans merged in deterministic chunk order, so the result is
-//     independent of worker count and scheduling.
+// makes dirty-region solving sound: only components touched by a
+// mutation since the last pass are re-solved, and every other flow
+// keeps its rate, which is exactly the rate a full solve would
+// re-derive.
 //
 // The partition is a union-find over dense link indices, maintained
 // incrementally: installing a flow unions the links of its path.
 // Removals never split eagerly — a too-coarse partition is still
-// correct, merely less parallel and less dirty-precise — and a full
-// rebuild runs amortized once enough component-bridging flows have
-// been removed.
-
-// defaultParallelThreshold is the minimum dirty-region work estimate
-// (total constraint membership) before a solve engages the worker
-// pool. Below it dispatch overhead exceeds the win; the 1k-flow
-// steady state stays serial and allocation-free.
-const defaultParallelThreshold = 8192
-
-// solverMaxWorkers caps the auto-sized pool: filling rounds are
-// memory-bound, so returns diminish quickly past a few cores.
-const solverMaxWorkers = 8
-
-// chunkTargetWork is the constraint-membership weight one parallel
-// scan chunk aims for. Chunk boundaries depend only on the active
-// list, never on the worker count, so any pool size produces the same
-// chunk results and the same merged outcome.
-const chunkTargetWork = 2048
+// correct, merely less dirty-precise — and a full rebuild runs
+// amortized once enough component-bridging flows have been removed.
 
 // find returns the root of the component containing link index i,
 // compressing the path.
@@ -106,8 +76,8 @@ func (f *Fabric) unionFlowLinks(fl *Flow) {
 // maybeRebuildPartition rebuilds the union-find from the live flow set
 // once enough bridging flows have been removed that the partition may
 // have become needlessly coarse. Rebuilding never changes rates — it
-// only refines which flows a pass may skip or solve concurrently —
-// and the per-link dirty marks survive untouched.
+// only refines which flows a pass may skip — and the per-link dirty
+// marks survive untouched.
 func (f *Fabric) maybeRebuildPartition() {
 	if f.bridgedRemovals*4 <= len(f.flows)+64 {
 		return
@@ -136,305 +106,16 @@ func (f *Fabric) markAllLinksDirty() {
 	}
 }
 
-// SetSolverTuning adjusts the parallel solver: parallelThreshold is
-// the minimum dirty-region work (total constraint membership) before
-// the worker pool engages, and workers fixes the pool size (0 restores
-// auto-sizing from GOMAXPROCS, 1 forces the solver fully serial).
-// Non-positive thresholds restore the default. Tuning never changes
-// results — the solve is bit-identical at every setting, which the
-// parity tests pin — only where the work runs; the knob exists for
-// benchmarks, determinism tests, and constrained deployments. Any
-// running pool is stopped and re-created lazily at the new size.
-func (f *Fabric) SetSolverTuning(parallelThreshold, workers int) {
-	if parallelThreshold <= 0 {
-		parallelThreshold = defaultParallelThreshold
-	}
-	if workers < 0 {
-		workers = 0
-	}
-	// Each worker is a parked goroutine; clamp to a sane ceiling so a
-	// mistaken huge value cannot spawn an unbounded fleet.
-	if workers > 4*solverMaxWorkers {
-		workers = 4 * solverMaxWorkers
-	}
-	f.parThreshold = parallelThreshold
-	f.fixedWorkers = workers
-	f.StopSolver()
-}
-
-// StopSolver shuts the worker pool down (idempotent). Later solves
-// recreate it lazily if still eligible; core.Manager.Stop calls this
-// so daemons and tests do not leak parked worker goroutines.
-func (f *Fabric) StopSolver() {
-	if f.pool != nil {
-		close(f.pool.in)
-		f.pool = nil
-	}
-}
-
-// solverWorkers resolves the worker count a parallel solve would use.
-func (f *Fabric) solverWorkers() int {
-	if f.fixedWorkers > 0 {
-		return f.fixedWorkers
-	}
-	w := runtime.GOMAXPROCS(0)
-	if w > solverMaxWorkers {
-		w = solverMaxWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
-
-// ensurePool lazily starts the worker pool, returning nil when
-// parallelism is pointless (a single worker).
-func (f *Fabric) ensurePool() *solverPool {
-	if f.pool != nil {
-		return f.pool
-	}
-	w := f.solverWorkers()
-	if w <= 1 {
-		return nil
-	}
-	f.pool = newSolverPool(w)
-	return f.pool
-}
-
-// poolTask is one unit of broadcast work. Implementations are
-// pre-allocated structs on the fabric, so dispatch touches no
-// allocator.
-type poolTask interface{ run() }
-
-// solverPool is a bounded set of persistent workers fed over a shared
-// channel. The coordinator broadcasts one task to every worker and
-// waits for all of them; workers claim fine-grained work items from
-// the task's atomic cursor, so an idle worker never blocks a busy one.
-type solverPool struct {
-	workers int
-	in      chan poolTask
-	done    chan struct{}
-	busyNs  atomic.Int64
-}
-
-func newSolverPool(workers int) *solverPool {
-	p := &solverPool{
-		workers: workers,
-		in:      make(chan poolTask),
-		done:    make(chan struct{}, workers),
-	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-func (p *solverPool) worker() {
-	for t := range p.in {
-		start := time.Now()
-		t.run()
-		p.busyNs.Add(time.Since(start).Nanoseconds())
-		p.done <- struct{}{}
-	}
-}
-
-// runAll hands the task to every worker and blocks until each one has
-// drained the shared cursor and reported back. The channel send/recv
-// pairs establish the happens-before edges that make the coordinator's
-// pre-dispatch writes visible to workers and the workers' results
-// visible to the merge that follows.
-func (p *solverPool) runAll(t poolTask) {
-	for i := 0; i < p.workers; i++ {
-		p.in <- t
-	}
-	for i := 0; i < p.workers; i++ {
-		<-p.done
-	}
-}
-
 // compSolve is one dirty component's solve state for the current pass.
-// active and weights alias segments of the scratch arenas; the filling
-// loop compacts them in place.
+// active and touched alias segments of the scratch arenas; the filling
+// loop compacts active in place.
 type compSolve struct {
-	root        int32 // component root (dense link index)
-	nCons       int   // constraints assigned in pass A
-	links       int   // link constraints assigned: bounds the touched list
-	members     int   // total constraint membership: the work estimate
-	frozenCount int   // flows this solve froze
+	nCons       int // constraints assigned in pass A
+	links       int // link constraints assigned: bounds the touched list
+	frozenCount int // flows this solve froze
 	rounds      uint64
 	active      []int32
-	weights     []int32
 	touched     []int32 // links marked roundDirty by this round's freeze
-}
-
-// chunkResult is one parallel scan chunk's contribution, padded to a
-// cache line so adjacent workers do not false-share.
-type chunkResult struct {
-	bestShare float64
-	bestCi    int32
-	keep      int32
-	_         [48]byte
-}
-
-// scanTask is the broadcast work item for one parallel filling round:
-// workers claim chunks of the component's active list by cursor, scan
-// and compact them in place, and record each chunk's local best.
-type scanTask struct {
-	f      *Fabric
-	cs     *compSolve
-	chunks int
-	cursor atomic.Int32
-}
-
-func (t *scanTask) run() {
-	s := &t.f.scr
-	for {
-		c := int(t.cursor.Add(1)) - 1
-		if c >= t.chunks {
-			return
-		}
-		lo := int(s.chunkBounds[c])
-		hi := int(s.chunkBounds[c+1])
-		keep, share, ci := t.f.scanRange(t.cs.active, t.cs.weights, lo, hi)
-		s.chunkRes[c] = chunkResult{bestShare: share, bestCi: ci, keep: int32(keep)}
-	}
-}
-
-// compTask is the broadcast work item for solving many small dirty
-// components concurrently: workers claim whole components by cursor
-// and run the serial filling loop on each. Components share no
-// constraints and write disjoint per-flow and per-constraint entries,
-// so any claim order produces identical results.
-type compTask struct {
-	f      *Fabric
-	cursor atomic.Int32
-}
-
-func (t *compTask) run() {
-	s := &t.f.scr
-	for {
-		k := int(t.cursor.Add(1)) - 1
-		if k >= len(s.smallComps) {
-			return
-		}
-		t.f.fillComponent(&s.comps[s.smallComps[k]])
-	}
-}
-
-// solveParallel distributes the pass's dirty components over the
-// pool: components below the parallel threshold are claimed whole by
-// workers, and each large component then runs its filling rounds with
-// parallel chunked scans.
-func (f *Fabric) solveParallel(pool *solverPool) {
-	s := &f.scr
-	f.sc.parallelSolves++
-	start := time.Now()
-	s.smallComps = s.smallComps[:0]
-	for i := range s.comps {
-		if s.comps[i].members < f.parThreshold {
-			s.smallComps = append(s.smallComps, int32(i))
-		}
-	}
-	switch {
-	case len(s.smallComps) == 1:
-		f.fillComponent(&s.comps[s.smallComps[0]])
-	case len(s.smallComps) > 1:
-		t := &f.compT
-		t.f = f
-		t.cursor.Store(0)
-		pool.runAll(t)
-	}
-	for i := range s.comps {
-		if s.comps[i].members >= f.parThreshold {
-			f.fillComponentParallel(&s.comps[i], pool)
-		}
-	}
-	f.sc.parallelWallNs += time.Since(start).Nanoseconds()
-}
-
-// fillComponentParallel is fillComponent with each round's scan split
-// into weight-balanced chunks executed by the pool and merged in chunk
-// order. Chunk boundaries depend only on the active list, the merge
-// keeps the first strictly-smallest share in chunk (= constraint)
-// order, and survivor compaction copies chunk survivors leftward in
-// the same order a serial scan would have left them — so the result
-// is bit-identical to fillComponent at any worker count.
-func (f *Fabric) fillComponentParallel(cs *compSolve, pool *solverPool) {
-	s := &f.scr
-	for {
-		cs.rounds++
-		nAct := len(cs.active)
-		chunks := f.buildChunks(cs, nAct)
-		var keepTotal int
-		var bestShare float64
-		var bestCi int32
-		if chunks <= 1 {
-			keepTotal, bestShare, bestCi = f.scanRange(cs.active, cs.weights, 0, nAct)
-		} else {
-			t := &f.scanT
-			t.f = f
-			t.cs = cs
-			t.chunks = chunks
-			t.cursor.Store(0)
-			pool.runAll(t)
-			bestShare = math.Inf(1)
-			bestCi = -1
-			w := 0
-			for c := 0; c < chunks; c++ {
-				r := &s.chunkRes[c]
-				lo := int(s.chunkBounds[c])
-				keep := int(r.keep)
-				if w != lo {
-					copy(cs.active[w:w+keep], cs.active[lo:lo+keep])
-					copy(cs.weights[w:w+keep], cs.weights[lo:lo+keep])
-				}
-				w += keep
-				if r.bestCi >= 0 && r.bestShare < bestShare {
-					bestShare = r.bestShare
-					bestCi = r.bestCi
-				}
-			}
-			keepTotal = w
-		}
-		f.clearTouched(cs)
-		cs.active = cs.active[:keepTotal]
-		cs.weights = cs.weights[:keepTotal]
-		if bestCi < 0 {
-			return
-		}
-		f.freezeBest(cs, bestCi, bestShare)
-	}
-}
-
-// buildChunks splits the component's active list into chunks of
-// roughly chunkTargetWork total membership, returning the chunk count.
-// Boundaries are a pure function of the active list, independent of
-// worker count and scheduling.
-func (f *Fabric) buildChunks(cs *compSolve, nAct int) int {
-	s := &f.scr
-	if cap(s.chunkBounds) < nAct+1 {
-		s.chunkBounds = make([]int32, 1, nAct+1)
-	}
-	bounds := s.chunkBounds[:1]
-	bounds[0] = 0
-	acc := int32(0)
-	for k := 0; k < nAct; k++ {
-		acc += cs.weights[k]
-		if acc >= chunkTargetWork {
-			bounds = append(bounds, int32(k+1))
-			acc = 0
-		}
-	}
-	if int(bounds[len(bounds)-1]) != nAct {
-		bounds = append(bounds, int32(nAct))
-	}
-	s.chunkBounds = bounds
-	chunks := len(bounds) - 1
-	if cap(s.chunkRes) < chunks {
-		s.chunkRes = make([]chunkResult, chunks)
-	}
-	s.chunkRes = s.chunkRes[:chunks]
-	return chunks
 }
 
 // liveComponents counts connected components with at least one active
@@ -459,15 +140,10 @@ func (f *Fabric) liveComponents() int {
 }
 
 // SolverStats is an operator snapshot of the component solver: the
-// live partition shape, cumulative dirty-region and parallelism
-// accounting, and the batch coalescing counters behind the "one settle
+// live partition shape, cumulative dirty-region accounting, and the batch coalescing counters behind the "one settle
 // per burst" contract. The cheap counters are maintained on the solve
 // path; the partition shape is computed on demand.
 type SolverStats struct {
-	// Workers is the pool size a parallel solve would use right now;
-	// ParallelThreshold is the dirty-work floor that engages it.
-	Workers           int `json:"workers"`
-	ParallelThreshold int `json:"parallel_threshold"`
 	// Components is the number of connected components with at least
 	// one active flow; LargestComponent is the flow count of the
 	// biggest one. Flows is the total active flow count.
@@ -476,10 +152,9 @@ type SolverStats struct {
 	Flows            int `json:"flows"`
 	// Solves counts rate recomputations that had a dirty region;
 	// NoopSolves counts passes that found nothing dirty and returned
-	// immediately. ParallelSolves counts solves that engaged the pool.
-	Solves         uint64 `json:"solves"`
-	NoopSolves     uint64 `json:"noop_solves"`
-	ParallelSolves uint64 `json:"parallel_solves"`
+	// immediately.
+	Solves     uint64 `json:"solves"`
+	NoopSolves uint64 `json:"noop_solves"`
 	// ComponentsSolved and FlowsSolved accumulate the dirty region
 	// actually re-solved; FlowsSkipped accumulates flows whose clean
 	// components were left untouched. Rounds accumulates
@@ -495,11 +170,6 @@ type SolverStats struct {
 	Mutations        uint64 `json:"mutations"`
 	Batches          uint64 `json:"batches"`
 	BatchedMutations uint64 `json:"batched_mutations"`
-	// WorkerBusyNs sums wall time workers spent executing tasks;
-	// ParallelWallNs sums the coordinator's wall time inside parallel
-	// sections. BusyNs / (WallNs × Workers) is worker utilization.
-	WorkerBusyNs   int64 `json:"worker_busy_ns"`
-	ParallelWallNs int64 `json:"parallel_wall_ns"`
 }
 
 // solverCounters is the cumulative half of SolverStats, embedded in
@@ -507,7 +177,6 @@ type SolverStats struct {
 type solverCounters struct {
 	solves           uint64
 	noopSolves       uint64
-	parallelSolves   uint64
 	componentsSolved uint64
 	flowsSolved      uint64
 	flowsSkipped     uint64
@@ -515,7 +184,6 @@ type solverCounters struct {
 	mutations        uint64
 	batches          uint64
 	batchedMutations uint64
-	parallelWallNs   int64
 }
 
 // SolverStats returns the solver snapshot. The partition shape costs
@@ -523,24 +191,17 @@ type solverCounters struct {
 // solve path.
 func (f *Fabric) SolverStats() SolverStats {
 	st := SolverStats{
-		Workers:           f.solverWorkers(),
-		ParallelThreshold: f.parThreshold,
-		Components:        f.liveComponents(),
-		Flows:             len(f.flows),
-		Solves:            f.sc.solves,
-		NoopSolves:        f.sc.noopSolves,
-		ParallelSolves:    f.sc.parallelSolves,
-		ComponentsSolved:  f.sc.componentsSolved,
-		FlowsSolved:       f.sc.flowsSolved,
-		FlowsSkipped:      f.sc.flowsSkipped,
-		Rounds:            f.sc.rounds,
-		Mutations:         f.sc.mutations,
-		Batches:           f.sc.batches,
-		BatchedMutations:  f.sc.batchedMutations,
-		ParallelWallNs:    f.sc.parallelWallNs,
-	}
-	if f.pool != nil {
-		st.WorkerBusyNs = f.pool.busyNs.Load()
+		Components:       f.liveComponents(),
+		Flows:            len(f.flows),
+		Solves:           f.sc.solves,
+		NoopSolves:       f.sc.noopSolves,
+		ComponentsSolved: f.sc.componentsSolved,
+		FlowsSolved:      f.sc.flowsSolved,
+		FlowsSkipped:     f.sc.flowsSkipped,
+		Rounds:           f.sc.rounds,
+		Mutations:        f.sc.mutations,
+		Batches:          f.sc.batches,
+		BatchedMutations: f.sc.batchedMutations,
 	}
 	// Size the largest component by attributing each flow to its first
 	// link's root.

@@ -10,20 +10,19 @@ import (
 )
 
 // solverChurnSchedule drives one randomized mutation schedule against
-// two fabrics in lockstep: every admit, remove, cap change, and batch
-// hits both, so after any step the pair must agree bit-for-bit on
-// every flow rate. The schedule deliberately mixes intra-island flows
-// (many small components), spine-crossing flows (component merges),
-// and removals past the rebuild threshold (component splits), so the
-// union-find partition is churned in both directions while the two
-// solver configurations race each other.
+// a fabric: admits, removals, cap changes and batches. The schedule
+// deliberately mixes intra-island flows (many small components),
+// spine-crossing flows (component merges), and removals past the
+// rebuild threshold (component splits), so the union-find partition is
+// churned in both directions while the dirty-region solver keeps
+// re-solving only the components each mutation touched.
 type solverChurnSchedule struct {
 	t        *testing.T
 	rng      *rand.Rand
 	topo     *topology.Topology
-	a, b     *Fabric
+	f        *Fabric
 	islands  int
-	live     [][2]*Flow // same flow admitted to a and b
+	live     []*Flow
 	capped   map[string]bool
 	capLinks []topology.LinkID
 }
@@ -60,17 +59,11 @@ func (s *solverChurnSchedule) admit() {
 	if s.rng.Intn(3) == 0 {
 		demand = topology.Gbps(float64(1 + s.rng.Intn(20)))
 	}
-	mk := func() *Flow {
-		return &Flow{Tenant: tenant, Path: p, Weight: weight, Demand: demand}
+	fl := &Flow{Tenant: tenant, Path: p, Weight: weight, Demand: demand}
+	if err := s.f.AddFlow(fl); err != nil {
+		s.t.Fatalf("AddFlow: %v", err)
 	}
-	fa, fb := mk(), mk()
-	if err := s.a.AddFlow(fa); err != nil {
-		s.t.Fatalf("serial AddFlow: %v", err)
-	}
-	if err := s.b.AddFlow(fb); err != nil {
-		s.t.Fatalf("parallel AddFlow: %v", err)
-	}
-	s.live = append(s.live, [2]*Flow{fa, fb})
+	s.live = append(s.live, fl)
 }
 
 func (s *solverChurnSchedule) remove() {
@@ -78,77 +71,49 @@ func (s *solverChurnSchedule) remove() {
 		return
 	}
 	i := s.rng.Intn(len(s.live))
-	pair := s.live[i]
-	s.a.RemoveFlow(pair[0])
-	s.b.RemoveFlow(pair[1])
+	s.f.RemoveFlow(s.live[i])
 	s.live[i] = s.live[len(s.live)-1]
 	s.live = s.live[:len(s.live)-1]
 }
 
 // toggleCap sets or clears a per-(link,tenant) cap on a random spine
-// or island link, the same way on both fabrics.
+// or island link.
 func (s *solverChurnSchedule) toggleCap() {
 	s.t.Helper()
 	link := s.capLinks[s.rng.Intn(len(s.capLinks))]
 	tenant := benchTenants[s.rng.Intn(len(benchTenants))]
 	key := string(link) + "/" + string(tenant)
 	if s.capped[key] {
-		if err := s.a.ClearTenantCap(link, tenant); err != nil {
-			s.t.Fatalf("serial ClearTenantCap: %v", err)
-		}
-		if err := s.b.ClearTenantCap(link, tenant); err != nil {
-			s.t.Fatalf("parallel ClearTenantCap: %v", err)
+		if err := s.f.ClearTenantCap(link, tenant); err != nil {
+			s.t.Fatalf("ClearTenantCap: %v", err)
 		}
 		delete(s.capped, key)
 		return
 	}
 	cap := topology.Gbps(float64(5 + s.rng.Intn(50)))
-	if err := s.a.SetTenantCap(link, tenant, cap); err != nil {
-		s.t.Fatalf("serial SetTenantCap: %v", err)
-	}
-	if err := s.b.SetTenantCap(link, tenant, cap); err != nil {
-		s.t.Fatalf("parallel SetTenantCap: %v", err)
+	if err := s.f.SetTenantCap(link, tenant, cap); err != nil {
+		s.t.Fatalf("SetTenantCap: %v", err)
 	}
 	s.capped[key] = true
 }
 
-// compare demands bit-exact rate agreement across every live flow.
-// Rate() settles each fabric's dirty region first, so this is where
-// the serial and parallel solvers actually run.
-func (s *solverChurnSchedule) compare(step int) {
-	s.t.Helper()
-	for _, pair := range s.live {
-		ra, rb := pair[0].Rate(), pair[1].Rate()
-		if ra != rb {
-			s.t.Fatalf("step %d: flow %d: serial rate %v != parallel rate %v",
-				step, pair[0].ID, float64(ra), float64(rb))
-		}
-	}
-}
-
-// TestParallelSolverMatchesSerialRandomChurn is the solver-parity
-// gate: a forced-parallel fabric (threshold 1, four workers — wider
-// than GOMAXPROCS on small machines, so the pool's synchronization is
-// genuinely exercised under -race) must stay bit-identical to a
-// forced-serial one across seeded random component splits and merges.
-func TestParallelSolverMatchesSerialRandomChurn(t *testing.T) {
+// TestSolverChurnMatchesReference is the dirty-region solver's
+// partition gate: across seeded random component merges, splits past
+// the amortized rebuild threshold, and a batch that coalesces many
+// mutations into one settle, every flow rate must match the reference
+// solver (a full re-solve over the whole constraint system) bit for
+// bit after every step.
+func TestSolverChurnMatchesReference(t *testing.T) {
 	const islands = 12
 	topo := islandTopology(islands)
-	mk := func(threshold, workers int) *Fabric {
-		f := New(topo, simtime.NewEngine(1), DefaultConfig())
-		f.SetSolverTuning(threshold, workers)
-		return f
-	}
 	s := &solverChurnSchedule{
 		t:       t,
 		rng:     rand.New(rand.NewSource(97)),
 		topo:    topo,
-		a:       mk(1<<30, 1), // never parallel
-		b:       mk(1, 4),     // always parallel
+		f:       New(topo, simtime.NewEngine(1), DefaultConfig()),
 		islands: islands,
 		capped:  make(map[string]bool),
 	}
-	defer s.b.StopSolver()
 	for i := 0; i < islands; i++ {
 		p := s.path(topology.CompID(fmt.Sprintf("src%d", i)),
 			topology.CompID(fmt.Sprintf("dst%d", i)))
@@ -157,39 +122,67 @@ func TestParallelSolverMatchesSerialRandomChurn(t *testing.T) {
 		}
 	}
 
-	for step := 0; step < 600; step++ {
-		switch op := s.rng.Intn(10); {
-		case op < 5 || len(s.live) == 0:
-			s.admit()
-		case op < 8:
-			s.remove()
-		default:
-			s.toggleCap()
-		}
-		if step%20 == 19 {
-			s.compare(step)
+	// step applies one mutation, checks every rate against the
+	// reference, and returns how the live component count moved.
+	// Removals never split a component until the amortized rebuild
+	// runs, so a removal after which the count grew is a rebuild that
+	// refined the partition; an admit after which it shrank merged
+	// components.
+	var merges, splits int
+	step := func(name string, op func()) int {
+		before := s.f.SolverStats().Components
+		op()
+		compareWithReference(t, s.f, name)
+		return s.f.SolverStats().Components - before
+	}
+	admit := func(name string) {
+		if step(name, s.admit) < 0 {
+			merges++
 		}
 	}
-	// A burst of batched mutations must coalesce into one settle on
-	// both sides and still agree.
-	s.rng = rand.New(rand.NewSource(11))
-	s.a.Batch(func() {
-		s.b.Batch(func() {
-			for i := 0; i < 40; i++ {
-				s.admit()
+	remove := func(name string) {
+		if step(name, s.remove) > 0 {
+			splits++
+		}
+	}
+	// Three rounds of random churn, each drained down to a few flows:
+	// spine-crossing admits merge islands, and the drain removes
+	// enough bridging flows to cross the rebuild threshold.
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 200; i++ {
+			name := fmt.Sprintf("round %d step %d", round, i)
+			switch op := s.rng.Intn(10); {
+			case op < 5 || len(s.live) == 0:
+				admit(name)
+			case op < 8:
+				remove(name)
+			default:
+				step(name, s.toggleCap)
 			}
-			for i := 0; i < 15; i++ {
-				s.remove()
-			}
-		})
-	})
-	s.compare(-1)
+		}
+		for i := 0; len(s.live) > islands/2; i++ {
+			remove(fmt.Sprintf("round %d drain %d", round, i))
+		}
+	}
+	if merges == 0 || splits == 0 {
+		t.Fatalf("schedule did not churn the partition both ways: %d merges, %d splits", merges, splits)
+	}
 
-	if st := s.b.SolverStats(); st.ParallelSolves == 0 {
-		t.Fatalf("forced-parallel fabric never took the parallel path: %+v", st)
-	}
-	if st := s.a.SolverStats(); st.ParallelSolves != 0 {
-		t.Fatalf("forced-serial fabric took the parallel path: %+v", st)
+	// A burst of batched mutations must coalesce into one settle and
+	// still match the reference.
+	s.rng = rand.New(rand.NewSource(11))
+	before := s.f.SolverStats().Solves
+	s.f.Batch(func() {
+		for i := 0; i < 40; i++ {
+			s.admit()
+		}
+		for i := 0; i < 15; i++ {
+			s.remove()
+		}
+	})
+	compareWithReference(t, s.f, "batch")
+	if n := s.f.SolverStats().Solves - before; n != 1 {
+		t.Fatalf("batch settled in %d solves, want 1", n)
 	}
 }
 
@@ -203,8 +196,6 @@ func TestSolverPartitionRebuildKeepsParity(t *testing.T) {
 	const islands = 32
 	topo := islandTopology(islands)
 	f := New(topo, simtime.NewEngine(1), DefaultConfig())
-	f.SetSolverTuning(1, 4)
-	defer f.StopSolver()
 
 	// Bridge every island pair-wise, then stack intra-island load.
 	var bridges, locals []*Flow

@@ -18,8 +18,8 @@ import (
 // solver settles exactly once for the whole group instead of once per
 // op.
 // GET /fabric/solver exposes the host's component-solver internals
-// (partition shape, dirty-region accounting, batch coalescing, worker
-// utilization); GET /fleet/fabric/solver rolls them up across hosts.
+// (partition shape, dirty-region accounting, batch coalescing); GET
+// /fleet/fabric/solver rolls them up across hosts.
 
 // journalTargets converts API targets to journal form.
 func journalTargets(ts []api.Target) []snap.Target {
@@ -150,7 +150,6 @@ func (s *Server) getFleetSolver(*http.Request) (api.FleetSolverStats, error) {
 		st := h.Mgr.Fabric().SolverStats()
 		out.Hosts[h.Name] = st
 		t := &out.Totals
-		t.Workers += st.Workers
 		t.Components += st.Components
 		t.Flows += st.Flows
 		if st.LargestComponent > t.LargestComponent {
@@ -158,7 +157,6 @@ func (s *Server) getFleetSolver(*http.Request) (api.FleetSolverStats, error) {
 		}
 		t.Solves += st.Solves
 		t.NoopSolves += st.NoopSolves
-		t.ParallelSolves += st.ParallelSolves
 		t.ComponentsSolved += st.ComponentsSolved
 		t.FlowsSolved += st.FlowsSolved
 		t.FlowsSkipped += st.FlowsSkipped
@@ -166,8 +164,6 @@ func (s *Server) getFleetSolver(*http.Request) (api.FleetSolverStats, error) {
 		t.Mutations += st.Mutations
 		t.Batches += st.Batches
 		t.BatchedMutations += st.BatchedMutations
-		t.WorkerBusyNs += st.WorkerBusyNs
-		t.ParallelWallNs += st.ParallelWallNs
 	}
 	return out, nil
 }

@@ -1,7 +1,6 @@
 package snap
 
 import (
-	"runtime"
 	"strings"
 	"testing"
 
@@ -210,43 +209,5 @@ func TestBatchReplayDeterminism(t *testing.T) {
 	}
 	if d != nil {
 		t.Fatal(d)
-	}
-}
-
-// replayHashTuned replays a journal on a fresh host with the solver
-// forced to the given tuning and GOMAXPROCS, returning the final state
-// hash.
-func replayHashTuned(t *testing.T, cfg Config, j Journal, threshold, workers, procs int) string {
-	t.Helper()
-	old := runtime.GOMAXPROCS(procs)
-	defer runtime.GOMAXPROCS(old)
-	s, err := NewSession(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fab := s.Manager().Fabric()
-	fab.SetSolverTuning(threshold, workers)
-	defer fab.StopSolver()
-	for _, e := range j.Entries {
-		if err := s.ReplayEntry(e); err != nil {
-			t.Fatalf("replay entry %d: %v", e.Seq, err)
-		}
-	}
-	return StateHash(s.Manager())
-}
-
-// TestReplayHashStableAcrossSolverTuning is the cross-configuration
-// determinism gate: the same journal replayed serially, with a forced
-// parallel worker pool, and under different GOMAXPROCS values must
-// produce bit-identical state hashes.
-func TestReplayHashStableAcrossSolverTuning(t *testing.T) {
-	cfg, j := batchDrive(t)
-	serial := replayHashTuned(t, cfg, j, 1<<30, 1, 1)
-	parallel1 := replayHashTuned(t, cfg, j, 1, 4, 1)
-	parallel4 := replayHashTuned(t, cfg, j, 1, 4, 4)
-	parallel8 := replayHashTuned(t, cfg, j, 1, 8, 2)
-	if parallel1 != serial || parallel4 != serial || parallel8 != serial {
-		t.Fatalf("replay hash depends on solver tuning:\n serial   %s\n par/1cpu %s\n par/4cpu %s\n par8/2   %s",
-			serial, parallel1, parallel4, parallel8)
 	}
 }
