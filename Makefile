@@ -92,8 +92,9 @@ bench-json:
 # allocation-flat as hosts grow, a built host's heap (bytes_per_host)
 # must stay within its budget, a host-pressure read must stay at 0
 # allocs/op, one fleet placement's allocations must stay flat from
-# 128 to 512 hosts, and one admission and one arbitration pass must
-# stay within theirs. The steady-state scrape (one dirty shard between
+# 128 to 512 hosts, one admission and one arbitration pass must stay
+# within theirs, and so must one virtual millisecond of 64 serial
+# hosts, counted per host (allocs_per_host_ms). The steady-state scrape (one dirty shard between
 # scrapes) is budgeted at a constant ~64 allocs/op from 16 to 256
 # hosts; the cold all-shards-dirty fold grows only with the shard
 # count, not the host count.
@@ -103,6 +104,7 @@ bench-json-obs:
 	  $(GO) test -bench 'BenchmarkFleetRollup(Cold)?/hosts=(16|64|256)$$' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkFleetBytesPerHost' -benchtime 1x -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkHostPressure' -benchtime 1000x -benchmem -run '^$$' ./internal/fleet; \
+	  $(GO) test -bench 'BenchmarkFleetRunFor/hosts=64/serial$$' -benchtime 5x -benchmem -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkFleetPlace' -benchtime 20x -benchmem -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkAdmit' -benchtime 100x -benchmem -run '^$$' ./internal/snap; \
 	  $(GO) test -bench 'BenchmarkArbitrationPass' -benchtime 1000x -benchmem -run '^$$' ./internal/arbiter; } \

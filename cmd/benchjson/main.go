@@ -125,11 +125,20 @@ var allocBudgetsByFile = map[string]map[string]int64{
 // (observed steady state is 600us: ~3 heartbeat rounds to detect and
 // localize, one planner pass to roll back, hysteresis to confirm). The
 // per-host heap budget is the observed 5.93 MB plus 5%: one event ring
-// per host, so a second copy of the trace busts it.
+// per host, so a second copy of the trace busts it. A host's virtual
+// millisecond is budgeted in heap allocations at 64 serial hosts:
+// observed 1,051 once heartbeat probes ran over resolved routes with
+// pooled completions and the monitor sweep read only utilization
+// (4,567 before), mostly one engine event per probe; the budget is
+// that plus ~40%. The same benchmark's host-ms/s is wall-clock, so it
+// is recorded, never gated.
 var metricBudgetsByFile = map[string]map[string]map[string]float64{
 	"BENCH_obs.json": {
 		"BenchmarkFleetBytesPerHost": {
 			"bytes_per_host": 6_230_000,
+		},
+		"BenchmarkFleetRunFor/hosts=64/serial": {
+			"allocs_per_host_ms": 1_470,
 		},
 	},
 	"BENCH_remedy.json": {
@@ -167,8 +176,9 @@ type File struct {
 // appends to benchmark names, so names are machine-independent keys.
 var gomaxprocsSuffix = regexp.MustCompile(`-\d+$`)
 
-// customUnit recognizes b.ReportMetric unit strings.
-var customUnit = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+// customUnit recognizes b.ReportMetric unit strings: identifiers like
+// "mttr_p50_us", and rates like "host-ms/s".
+var customUnit = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_./-]*$`)
 
 // parseBench extracts results from `go test -bench` output lines of
 // the form:
@@ -197,8 +207,8 @@ func parseBench(lines []string) (map[string]Result, error) {
 			case "allocs/op":
 				r.AllocsPerOp, err = strconv.ParseInt(v, 10, 64)
 			default:
-				// b.ReportMetric custom units: bare identifiers like
-				// "mttr_p50_us". Anything else is not a metric pair.
+				// b.ReportMetric custom units like "mttr_p50_us" or
+				// "host-ms/s". Anything else is not a metric pair.
 				if !customUnit.MatchString(unit) {
 					continue
 				}

@@ -148,3 +148,26 @@ func TestScaleTiersStayOutOfCI(t *testing.T) {
 		t.Errorf("BenchmarkHostPressure budget = %d (present %v), want 0", b, ok)
 	}
 }
+
+// TestParseBenchKeepsRateUnits: a rate unit such as host-ms/s is
+// recorded beside an identifier metric on the same line.
+func TestParseBenchKeepsRateUnits(t *testing.T) {
+	got, err := parseBench([]string{
+		"BenchmarkFleetRunFor/hosts=64/serial-2  5  38355196 ns/op  1051 allocs_per_host_ms  1669 host-ms/s  7300708 B/op  67274 allocs/op",
+	})
+	if err != nil {
+		t.Fatalf("parseBench: %v", err)
+	}
+	r := got["BenchmarkFleetRunFor/hosts=64/serial"]
+	if r.AllocsPerOp != 67274 || r.Extra["allocs_per_host_ms"] != 1051 || r.Extra["host-ms/s"] != 1669 {
+		t.Fatalf("parsed %+v", r)
+	}
+}
+
+// TestHostAdvanceAllocationsBudgeted: the CI-sized observability gate
+// carries the per-host-millisecond allocation budget.
+func TestHostAdvanceAllocationsBudgeted(t *testing.T) {
+	if _, ok := metricBudgetsByFile["BENCH_obs.json"]["BenchmarkFleetRunFor/hosts=64/serial"]["allocs_per_host_ms"]; !ok {
+		t.Fatal("BENCH_obs.json has no allocs_per_host_ms budget for BenchmarkFleetRunFor/hosts=64/serial")
+	}
+}

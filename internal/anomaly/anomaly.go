@@ -127,8 +127,17 @@ type Detection struct {
 
 // pairState is the detector's per-pair memory.
 type pairState struct {
-	pair       Pair
-	path       topology.Path
+	pair Pair
+	path topology.Path
+	// route is path resolved against the fabric, and done the probe
+	// completion callback; both are bound once, in New, so a round
+	// allocates neither.
+	route *fabric.Route
+	done  func(fabric.TxRecord)
+	// windows are the vote windows of path's links in record order
+	// (each hop's link, then its reverse), filled at the pair's first
+	// vote.
+	windows    []*linkWindow
 	calSamples []simtime.Duration
 	baseline   simtime.Duration
 	consecBad  int
@@ -148,10 +157,13 @@ type Platform struct {
 	cfg   Config
 	pairs []*pairState
 
-	ticker     *simtime.Ticker
-	round      int
-	slot       int
-	links      map[topology.LinkID]*linkWindow
+	ticker *simtime.Ticker
+	round  int
+	slot   int
+	links  map[topology.LinkID]*linkWindow
+	// windows lists links' values in creation order, for the
+	// per-round slot reset.
+	windows    []*linkWindow
 	detections []Detection
 	probesSent uint64
 
@@ -198,7 +210,13 @@ func New(fab *fabric.Fabric, pairs []Pair, cfg Config) (*Platform, error) {
 		if err != nil {
 			return nil, fmt.Errorf("anomaly: pair %s: %w", pr, err)
 		}
-		p.pairs = append(p.pairs, &pairState{pair: pr, path: path})
+		route, err := fab.ResolveRoute(pr.Src, pr.Dst, path)
+		if err != nil {
+			return nil, fmt.Errorf("anomaly: pair %s: %w", pr, err)
+		}
+		ps := &pairState{pair: pr, path: path, route: route}
+		ps.done = func(r fabric.TxRecord) { p.onResult(ps, r) }
+		p.pairs = append(p.pairs, ps)
 	}
 	return p, nil
 }
@@ -234,19 +252,17 @@ func (p *Platform) roundFn() {
 		})
 	}
 	p.slot = (p.slot + 1) % p.cfg.WindowRounds
-	for _, lw := range p.links {
+	for _, lw := range p.windows {
 		lw.bad[p.slot] = 0
 		lw.total[p.slot] = 0
 	}
 	for _, ps := range p.pairs {
-		ps := ps
 		p.probesSent++
 		err := p.fab.SendTransaction(fabric.TxOptions{
-			Tenant: fabric.SystemTenant,
-			Src:    ps.pair.Src, Dst: ps.pair.Dst,
-			Path:     ps.path,
+			Tenant:   fabric.SystemTenant,
+			Route:    ps.route,
 			ReqBytes: p.cfg.ProbeBytes, RespBytes: p.cfg.ProbeBytes,
-		}, func(r fabric.TxRecord) { p.onResult(ps, r) })
+		}, ps.done)
 		if err != nil {
 			// Treat an unroutable probe as a loss.
 			p.onResult(ps, fabric.TxRecord{Lost: true})
@@ -273,7 +289,20 @@ func (p *Platform) onResult(ps *pairState, r fabric.TxRecord) {
 	if !bad && ps.baseline > 0 {
 		bad = float64(r.RTT) > float64(ps.baseline)*p.cfg.LatencyFactor
 	}
-	p.vote(ps.path, bad)
+	if ps.windows == nil {
+		ps.windows = make([]*linkWindow, 0, 2*ps.path.Hops())
+		for _, l := range ps.path.Links {
+			ps.windows = append(ps.windows, p.window(l.ID), p.window(l.Reverse))
+		}
+	}
+	// The outcome counts on every link of the path, both directions:
+	// the response traveled the reverse.
+	for _, lw := range ps.windows {
+		lw.total[p.slot]++
+		if bad {
+			lw.bad[p.slot]++
+		}
+	}
 	if !bad {
 		ps.consecBad = 0
 		if ps.alerted {
@@ -316,27 +345,18 @@ func (p *Platform) onResult(ps *pairState, r fabric.TxRecord) {
 	}
 }
 
-// vote records a heartbeat outcome on every link of its path (both
-// directions: the response traveled the reverse).
-func (p *Platform) vote(path topology.Path, bad bool) {
-	record := func(id topology.LinkID) {
-		lw := p.links[id]
-		if lw == nil {
-			lw = &linkWindow{
-				bad:   make([]int, p.cfg.WindowRounds),
-				total: make([]int, p.cfg.WindowRounds),
-			}
-			p.links[id] = lw
+// window returns the link's vote window, creating it on first use.
+func (p *Platform) window(id topology.LinkID) *linkWindow {
+	lw := p.links[id]
+	if lw == nil {
+		lw = &linkWindow{
+			bad:   make([]int, p.cfg.WindowRounds),
+			total: make([]int, p.cfg.WindowRounds),
 		}
-		lw.total[p.slot]++
-		if bad {
-			lw.bad[p.slot]++
-		}
+		p.links[id] = lw
+		p.windows = append(p.windows, lw)
 	}
-	for _, l := range path.Links {
-		record(l.ID)
-		record(l.Reverse)
-	}
+	return lw
 }
 
 // Suspects returns the current localization ranking: links whose

@@ -99,6 +99,11 @@ type linkState struct {
 	// the port's config says "translate".
 	inboundRootPort *topology.Component // the root port, or nil
 
+	// moderatingNIC marks inter-host links into a NIC; traffic
+	// entering it pays the NIC's interrupt moderation, read live from
+	// its config on every transaction (see traverse).
+	moderatingNIC *topology.Component // the NIC, or nil
+
 	// Per-tenant rate caps installed by the arbiter.
 	caps map[TenantID]topology.Rate
 
@@ -210,7 +215,12 @@ type Fabric struct {
 	scr maxminScratch
 
 	// sniffers receive a copy of every transaction record (ihdiag sniff).
-	sniffers []func(TxRecord)
+	sniffers []*func(TxRecord)
+
+	// txFree holds delivered transactions for reuse (see newTxn);
+	// txRoute is the scratch route an unpinned send resolves into.
+	txFree  []*txn
+	txRoute *Route
 
 	// capacityHook runs after any link's effective capacity changes
 	// (see OnCapacityChange); nil when unset.
@@ -249,8 +259,15 @@ func New(topo *topology.Topology, engine *simtime.Engine, cfg Config) *Fabric {
 				inbound = to
 			}
 		}
+		var nic *topology.Component
+		if l.Class == topology.ClassInterHost {
+			if to := topo.Component(l.To); to != nil && to.Kind == topology.KindNIC {
+				nic = to
+			}
+		}
 		f.links[l.ID] = &linkState{
 			inboundRootPort: inbound,
+			moderatingNIC:   nic,
 			link:            l,
 			capacity:        cap,
 			caps:            make(map[TenantID]topology.Rate),

@@ -29,27 +29,29 @@ type LinkStats struct {
 // accumulators' fold boundaries; see projectLinkBytes).
 func (f *Fabric) linkStats(ls *linkState, now simtime.Time) LinkStats {
 	total, tb := f.projectLinkBytes(ls, now)
-	util := 0.0
-	if ls.capacity > 0 {
-		util = float64(ls.currentRate) / float64(ls.capacity)
-		if util > 1 {
-			util = 1
-		}
-	}
-	if ls.failed {
-		util = 1
-	}
 	return LinkStats{
 		Link:        ls.link.ID,
 		Class:       ls.link.Class,
 		Capacity:    ls.capacity,
 		CurrentRate: ls.currentRate,
-		Utilization: util,
+		Utilization: ls.utilization(),
 		TotalBytes:  total,
 		TenantBytes: tb,
 		Flows:       len(ls.flows),
 		Failed:      ls.failed,
 	}
+}
+
+// utilization is the link's allocated share of its effective
+// capacity, clamped to 1; a failed link reads 1.
+func (ls *linkState) utilization() float64 {
+	if ls.failed {
+		return 1
+	}
+	if ls.capacity <= 0 {
+		return 0
+	}
+	return min(float64(ls.currentRate)/float64(ls.capacity), 1)
 }
 
 // LinkStatsFor returns a settled snapshot of one link.
@@ -71,6 +73,29 @@ func (f *Fabric) AllLinkStats() []LinkStats {
 		out = append(out, f.linkStats(ls, now))
 	}
 	return out
+}
+
+// LinkIDs returns every directed link's ID in the order AllLinkStats
+// and AppendUtilizations report them. The slice is the caller's.
+func (f *Fabric) LinkIDs() []topology.LinkID {
+	out := make([]topology.LinkID, len(f.linkList))
+	for i, ls := range f.linkList {
+		out[i] = ls.link.ID
+	}
+	return out
+}
+
+// AppendUtilizations appends every link's settled utilization, in
+// LinkIDs order, to dst and returns the extended slice: the one field
+// of AllLinkStats a watermark sweep reads, without building the
+// per-tenant byte maps. A caller that passes its own buffer back in
+// reads the fabric without allocating.
+func (f *Fabric) AppendUtilizations(dst []float64) []float64 {
+	f.recomputeIfDirty()
+	for _, ls := range f.linkList {
+		dst = append(dst, ls.utilization())
+	}
+	return dst
 }
 
 // FlowStats is a settled snapshot of one active flow — the fabric's

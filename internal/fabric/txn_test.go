@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/simtime"
@@ -200,5 +201,32 @@ func TestSerializationDominatesLargeTransfer(t *testing.T) {
 	e.Run()
 	if large <= small {
 		t.Fatalf("1000B RTT %v not above 1B RTT %v", large, small)
+	}
+}
+
+func TestSnifferDetachRemovesEntry(t *testing.T) {
+	f, e, _ := newLineFabric()
+	var first, last []uint64
+	f.AttachSniffer(func(r TxRecord) { first = append(first, r.ID) })
+	for i := 0; i < 1000; i++ {
+		detach := f.AttachSniffer(func(TxRecord) { t.Fatal("detached sniffer called") })
+		detach()
+		detach() // a second detach is a no-op
+	}
+	if len(f.sniffers) != 1 {
+		t.Fatalf("%d sniffers attached after 1000 attach/detach cycles, want 1", len(f.sniffers))
+	}
+	// A sniffer detaching itself from inside a delivery leaves the rest
+	// of that delivery's walk intact.
+	var selfDetach func()
+	var mid []uint64
+	selfDetach = f.AttachSniffer(func(r TxRecord) { mid = append(mid, r.ID); selfDetach() })
+	f.AttachSniffer(func(r TxRecord) { last = append(last, r.ID) })
+	for i := 0; i < 3; i++ {
+		_ = f.SendTransaction(TxOptions{Tenant: "t", Src: "a", Dst: "c"}, nil)
+	}
+	e.Run()
+	if !slices.Equal(first, []uint64{1, 2, 3}) || !slices.Equal(last, []uint64{1, 2, 3}) || !slices.Equal(mid, []uint64{1}) {
+		t.Fatalf("sniffers saw first %v, last %v, self-detaching %v", first, last, mid)
 	}
 }

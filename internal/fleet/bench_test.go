@@ -29,19 +29,29 @@ func benchFleet(b *testing.B, n int) *Fleet {
 // at 1024 and 10000 hosts (where a single global barrier would make
 // every epoch wait on the slowest of 10k hosts). The serial/parallel
 // ratio at a given host count is the runner's speedup (the CI
-// acceptance bar is >= 4x at 64 hosts on a multi-core runner).
+// acceptance bar is >= 4x at 64 hosts on a multi-core runner). The
+// serial tiers report allocs_per_host_ms, the heap allocations of one
+// host's virtual millisecond, which BENCH_obs.json budgets at 64
+// hosts.
 func BenchmarkFleetRunFor(b *testing.B) {
 	for _, hosts := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("hosts=%d/serial", hosts), func(b *testing.B) {
 			f := benchFleet(b, hosts)
 			r := newRunner(f, runnerConfig{Workers: 1})
+			b.ReportAllocs()
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, err := r.RunFor(context.Background(), simtime.Millisecond); err != nil {
 					b.Fatal(err)
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
 			b.ReportMetric(float64(hosts)*float64(b.N)/b.Elapsed().Seconds(), "host-ms/s")
+			// One op is one virtual millisecond of every host.
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(b.N)/float64(hosts), "allocs_per_host_ms")
 		})
 		b.Run(fmt.Sprintf("hosts=%d/parallel", hosts), func(b *testing.B) {
 			f := benchFleet(b, hosts)

@@ -85,9 +85,21 @@ type Monitor struct {
 
 	ticker   *simtime.Ticker
 	baseline map[topology.CompID]map[string]string
-	above    map[topology.LinkID]bool // links currently above watermark
 	alerts   []Alert
 	sweeps   uint64
+
+	// links, util and above are indexed alike, in the fabric's link
+	// order: util is the sweep's reused read buffer, above marks the
+	// links currently above the watermark.
+	links []topology.LinkID
+	util  []float64
+	above []bool
+	// comps is the topology's component list (fixed; only configs
+	// change), gens each component's ConfigGen as the drift pass last
+	// read it, and keys the drift pass's reused key buffer.
+	comps []*topology.Component
+	gens  []uint64
+	keys  []string
 }
 
 // New builds a monitor over the fabric. Call Start to begin sweeping.
@@ -101,10 +113,16 @@ func New(fab *fabric.Fabric, opts Options) (*Monitor, error) {
 	if opts.AlertCapacity <= 0 {
 		opts.AlertCapacity = 1024
 	}
+	links := fab.LinkIDs()
+	comps := fab.Topology().Components()
 	return &Monitor{
 		fab:   fab,
 		opts:  opts,
-		above: make(map[topology.LinkID]bool),
+		links: links,
+		util:  make([]float64, 0, len(links)),
+		above: make([]bool, len(links)),
+		comps: comps,
+		gens:  make([]uint64, len(comps)),
 	}, nil
 }
 
@@ -114,7 +132,7 @@ func (m *Monitor) Start() error {
 	if m.ticker != nil {
 		return fmt.Errorf("monitor: already started")
 	}
-	m.baseline = m.snapshotConfig()
+	m.snapshotConfig()
 	m.ticker = m.fab.Engine().Every(m.opts.CheckPeriod, m.sweep)
 	return nil
 }
@@ -130,9 +148,12 @@ func (m *Monitor) Stop() {
 // Sweeps returns how many monitoring sweeps have run.
 func (m *Monitor) Sweeps() uint64 { return m.sweeps }
 
-func (m *Monitor) snapshotConfig() map[topology.CompID]map[string]string {
-	out := make(map[topology.CompID]map[string]string)
-	for _, c := range m.fab.Topology().Components() {
+// snapshotConfig takes every component's configuration as the drift
+// baseline.
+func (m *Monitor) snapshotConfig() {
+	m.baseline = make(map[topology.CompID]map[string]string)
+	for i, c := range m.comps {
+		m.gens[i] = c.ConfigGen()
 		if len(c.Config) == 0 {
 			continue
 		}
@@ -140,9 +161,8 @@ func (m *Monitor) snapshotConfig() map[topology.CompID]map[string]string {
 		for k, v := range c.Config {
 			cp[k] = v
 		}
-		out[c.ID] = cp
+		m.baseline[c.ID] = cp
 	}
-	return out
 }
 
 // sweep performs one monitoring pass: watermark checks and config
@@ -150,27 +170,33 @@ func (m *Monitor) snapshotConfig() map[topology.CompID]map[string]string {
 func (m *Monitor) sweep() {
 	m.sweeps++
 	now := m.fab.Engine().Now()
-	for _, st := range m.fab.AllLinkStats() {
-		wasAbove := m.above[st.Link]
-		isAbove := st.Utilization >= m.opts.CongestionWatermark
-		if isAbove && !wasAbove {
-			m.addAlert(Alert{At: now, Kind: AlertCongestion, Link: st.Link, Utilization: st.Utilization})
+	m.util = m.fab.AppendUtilizations(m.util[:0])
+	for i, u := range m.util {
+		isAbove := u >= m.opts.CongestionWatermark
+		if isAbove && !m.above[i] {
+			m.addAlert(Alert{At: now, Kind: AlertCongestion, Link: m.links[i], Utilization: u})
 		}
-		m.above[st.Link] = isAbove
+		m.above[i] = isAbove
 	}
 	// Config drift: compare against baseline and then adopt changes
 	// (each drift alerts once). Keys are visited in sorted order so
 	// multiple drifts caught by one sweep always alert identically —
 	// alert history is part of the deterministic state the snap
-	// divergence checker hashes.
-	for _, c := range m.fab.Topology().Components() {
-		base := m.baseline[c.ID]
-		keys := make([]string, 0, len(c.Config))
-		for k := range c.Config {
-			keys = append(keys, k)
+	// divergence checker hashes. A component whose ConfigGen has not
+	// moved since the last pass cannot have drifted.
+	for i, c := range m.comps {
+		g := c.ConfigGen()
+		if g == m.gens[i] {
+			continue
 		}
-		sort.Strings(keys)
-		for _, k := range keys {
+		m.gens[i] = g
+		base := m.baseline[c.ID]
+		m.keys = m.keys[:0]
+		for k := range c.Config {
+			m.keys = append(m.keys, k)
+		}
+		sort.Strings(m.keys)
+		for _, k := range m.keys {
 			v := c.Config[k]
 			old, had := base[k]
 			if !had || old != v {

@@ -105,8 +105,13 @@ type Component struct {
 	// Config holds the component's manageability-relevant settings
 	// (the dashed "Configuration" box of Figure 1): DDIO on/off, IOMMU
 	// mode, interrupt moderation, PCIe max payload size, and so on.
-	// The monitor watches this registry for drift.
+	// The monitor watches this registry for drift. Once the component
+	// is built, write it only through SetConfig: the monitor reads a
+	// component's entries again only when ConfigGen has moved.
 	Config map[string]string
+
+	// configGen counts SetConfig calls.
+	configGen uint64
 }
 
 // SetConfig sets one configuration key, allocating the map if needed.
@@ -115,7 +120,13 @@ func (c *Component) SetConfig(key, value string) {
 		c.Config = make(map[string]string)
 	}
 	c.Config[key] = value
+	c.configGen++
 }
+
+// ConfigGen returns how many times SetConfig has run on the
+// component: a watcher that saw the same count last time knows the
+// configuration has not changed since, without reading it.
+func (c *Component) ConfigGen() uint64 { return c.configGen }
 
 // ConfigValue returns the configuration value for key and whether it
 // is set.
