@@ -77,7 +77,7 @@ func E5AttributionAccuracy(seed int64) (Table, error) {
 	}
 	// Interception reads the fabric's per-tenant accounting directly.
 	src := telemetry.NewInterceptSource(fab)
-	pts := src.Collect()
+	pts := src.Collect(nil)
 	est := make(map[fabric.TenantID]float64)
 	for _, p := range pts {
 		if p.Link == link && p.Metric == telemetry.MetricBytes && p.Tenant != "" {

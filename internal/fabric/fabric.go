@@ -167,6 +167,13 @@ type Fabric struct {
 	tenantSlots map[TenantID]int32
 	tenantList  []TenantID
 
+	// Scratch of EachLinkBytes: per-tenant-slot sums and marks, the
+	// slots one link touched, and the tenants handed to the caller.
+	projAcc     []float64
+	projSeen    []bool
+	projTouched []int32
+	projBytes   []TenantBytes
+
 	// fill is the solver's per-flow filling state, indexed by each
 	// flow's stable slot (Flow.slot, allocated from freeSlots). Keeping
 	// it as one dense 24-byte-per-flow arena — rather than fields

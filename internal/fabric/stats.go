@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strings"
 
 	"repro/internal/simtime"
 	"repro/internal/topology"
@@ -96,6 +97,58 @@ func (f *Fabric) AppendUtilizations(dst []float64) []float64 {
 		dst = append(dst, ls.utilization())
 	}
 	return dst
+}
+
+// TenantBytes is one tenant's cumulative bytes on one link.
+type TenantBytes struct {
+	Tenant TenantID
+	Bytes  float64
+}
+
+// EachLinkBytes calls fn for every link, in LinkIDs order, with its
+// settled utilization and its per-tenant cumulative bytes projected to
+// now, sorted by tenant: the Utilization and TenantBytes of
+// AllLinkStats, bit for bit, without building a map per link. tenants
+// is a buffer the fabric reuses; fn must not keep it, and must not
+// change the fabric.
+func (f *Fabric) EachLinkBytes(fn func(link topology.LinkID, util float64, tenants []TenantBytes)) {
+	f.recomputeIfDirty()
+	now := f.engine.Now()
+	if n := len(f.tenantList); len(f.projAcc) < n {
+		f.projAcc = make([]float64, n)
+		f.projSeen = make([]bool, n)
+	}
+	acc, seen := f.projAcc, f.projSeen
+	for _, ls := range f.linkList {
+		// Same sums in the same order as projectLinkBytes: each
+		// tenant starts from its settled bytes and adds its flows'
+		// unsettled bytes in flow-ID order.
+		touched := f.projTouched[:0]
+		for slot, b := range ls.tenantBytes {
+			if b != 0 {
+				acc[slot], seen[slot] = b, true
+				touched = append(touched, int32(slot))
+			}
+		}
+		if dt := now.Sub(ls.lastUpdate).Seconds(); dt > 0 {
+			for _, sl := range ls.memSlots {
+				t := f.slotTenant[sl]
+				if !seen[t] {
+					acc[t], seen[t] = 0, true
+					touched = append(touched, t)
+				}
+				acc[t] += f.slotRate[sl] * dt
+			}
+		}
+		tb := f.projBytes[:0]
+		for _, t := range touched {
+			tb = append(tb, TenantBytes{Tenant: f.tenantList[t], Bytes: acc[t]})
+			seen[t] = false
+		}
+		slices.SortFunc(tb, func(a, b TenantBytes) int { return strings.Compare(string(a.Tenant), string(b.Tenant)) })
+		f.projTouched, f.projBytes = touched, tb
+		fn(ls.link.ID, ls.utilization(), tb)
+	}
 }
 
 // FlowStats is a settled snapshot of one active flow — the fabric's

@@ -54,6 +54,7 @@ type Pipeline struct {
 	ticker *simtime.Ticker
 
 	spool       *fabric.Flow
+	pts         []Point // the collect buffer, reused every period
 	collections uint64
 	points      uint64
 	stale       uint64
@@ -153,7 +154,8 @@ func (p *Pipeline) installSpool() error {
 
 // collect runs one collection cycle.
 func (p *Pipeline) collect() {
-	pts := p.src.Collect()
+	pts := p.src.Collect(p.pts[:0])
+	p.pts = pts
 	p.collections++
 	p.points += uint64(len(pts))
 	for _, pt := range pts {

@@ -31,7 +31,7 @@ func (s *CounterSource) CostPerPoint() simtime.Duration { return 50 * simtime.Na
 
 // Collect reads every link counter. Points carry no tenant labels —
 // hardware counters cannot attribute traffic.
-func (s *CounterSource) Collect() []Point {
+func (s *CounterSource) Collect(out []Point) []Point {
 	now := s.fab.Engine().Now()
 	snap := s.bank.Snapshot()
 	ids := make([]string, 0, len(snap))
@@ -39,7 +39,6 @@ func (s *CounterSource) Collect() []Point {
 		ids = append(ids, string(id))
 	}
 	sort.Strings(ids)
-	out := make([]Point, 0, len(ids))
 	for _, id := range ids {
 		lid := topology.LinkID(id)
 		sm := snap[lid]
@@ -75,25 +74,15 @@ func (s *InterceptSource) Name() string { return "intercept" }
 func (s *InterceptSource) CostPerPoint() simtime.Duration { return 400 * simtime.Nanosecond }
 
 // Collect emits, for every link: an aggregate utilization point and a
-// per-tenant cumulative bytes point for each tenant seen on the link.
-func (s *InterceptSource) Collect() []Point {
+// per-tenant cumulative bytes point for each tenant seen on the link,
+// in tenant order.
+func (s *InterceptSource) Collect(out []Point) []Point {
 	now := s.fab.Engine().Now()
-	var out []Point
-	for _, st := range s.fab.AllLinkStats() {
-		out = append(out, Point{
-			At: now, Link: st.Link, Metric: MetricUtilization, Value: st.Utilization,
-		})
-		tenants := make([]string, 0, len(st.TenantBytes))
-		for t := range st.TenantBytes {
-			tenants = append(tenants, string(t))
+	s.fab.EachLinkBytes(func(link topology.LinkID, util float64, tenants []fabric.TenantBytes) {
+		out = append(out, Point{At: now, Link: link, Metric: MetricUtilization, Value: util})
+		for _, tb := range tenants {
+			out = append(out, Point{At: now, Link: link, Tenant: tb.Tenant, Metric: MetricBytes, Value: tb.Bytes})
 		}
-		sort.Strings(tenants)
-		for _, t := range tenants {
-			out = append(out, Point{
-				At: now, Link: st.Link, Tenant: fabric.TenantID(t),
-				Metric: MetricBytes, Value: st.TenantBytes[fabric.TenantID(t)],
-			})
-		}
-	}
+	})
 	return out
 }

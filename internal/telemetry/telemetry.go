@@ -48,9 +48,11 @@ const encodedPointBytes = 48
 type Source interface {
 	// Name identifies the source ("counters", "intercept").
 	Name() string
-	// Collect returns the current points. Implementations must be
+	// Collect appends the current points to dst and returns the
+	// extended slice, so a caller that passes its buffer back in
+	// collects without allocating. Implementations must be
 	// deterministic given the fabric state.
-	Collect() []Point
+	Collect(dst []Point) []Point
 	// CostPerPoint is the modeled CPU time spent producing one point
 	// (software interception is more expensive than reading a
 	// hardware counter block).

@@ -108,7 +108,7 @@ func TestInterceptSourceSeesTenants(t *testing.T) {
 	if src.Name() != "intercept" {
 		t.Fatal("name wrong")
 	}
-	pts := src.Collect()
+	pts := src.Collect(nil)
 	tenants := make(map[fabric.TenantID]bool)
 	for _, p := range pts {
 		if p.Tenant != "" {
@@ -128,7 +128,7 @@ func TestCounterSourceAggregateOnly(t *testing.T) {
 	}
 	e.RunFor(simtime.Millisecond)
 	src := NewCounterSource(fab, bank)
-	pts := src.Collect()
+	pts := src.Collect(nil)
 	if len(pts) != fab.Topology().NumLinks() {
 		t.Fatalf("counter source %d points, want one per link (%d)", len(pts), fab.Topology().NumLinks())
 	}
