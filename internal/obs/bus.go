@@ -24,14 +24,18 @@ type BusEvent struct {
 // reconnecting subscriber resumes from any sequence the ring still
 // holds.
 //
-// The zero Bus is not usable; NewBus allocates everything up front so
-// Publish performs no allocation.
+// The ring holds only what it stores: its slots live in fixed-size
+// chunks allocated, never copied, as the first pass over the ring
+// reaches them. Publish allocates only when it opens a chunk, so at
+// most capacity/busChunk times over the bus's life. The zero Bus is
+// not usable; use NewBus.
 type Bus struct {
-	mu     sync.Mutex
-	seq    uint64
-	ring   []BusEvent // indexed by seq % len
-	subs   []*Subscription
-	closed bool
+	mu       sync.Mutex
+	seq      uint64
+	capacity uint64
+	chunks   [][]BusEvent // the ring; see slot
+	subs     []*Subscription
+	closed   bool
 
 	// parent, when set, receives a copy of every event, stamped with
 	// host (the fleet stream's fan-in).
@@ -42,12 +46,26 @@ type Bus struct {
 	dropped uint64
 }
 
-// NewBus returns a bus retaining up to capacity events.
+// busChunk is how many ring slots a bus allocates at a time (7.5 KiB
+// of events: a built host holds about ten); a power of two so a slot
+// index splits into chunk and offset with a shift and a mask.
+const (
+	busChunkShift = 6
+	busChunk      = 1 << busChunkShift
+)
+
+// NewBus returns a bus retaining up to capacity events. It allocates
+// no ring slots until events arrive.
 func NewBus(capacity int) *Bus {
-	if capacity <= 0 {
-		capacity = 1
-	}
-	return &Bus{ring: make([]BusEvent, capacity)}
+	return &Bus{capacity: uint64(max(capacity, 1))}
+}
+
+// slot returns the ring slot that holds sequence number seq. Sequence
+// numbers start at 1, so the first pass fills slots, and opens
+// chunks, in order.
+func (b *Bus) slot(seq uint64) *BusEvent {
+	i := (seq - 1) % b.capacity
+	return &b.chunks[i>>busChunkShift][i&(busChunk-1)]
 }
 
 // SetDropCounter wires the counter incremented whenever a subscriber
@@ -75,7 +93,8 @@ func (b *Bus) ForwardTo(parent *Bus, host string) {
 }
 
 // Publish stamps ev with the next bus sequence number and writes it
-// to the ring. It never blocks and never allocates.
+// to the ring. It never blocks, and allocates only when it opens a
+// ring chunk.
 func (b *Bus) Publish(ev Event) {
 	if b != nil {
 		b.publish(ev, false)
@@ -93,10 +112,12 @@ func (b *Bus) publish(ev Event, stampSeq bool) {
 		ev.Seq = b.seq
 	}
 	b.seq++
-	n := uint64(len(b.ring))
-	b.ring[b.seq%n] = BusEvent{Seq: b.seq, Event: ev}
+	if b.seq <= b.capacity && (b.seq-1)&(busChunk-1) == 0 {
+		b.chunks = append(b.chunks, make([]BusEvent, min(busChunk, b.capacity-b.seq+1)))
+	}
+	*b.slot(b.seq) = BusEvent{Seq: b.seq, Event: ev}
 	for _, s := range b.subs {
-		if s.next+n <= b.seq {
+		if s.next+b.capacity <= b.seq {
 			s.next++
 			s.dropped++
 			b.dropped++
@@ -122,28 +143,10 @@ func (b *Bus) publish(ev Event, stampSeq bool) {
 // oldest returns the sequence number of the oldest retained event
 // (seq+1 when nothing has been published). Caller holds b.mu.
 func (b *Bus) oldest() uint64 {
-	if n := uint64(len(b.ring)); b.seq > n {
-		return b.seq - n + 1
+	if b.seq > b.capacity {
+		return b.seq - b.capacity + 1
 	}
 	return 1
-}
-
-// retained returns the retained events with sequence >= from, oldest
-// first, as at most two slices of the ring — the one read path shared
-// by subscription drains and trace export. Caller holds b.mu and must
-// copy before releasing it.
-func (b *Bus) retained(from uint64) (head, tail []BusEvent) {
-	from = max(from, b.oldest())
-	if from > b.seq {
-		return nil, nil
-	}
-	n := uint64(len(b.ring))
-	count := b.seq - from + 1
-	start := from % n
-	if start+count <= n {
-		return b.ring[start : start+count], nil
-	}
-	return b.ring[start:], b.ring[:start+count-n]
 }
 
 // Seq returns the sequence number of the most recently published
@@ -259,13 +262,16 @@ func (s *Subscription) Drain() []BusEvent {
 	b := s.bus
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	head, tail := b.retained(s.next)
+	first := max(s.next, b.oldest())
 	s.next = b.seq + 1
-	if len(head) == 0 {
+	if first > b.seq {
 		return nil
 	}
-	out := make([]BusEvent, 0, len(head)+len(tail))
-	return append(append(out, head...), tail...)
+	out := make([]BusEvent, 0, b.seq-first+1)
+	for q := first; q <= b.seq; q++ {
+		out = append(out, *b.slot(q))
+	}
+	return out
 }
 
 // Dropped returns how many events this subscriber lost to overwrite.

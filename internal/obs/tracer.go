@@ -260,7 +260,7 @@ func (t *Tracer) Capacity() int {
 	if t == nil {
 		return 0
 	}
-	return len(t.bus.ring)
+	return int(t.bus.capacity)
 }
 
 // Snapshot returns the retained events, oldest first.
@@ -271,12 +271,10 @@ func (t *Tracer) Snapshot() []Event {
 	b := t.bus
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	head, tail := b.retained(1)
-	out := make([]Event, 0, len(head)+len(tail))
-	for _, part := range [2][]BusEvent{head, tail} {
-		for i := range part {
-			out = append(out, part[i].Event)
-		}
+	first := b.oldest()
+	out := make([]Event, 0, b.seq+1-first)
+	for q := first; q <= b.seq; q++ {
+		out = append(out, b.slot(q).Event)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ package telemetry
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/fabric"
 	"repro/internal/simtime"
@@ -40,8 +41,11 @@ type Point struct {
 	Stale bool
 }
 
-// encodedPointBytes is the on-wire/in-memory footprint of one point,
-// used to charge bandwidth for non-local placements.
+// encodedPointBytes is the modelled wire size of one point: what the
+// pipeline charges the fabric per point spooled to host memory or
+// shipped to a remote sink. It is not the in-memory footprint (a ring
+// entry is 24 bytes), and it stays fixed because it feeds the
+// simulation.
 const encodedPointBytes = 48
 
 // Source produces telemetry points when polled.
@@ -76,71 +80,141 @@ const (
 	PlaceRemote Placement = "remote"
 )
 
+// ringChunk is how many entries a ring store allocates at a time
+// (96 KiB of 24-byte entries); a power of two so an index splits into
+// chunk and offset with a shift and a mask.
+const (
+	ringChunkShift = 12
+	ringChunk      = 1 << ringChunkShift
+)
+
 // RingStore is a bounded ring buffer of points — the monitor's working
-// set is explicitly finite (Q2: storage is a real resource).
+// set is explicitly finite (Q2: storage is a real resource). It holds
+// only what it stores: entries live in fixed-size chunks allocated as
+// the ring fills, never copied, up to the capacity. Once full, each
+// Add evicts the oldest entry.
+//
+// Entries are compact and pointer-free (a point's link, tenant and
+// metric are one index into the store's series table), so the garbage
+// collector never scans the ring; reads convert them back to Points.
 type RingStore struct {
-	buf     []Point
-	next    int
-	full    bool
-	dropped uint64
+	chunks   [][]entry
+	capacity int
+	n        int // stored entries
+	next     int // physical slot of the oldest entry once full
+	dropped  uint64
+	series   seriesTable
 }
 
-// NewRingStore allocates a store holding at most capacity points.
+// entry is a Point as the ring stores it: 24 bytes, no pointers.
+type entry struct {
+	At     simtime.Time
+	Value  float64
+	series uint32
+	Stale  bool
+}
+
+// series is what a point measures: its link, tenant and metric.
+type series struct {
+	link   topology.LinkID
+	tenant fabric.TenantID
+	metric Metric
+}
+
+// seriesTable numbers the series a store has seen. It only grows: an
+// index stays valid for as long as any entry may carry it. A source
+// emits its series in the same order every collection, so the table
+// remembers which series followed each one last time and tries that
+// before the map: in steady state a point costs one comparison.
+type seriesTable struct {
+	keys []series
+	succ []uint32 // succ[i]: the series that followed series i last time
+	idx  map[series]uint32
+	last uint32
+}
+
+func (t *seriesTable) index(k *series) uint32 {
+	if len(t.keys) > 0 {
+		i := t.succ[t.last]
+		if s := &t.keys[i]; s.link == k.link && s.metric == k.metric && s.tenant == k.tenant {
+			t.last = i
+			return i
+		}
+	}
+	i, ok := t.idx[*k]
+	if !ok {
+		i = uint32(len(t.keys))
+		t.keys = append(t.keys, *k)
+		t.succ = append(t.succ, i)
+		t.idx[*k] = i
+	}
+	t.succ[t.last] = i
+	t.last = i
+	return i
+}
+
+// NewRingStore returns a store holding at most capacity points. It
+// allocates no entries until points arrive.
 func NewRingStore(capacity int) (*RingStore, error) {
 	if capacity <= 0 {
 		return nil, fmt.Errorf("telemetry: non-positive ring capacity")
 	}
-	return &RingStore{buf: make([]Point, 0, capacity)}, nil
+	return &RingStore{capacity: capacity, series: seriesTable{idx: make(map[series]uint32)}}, nil
 }
 
-// Add appends a point, evicting the oldest when full.
+// Add appends a point, evicting the oldest when full. Points must
+// arrive in nondecreasing At order, as the pipeline's collections do:
+// Since relies on it.
 func (r *RingStore) Add(p Point) {
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, p)
-		return
+	var e *entry
+	if r.n < r.capacity {
+		if r.n&(ringChunk-1) == 0 {
+			r.chunks = append(r.chunks, make([]entry, min(ringChunk, r.capacity-r.n)))
+		}
+		e = r.slot(r.n)
+		r.n++
+	} else {
+		r.dropped++
+		e = r.slot(r.next)
+		if r.next++; r.next == r.capacity {
+			r.next = 0
+		}
 	}
-	r.full = true
-	r.dropped++
-	r.buf[r.next] = p
-	r.next = (r.next + 1) % cap(r.buf)
+	// Field by field: a composite literal is built on the stack and
+	// copied with wide loads that stall on store forwarding.
+	e.At, e.Value, e.Stale = p.At, p.Value, p.Stale
+	e.series = r.series.index(&series{p.Link, p.Tenant, p.Metric})
+}
+
+// slot returns the entry at physical index i.
+func (r *RingStore) slot(i int) *entry {
+	return &r.chunks[i>>ringChunkShift][i&(ringChunk-1)]
+}
+
+// at returns the k-th oldest entry.
+func (r *RingStore) at(k int) *entry {
+	if k += r.next; k >= r.n {
+		k -= r.n
+	}
+	return r.slot(k)
 }
 
 // Len returns the number of stored points.
-func (r *RingStore) Len() int { return len(r.buf) }
+func (r *RingStore) Len() int { return r.n }
 
 // Dropped returns how many points have been evicted.
 func (r *RingStore) Dropped() uint64 { return r.dropped }
 
-// Since returns all stored points with At >= t, oldest first.
+// Since returns the stored points with At >= t, oldest first. Entries
+// are in At order, so it binary-searches the cutoff and converts only
+// the points it returns.
 func (r *RingStore) Since(t simtime.Time) []Point {
-	out := make([]Point, 0, len(r.buf))
-	for _, p := range r.inOrder() {
-		if p.At >= t {
-			out = append(out, p)
-		}
+	first := sort.Search(r.n, func(k int) bool { return r.at(k).At >= t })
+	out := make([]Point, 0, r.n-first)
+	for k := first; k < r.n; k++ {
+		e := r.at(k)
+		s := r.series.keys[e.series]
+		out = append(out, Point{At: e.At, Link: s.link, Tenant: s.tenant, Metric: s.metric, Value: e.Value, Stale: e.Stale})
 	}
-	return out
-}
-
-// Latest returns the most recent point matching link/metric (and
-// tenant, when tenant is non-empty), or false.
-func (r *RingStore) Latest(link topology.LinkID, metric Metric, tenant fabric.TenantID) (Point, bool) {
-	ordered := r.inOrder()
-	for i := len(ordered) - 1; i >= 0; i-- {
-		p := ordered[i]
-		if p.Link == link && p.Metric == metric && (tenant == "" || p.Tenant == tenant) {
-			return p, true
-		}
-	}
-	return Point{}, false
-}
-
-func (r *RingStore) inOrder() []Point {
-	if !r.full {
-		return r.buf
-	}
-	out := make([]Point, 0, len(r.buf))
-	out = append(out, r.buf[r.next:]...)
-	out = append(out, r.buf[:r.next]...)
 	return out
 }

@@ -10,7 +10,7 @@ import (
 	"repro/internal/topology"
 )
 
-func newFab(t *testing.T) (*fabric.Fabric, *simtime.Engine) {
+func newFab(t testing.TB) (*fabric.Fabric, *simtime.Engine) {
 	t.Helper()
 	e := simtime.NewEngine(5)
 	topo := topology.MinimalHost()
@@ -50,24 +50,6 @@ func TestRingStoreBasics(t *testing.T) {
 	}
 	if got := r.Since(3); len(got) != 1 {
 		t.Fatalf("Since(3) = %d points", len(got))
-	}
-}
-
-func TestRingStoreLatest(t *testing.T) {
-	r, _ := NewRingStore(10)
-	r.Add(Point{At: 1, Link: "a", Tenant: "t1", Metric: MetricBytes, Value: 10})
-	r.Add(Point{At: 2, Link: "a", Tenant: "t2", Metric: MetricBytes, Value: 20})
-	r.Add(Point{At: 3, Link: "a", Tenant: "t1", Metric: MetricBytes, Value: 30})
-	p, ok := r.Latest("a", MetricBytes, "t1")
-	if !ok || p.Value != 30 {
-		t.Fatalf("Latest t1 = %+v, %v", p, ok)
-	}
-	p, ok = r.Latest("a", MetricBytes, "")
-	if !ok || p.Value != 30 {
-		t.Fatalf("Latest any = %+v, %v", p, ok)
-	}
-	if _, ok := r.Latest("b", MetricBytes, ""); ok {
-		t.Fatal("Latest found absent link")
 	}
 }
 
