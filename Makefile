@@ -15,8 +15,8 @@ all: check
 #   store-smoke       one 1024-host recording ihnetd       466 MB ->  700 MB
 #   bench-json-obs    the 512-host placement tier          167 MB ->  250 MB
 #   bench-json-scale  the 10000-host sharded RunFor tier   not re-measured: 64000 MB
-# fleet-smoke now fits a hosted CI runner, but CI still runs it, with
-# bench-json-scale, only when dispatched by hand. A machine without
+# fleet-smoke fits a hosted CI runner and runs in CI's check job;
+# bench-json-scale runs only when dispatched by hand. A machine without
 # /proc/meminfo skips the check.
 #
 # $(call mem_preflight,target,need_mb)
@@ -88,8 +88,10 @@ bench-json:
 
 # Same trajectory gate for the observability pipeline, sized for a CI
 # runner (at most 512 hosts alive at once): the event-bus publish path
-# (with and without fan-out) must stay at 0 allocs/op — it runs inside
-# the simulation hot loop — the fleet roll-up must stay
+# (with and without fan-out) and the engine's schedule-and-run path
+# must stay at 0 allocs/op — both run inside the simulation hot loop,
+# and their benchmarks warm up before they measure, so a per-op count
+# of 0 is the steady state — the fleet roll-up must stay
 # allocation-flat as hosts grow, a built host's heap (bytes_per_host)
 # must stay within its budget, a host-pressure read must stay at 0
 # allocs/op, one fleet placement's allocations must stay flat from
@@ -102,6 +104,7 @@ bench-json:
 bench-json-obs:
 	$(call mem_preflight,bench-json-obs,250)
 	{ $(GO) test -bench 'BenchmarkBusPublish' -benchtime 100x -benchmem -run '^$$' ./internal/obs; \
+	  $(GO) test -bench 'BenchmarkScheduleRun' -benchtime 100000x -benchmem -run '^$$' ./internal/simtime; \
 	  $(GO) test -bench 'BenchmarkFleetRollup(Cold)?/hosts=(16|64|256)$$' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkFleetBytesPerHost' -benchtime 1x -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkHostPressure' -benchtime 1000x -benchmem -run '^$$' ./internal/fleet; \
@@ -129,8 +132,8 @@ bench-json-scale:
 # epoch engine under two different (shards, workers) configurations,
 # and the test asserts byte-identical roll-ups and spot-checked state
 # hashes — the determinism contract at four-digit scale. Gated behind
-# an env var so `go test ./...` stays fast; CI runs it only when
-# dispatched by hand (it needs about 1.2 GB).
+# an env var so `go test ./...` stays fast; CI's check job runs it
+# (about 10 s, preflight 1.2 GB).
 fleet-smoke:
 	$(call mem_preflight,fleet-smoke,1200)
 	IHNET_FLEET_SMOKE=1 $(GO) test ./internal/fleet -run TestFleetSmokeSharded1k -v -timeout 20m

@@ -171,3 +171,11 @@ func TestHostAdvanceAllocationsBudgeted(t *testing.T) {
 		t.Fatal("BENCH_obs.json has no allocs_per_host_ms budget for BenchmarkFleetRunFor/hosts=64/serial")
 	}
 }
+
+// TestEngineScheduleBudgetedAtZero: the CI-sized observability gate
+// holds the engine's schedule-and-run path at exactly 0 allocs/op.
+func TestEngineScheduleBudgetedAtZero(t *testing.T) {
+	if b, ok := allocBudgetsByFile["BENCH_obs.json"]["BenchmarkScheduleRun"]; !ok || b != 0 {
+		t.Fatalf("BenchmarkScheduleRun budget = %d (present %v), want 0", b, ok)
+	}
+}

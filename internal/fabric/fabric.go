@@ -107,6 +107,15 @@ type linkState struct {
 	// Per-tenant rate caps installed by the arbiter.
 	caps map[TenantID]topology.Rate
 
+	// hopLat is hopLatency's value at the link's current inputs, valid
+	// while hopValid holds and, for an inbound root-port link, while
+	// the port's ConfigGen still equals hopGen. hopValid is cleared
+	// where the other inputs move: currentRate in computeRates, and
+	// capacity, extraLatency and failed through markLinkDirty.
+	hopLat   simtime.Duration
+	hopGen   uint64
+	hopValid bool
+
 	// Accounting. tenantBytes is indexed by the fabric-wide tenant
 	// slot (see Fabric.tenantSlot) instead of a map: settling accrues
 	// one entry per member flow, and an array index there is an order
@@ -367,26 +376,37 @@ func (f *Fabric) EffectiveCapacity(id topology.LinkID) (topology.Rate, error) {
 }
 
 // hopLatency returns the congestion-inflated one-way latency of a link
-// at its current utilization.
+// at its current utilization. The value is computed once per change of
+// its inputs (see linkState.hopLat); the config and base latencies it
+// also reads are immutable.
 func (f *Fabric) hopLatency(ls *linkState) simtime.Duration {
+	port := ls.inboundRootPort
+	if ls.hopValid && (port == nil || ls.hopGen == port.ConfigGen()) {
+		return ls.hopLat
+	}
 	base := ls.link.BaseLatency + ls.extraLatency
-	if ls.inboundRootPort != nil && f.cfg.IOMMULatency > 0 {
-		if v, ok := ls.inboundRootPort.ConfigValue(topology.ConfigIOMMU); ok && v == "translate" {
-			base += f.cfg.IOMMULatency
+	if port != nil {
+		ls.hopGen = port.ConfigGen()
+		if f.cfg.IOMMULatency > 0 {
+			if v, ok := port.ConfigValue(topology.ConfigIOMMU); ok && v == "translate" {
+				base += f.cfg.IOMMULatency
+			}
 		}
 	}
-	if f.cfg.QueueingFactor <= 0 {
-		return base
+	lat := base
+	if f.cfg.QueueingFactor > 0 {
+		var rho float64
+		if ls.capacity > 0 {
+			rho = math.Min(float64(ls.currentRate)/float64(ls.capacity), 0.999)
+		}
+		infl := 1 + f.cfg.QueueingFactor*rho/(1-rho)
+		if infl > f.cfg.MaxInflation {
+			infl = f.cfg.MaxInflation
+		}
+		lat = simtime.Duration(float64(base) * infl)
 	}
-	var rho float64
-	if ls.capacity > 0 {
-		rho = math.Min(float64(ls.currentRate)/float64(ls.capacity), 0.999)
-	}
-	infl := 1 + f.cfg.QueueingFactor*rho/(1-rho)
-	if infl > f.cfg.MaxInflation {
-		infl = f.cfg.MaxInflation
-	}
-	return simtime.Duration(float64(base) * infl)
+	ls.hopLat, ls.hopValid = lat, true
+	return lat
 }
 
 // PathLatency returns the current one-way latency along path for a

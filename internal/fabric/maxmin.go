@@ -374,7 +374,10 @@ func (f *Fabric) computeRates() {
 		for _, sl := range ls.memSlots {
 			sum += f.slotRate[sl]
 		}
-		ls.currentRate = topology.Rate(sum)
+		if r := topology.Rate(sum); r != ls.currentRate {
+			ls.currentRate = r
+			ls.hopValid = false
+		}
 		ls.memberDirty = false
 		s.changed[i] = nil // release for GC; the scratch slice is long-lived
 	}

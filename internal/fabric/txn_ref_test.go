@@ -91,7 +91,8 @@ func (f *Fabric) refSendTransaction(opts TxOptions, cb func(TxRecord)) error {
 }
 
 // refTraverse is traverse over a topology path, resolving each hop's
-// link state and moderating NIC by lookup.
+// link state and moderating NIC by lookup and evaluating each hop's
+// latency from scratch.
 func (f *Fabric) refTraverse(path topology.Path, bytes int64) (simtime.Duration, topology.LinkID, bool) {
 	var lat simtime.Duration
 	bottleneck := topology.Rate(0)
@@ -103,7 +104,7 @@ func (f *Fabric) refTraverse(path topology.Path, bytes int64) (simtime.Duration,
 		if ls.failed {
 			return lat, l.ID, false
 		}
-		lat += f.hopLatency(ls)
+		lat += refHopLatency(f, ls)
 		if l.Class == topology.ClassInterHost {
 			if nic := f.topo.Component(l.To); nic != nil && nic.Kind == topology.KindNIC {
 				lat += moderationDelay(nic)

@@ -10,7 +10,6 @@
 package simtime
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -57,61 +56,123 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 func (t Time) String() string { return time.Duration(t).String() }
 
 // event is a scheduled callback. seq breaks ties so that events
-// scheduled for the same instant run in FIFO order.
+// scheduled for the same instant run in FIFO order. Events are owned by
+// their engine and recycled through its free list once popped; gen
+// counts the recycles, so a handle can tell its event from a later one
+// that reuses the slot.
 type event struct {
 	at       Time
 	seq      uint64
 	fn       func()
+	gen      uint64
 	canceled bool
 	index    int // heap index, -1 when popped
 }
 
-// EventHandle identifies a scheduled event so it can be canceled.
-type EventHandle struct{ ev *event }
+// EventHandle identifies a scheduled event so it can be canceled. It
+// names the event's slot and the generation the slot had when the
+// event was scheduled; once the event has run or been discarded the
+// slot's generation moves on and the handle refers to nothing.
+type EventHandle struct {
+	ev  *event
+	gen uint64
+}
+
+// live returns the handle's event while it still waits in the queue,
+// or nil once it has run, been canceled or been recycled.
+func (h EventHandle) live() *event {
+	if h.ev == nil || h.ev.gen != h.gen || h.ev.canceled || h.ev.index == -1 {
+		return nil
+	}
+	return h.ev
+}
 
 // Cancel prevents the event from running. Canceling an already-run or
 // already-canceled event is a no-op. Cancel reports whether the event
 // was still pending.
 func (h EventHandle) Cancel() bool {
-	if h.ev == nil || h.ev.canceled || h.ev.index == -1 {
+	ev := h.live()
+	if ev == nil {
 		return false
 	}
-	h.ev.canceled = true
+	ev.canceled = true
 	return true
 }
 
 // Pending reports whether the event is still waiting to run.
-func (h EventHandle) Pending() bool {
-	return h.ev != nil && !h.ev.canceled && h.ev.index != -1
-}
+func (h EventHandle) Pending() bool { return h.live() != nil }
 
+// eventHeap is a binary min-heap on (at, seq). The key is unique per
+// event, so the pop order is fixed by the set of queued events alone:
+// how the heap arranges them cannot change what runs next.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
+func (h eventHeap) less(i, j int) bool {
+	a, b := h[i], h[j]
+	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
-func (h eventHeap) Swap(i, j int) {
+
+func (h eventHeap) swap(i, j int) {
 	h[i], h[j] = h[j], h[i]
 	h[i].index = i
 	h[j].index = j
 }
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
+
+func (h eventHeap) up(j int) {
+	for j > 0 {
+		i := (j - 1) / 2
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		j = i
+	}
+}
+
+// down sifts element i0 toward the leaves and reports whether it moved.
+func (h eventHeap) down(i0 int) bool {
+	i, n := i0, len(h)
+	for {
+		j := 2*i + 1
+		if j >= n {
+			break
+		}
+		if r := j + 1; r < n && h.less(r, j) {
+			j = r
+		}
+		if !h.less(j, i) {
+			break
+		}
+		h.swap(i, j)
+		i = j
+	}
+	return i > i0
+}
+
+func (h *eventHeap) push(ev *event) {
 	ev.index = len(*h)
 	*h = append(*h, ev)
+	h.up(ev.index)
 }
-func (h *eventHeap) Pop() any {
+
+// pop removes and returns the earliest event.
+func (h *eventHeap) pop() *event {
 	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
+	n := len(old) - 1
+	old.swap(0, n)
+	ev := old[n]
+	old[n] = nil
+	*h = old[:n]
+	h.down(0)
 	ev.index = -1
-	*h = old[:n-1]
 	return ev
+}
+
+// fix restores the heap order after element i's key changed.
+func (h eventHeap) fix(i int) {
+	if !h.down(i) {
+		h.up(i)
+	}
 }
 
 // Engine is a single-threaded discrete-event scheduler. It is not safe
@@ -121,6 +182,7 @@ type Engine struct {
 	now     Time
 	seq     uint64
 	queue   eventHeap
+	free    []*event // popped events, reused by Schedule
 	rng     *rand.Rand
 	stopped bool
 
@@ -150,10 +212,26 @@ func (e *Engine) Schedule(at Time, fn func()) EventHandle {
 	if fn == nil {
 		panic("simtime: schedule nil func")
 	}
-	ev := &event{at: at, seq: e.seq, fn: fn}
+	var ev *event
+	if n := len(e.free); n > 0 {
+		ev = e.free[n-1]
+		e.free = e.free[:n-1]
+	} else {
+		ev = new(event)
+	}
+	ev.at, ev.seq, ev.fn = at, e.seq, fn
 	e.seq++
-	heap.Push(&e.queue, ev)
-	return EventHandle{ev}
+	e.queue.push(ev)
+	return EventHandle{ev, ev.gen}
+}
+
+// recycle returns a popped event to the free list. Bumping gen retires
+// every handle to it; dropping fn releases the callback's captures.
+func (e *Engine) recycle(ev *event) {
+	ev.gen++
+	ev.fn = nil
+	ev.canceled = false
+	e.free = append(e.free, ev)
 }
 
 // Reschedule moves a still-pending event to a new absolute time,
@@ -167,8 +245,8 @@ func (e *Engine) Schedule(at Time, fn func()) EventHandle {
 // completion re-arming leans on this: sized flows keep one event alive
 // across every rate recomputation.
 func (e *Engine) Reschedule(h EventHandle, at Time, fn func()) EventHandle {
-	ev := h.ev
-	if ev == nil || ev.canceled || ev.index == -1 {
+	ev := h.live()
+	if ev == nil {
 		return e.Schedule(at, fn)
 	}
 	if at < e.now {
@@ -181,7 +259,7 @@ func (e *Engine) Reschedule(h EventHandle, at Time, fn func()) EventHandle {
 	ev.fn = fn
 	ev.seq = e.seq
 	e.seq++
-	heap.Fix(&e.queue, ev.index)
+	e.queue.fix(ev.index)
 	return h
 }
 
@@ -200,29 +278,33 @@ func (e *Engine) Every(period Duration, fn func()) *Ticker {
 		panic(fmt.Sprintf("simtime: non-positive period %v", period))
 	}
 	t := &Ticker{engine: e, period: period, fn: fn}
+	t.fire = t.tick
 	t.arm()
 	return t
 }
 
 // Ticker repeatedly runs a callback at a fixed virtual-time period.
 type Ticker struct {
-	engine  *Engine
-	period  Duration
-	fn      func()
+	engine *Engine
+	period Duration
+	fn     func()
+	// fire is t.tick, bound once in Every, so re-arming allocates no
+	// closure.
+	fire    func()
 	handle  EventHandle
 	stopped bool
 }
 
-func (t *Ticker) arm() {
-	t.handle = t.engine.After(t.period, func() {
-		if t.stopped {
-			return
-		}
-		t.fn()
-		if !t.stopped {
-			t.arm()
-		}
-	})
+func (t *Ticker) arm() { t.handle = t.engine.After(t.period, t.fire) }
+
+func (t *Ticker) tick() {
+	if t.stopped {
+		return
+	}
+	t.fn()
+	if !t.stopped {
+		t.arm()
+	}
 }
 
 // Stop cancels future ticks. It is safe to call from within the tick
@@ -239,13 +321,17 @@ func (t *Ticker) Period() Duration { return t.period }
 // to it. It reports false when the queue is empty.
 func (e *Engine) Step() bool {
 	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*event)
-		if ev.canceled {
+		// The event is back on the free list before its callback
+		// runs, so a callback may schedule into the slot it frees.
+		ev := e.queue.pop()
+		at, fn, canceled := ev.at, ev.fn, ev.canceled
+		e.recycle(ev)
+		if canceled {
 			continue
 		}
-		e.now = ev.at
+		e.now = at
 		e.Processed++
-		ev.fn()
+		fn()
 		return true
 	}
 	return false
@@ -281,7 +367,7 @@ func (e *Engine) RunBefore(t Time) {
 	e.stopped = false
 	for !e.stopped {
 		for len(e.queue) > 0 && e.queue[0].canceled {
-			heap.Pop(&e.queue)
+			e.recycle(e.queue.pop())
 		}
 		if len(e.queue) == 0 || e.queue[0].at >= t {
 			break

@@ -392,17 +392,59 @@ func TestPropertyCancelSubset(t *testing.T) {
 	}
 }
 
+// BenchmarkScheduleRun schedules events at random delays against a
+// queue of about 1,000 and runs them in batches. The warm-up fills the
+// queue to that size once and drains it, so the measured loop runs on
+// recycled events and heap capacity. Budget: 0 allocs/op.
 func BenchmarkScheduleRun(b *testing.B) {
 	e := NewEngine(1)
 	rng := rand.New(rand.NewSource(9))
+	fn := func() {}
+	schedule := func(n int) {
+		for i := 0; i < n; i++ {
+			e.After(Duration(rng.Intn(1000)+1), fn)
+			if e.Pending() > 1024 {
+				e.RunFor(500)
+			}
+		}
+		e.Run()
+	}
+	schedule(4096)
+	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.After(Duration(rng.Intn(1000)+1), func() {})
-		if e.Pending() > 1024 {
-			e.RunFor(500)
+	schedule(b.N)
+}
+
+// TestSteadyStateAllocatesNothing counts heap allocations (the Mallocs
+// delta AllocsPerRun reads) across 10,000 operations on a warm engine:
+// a Schedule and a Step with a pre-bound callback, and a Ticker's tick
+// and re-arm. Each must be exactly zero, not zero once rounded per op.
+func TestSteadyStateAllocatesNothing(t *testing.T) {
+	e := NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 256; i++ {
+		e.After(Duration(i%97+1), fn)
+	}
+	ops := func() {
+		for i := 0; i < 10_000; i++ {
+			e.After(Duration(i%97+1), fn)
+			e.Step()
 		}
 	}
-	e.Run()
+	if n := testing.AllocsPerRun(1, ops); n != 0 {
+		t.Fatalf("10,000 Schedule+Step pairs allocated %v times", n)
+	}
+
+	e = NewEngine(1)
+	ticks := 0
+	e.Every(10, func() { ticks++ })
+	e.RunFor(100)
+	if n := testing.AllocsPerRun(1, func() { e.RunFor(10_000 * 10) }); n != 0 {
+		t.Fatalf("10,000 ticks allocated %v times", n)
+	}
+	if ticks != 20_010 {
+		t.Fatalf("ticker fired %d times, want 20,010", ticks)
+	}
 }
 
 func TestRescheduleMovesEvent(t *testing.T) {
