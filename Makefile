@@ -13,7 +13,7 @@ all: check
 # plus 50%:
 #   fleet-smoke       two 1024-host fleets alive at once   782 MB -> 1200 MB
 #   store-smoke       one 1024-host recording ihnetd       466 MB ->  700 MB
-#   bench-json-obs    the 512-host placement tier          167 MB ->  250 MB
+#   bench-json-obs    the warmed 64-host RunFor tier       186 MB ->  280 MB
 #   bench-json-scale  the 10000-host sharded RunFor tier   not re-measured: 64000 MB
 # fleet-smoke fits a hosted CI runner and runs in CI's check job;
 # bench-json-scale runs only when dispatched by hand. A machine without
@@ -102,9 +102,10 @@ bench-json:
 # hosts; the cold all-shards-dirty fold grows only with the shard
 # count, not the host count.
 bench-json-obs:
-	$(call mem_preflight,bench-json-obs,250)
+	$(call mem_preflight,bench-json-obs,280)
 	{ $(GO) test -bench 'BenchmarkBusPublish' -benchtime 100x -benchmem -run '^$$' ./internal/obs; \
 	  $(GO) test -bench 'BenchmarkScheduleRun' -benchtime 100000x -benchmem -run '^$$' ./internal/simtime; \
+	  $(GO) test -bench 'BenchmarkHeartbeatRound' -benchtime 10000x -benchmem -run '^$$' ./internal/anomaly; \
 	  $(GO) test -bench 'BenchmarkFleetRollup(Cold)?/hosts=(16|64|256)$$' -benchtime 10x -benchmem -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkFleetBytesPerHost' -benchtime 1x -run '^$$' ./internal/fleet; \
 	  $(GO) test -bench 'BenchmarkHostPressure' -benchtime 1000x -benchmem -run '^$$' ./internal/fleet; \

@@ -79,6 +79,9 @@ var allocBudgetsByFile = map[string]map[string]int64{
 		// Events come from the engine's free list; closure-free
 		// callbacks, so schedule plus run allocates nothing.
 		"BenchmarkScheduleRun": 0,
+		// One steady-state heartbeat round of 56 probes: memoized
+		// route outcomes, pooled transactions, per-pair votes.
+		"BenchmarkHeartbeatRound": 0,
 		// Steady-state scrape: one shard refold + S-way merge from
 		// cached snapshots. Observed 40-47 allocs/op from 16 to 256
 		// recording hosts.
@@ -132,20 +135,21 @@ var allocBudgetsByFile = map[string]map[string]int64{
 // host's telemetry and event rings allocate chunks only as they fill, so
 // a ring sized to its capacity up front (4.7 MB of points, 1 MB of
 // events) busts it. A host's virtual millisecond is budgeted in heap
-// allocations at 64 serial hosts and the gate's 5 iterations: observed
-// 135.4 once engine events came from a free list and tickers re-armed
-// without a closure (770.8 before, 4,567 before routes, pooled
-// completions and map-free collects); what is left is mostly the
-// rings' first chunks, since the same tier at 500 iterations reads
-// 1.8. The budget is 135.4 plus ~10%. The same benchmark's host-ms/s
-// is wall-clock, so it is recorded, never gated.
+// allocations at steady state: 64 serial hosts, warmed for 300 virtual
+// ms until their rings stop growing, then the gate's 5 iterations.
+// Observed 0.0625, which is the runner's own 4 allocations per RunFor
+// spread over 64 hosts: the host advance itself allocates nothing
+// (the same tier read 135.4 unwarmed, mostly ring chunks). The budget
+// of 0.25 is busted by any allocation a host repeats every 5 virtual
+// ms or more often. The same benchmark's host-ms/s is wall-clock, so
+// it is recorded, never gated.
 var metricBudgetsByFile = map[string]map[string]map[string]float64{
 	"BENCH_obs.json": {
 		"BenchmarkFleetBytesPerHost": {
 			"bytes_per_host": 240_000,
 		},
 		"BenchmarkFleetRunFor/hosts=64/serial": {
-			"allocs_per_host_ms": 149,
+			"allocs_per_host_ms": 0.25,
 		},
 	},
 	"BENCH_remedy.json": {

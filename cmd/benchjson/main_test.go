@@ -179,3 +179,11 @@ func TestEngineScheduleBudgetedAtZero(t *testing.T) {
 		t.Fatalf("BenchmarkScheduleRun budget = %d (present %v), want 0", b, ok)
 	}
 }
+
+// TestHeartbeatRoundBudgetedAtZero: the CI-sized observability gate
+// holds a steady-state heartbeat round at exactly 0 allocs/op.
+func TestHeartbeatRoundBudgetedAtZero(t *testing.T) {
+	if b, ok := allocBudgetsByFile["BENCH_obs.json"]["BenchmarkHeartbeatRound"]; !ok || b != 0 {
+		t.Fatalf("BenchmarkHeartbeatRound budget = %d (present %v), want 0", b, ok)
+	}
+}

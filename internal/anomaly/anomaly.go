@@ -9,6 +9,7 @@ package anomaly
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/fabric"
@@ -129,15 +130,17 @@ type Detection struct {
 type pairState struct {
 	pair Pair
 	path topology.Path
+	// idx is the pair's position in Platform.pairs, and its column in
+	// every slot of Platform.votes.
+	idx int
 	// route is path resolved against the fabric, and done the probe
 	// completion callback; both are bound once, in New, so a round
 	// allocates neither.
 	route *fabric.Route
 	done  func(fabric.TxRecord)
-	// windows are the vote windows of path's links in record order
-	// (each hop's link, then its reverse), filled at the pair's first
-	// vote.
-	windows    []*linkWindow
+	// links indexes Platform.linkIDs with path's links in vote order:
+	// each hop's link, then its reverse. Set with the votes.
+	links      []int32
 	calSamples []simtime.Duration
 	baseline   simtime.Duration
 	consecBad  int
@@ -146,10 +149,8 @@ type pairState struct {
 	lastLost   bool
 }
 
-// linkWindow is a sliding window of traversal outcomes for one link.
-type linkWindow struct {
-	bad, total []int // per round-slot counters
-}
+// vote counts one pair's heartbeat outcomes in one round slot.
+type vote struct{ total, bad uint32 }
 
 // Platform runs the heartbeat mesh and localization.
 type Platform struct {
@@ -160,10 +161,15 @@ type Platform struct {
 	ticker *simtime.Ticker
 	round  int
 	slot   int
-	links  map[topology.LinkID]*linkWindow
-	// windows lists links' values in creation order, for the
-	// per-round slot reset.
-	windows    []*linkWindow
+	// votes is the sliding window of outcomes, WindowRounds slots of
+	// one vote per pair: slot s, pair i is votes[s*len(pairs)+i]. An
+	// outcome counts on every link of its pair's path, but only
+	// Suspects needs per-link counts, so they are folded from here
+	// when it runs. Like linkIDs, which lists, sorted, every link a
+	// pair's path crosses in either direction, it is allocated at the
+	// first vote, after calibration (see initVotes).
+	votes      []vote
+	linkIDs    []topology.LinkID
 	detections []Detection
 	probesSent uint64
 
@@ -204,7 +210,7 @@ func New(fab *fabric.Fabric, pairs []Pair, cfg Config) (*Platform, error) {
 	if len(pairs) == 0 {
 		return nil, fmt.Errorf("anomaly: no pairs")
 	}
-	p := &Platform{fab: fab, cfg: cfg, links: make(map[topology.LinkID]*linkWindow)}
+	p := &Platform{fab: fab, cfg: cfg}
 	for _, pr := range pairs {
 		path, err := fab.Topology().ShortestPath(pr.Src, pr.Dst)
 		if err != nil {
@@ -214,11 +220,39 @@ func New(fab *fabric.Fabric, pairs []Pair, cfg Config) (*Platform, error) {
 		if err != nil {
 			return nil, fmt.Errorf("anomaly: pair %s: %w", pr, err)
 		}
-		ps := &pairState{pair: pr, path: path, route: route}
-		ps.done = func(r fabric.TxRecord) { p.onResult(ps, r) }
+		ps := &pairState{pair: pr, path: path, idx: len(p.pairs), route: route}
+		ps.done = func(r fabric.TxRecord) { p.onResult(ps, &r) }
 		p.pairs = append(p.pairs, ps)
 	}
 	return p, nil
+}
+
+// initVotes allocates the vote slab and indexes every pair's links.
+// It runs at the first vote, so a host that has not finished
+// calibrating holds none of it.
+func (p *Platform) initVotes() {
+	// Insert in place: the paths repeat a few dozen links hundreds of
+	// times, and a host keeps only the distinct ones.
+	for _, ps := range p.pairs {
+		for _, l := range ps.path.Links {
+			for _, id := range [2]topology.LinkID{l.ID, l.Reverse} {
+				if i, ok := slices.BinarySearch(p.linkIDs, id); !ok {
+					p.linkIDs = slices.Insert(p.linkIDs, i, id)
+				}
+			}
+		}
+	}
+	index := func(id topology.LinkID) int32 {
+		i, _ := slices.BinarySearch(p.linkIDs, id)
+		return int32(i)
+	}
+	for _, ps := range p.pairs {
+		ps.links = make([]int32, 0, 2*ps.path.Hops())
+		for _, l := range ps.path.Links {
+			ps.links = append(ps.links, index(l.ID), index(l.Reverse))
+		}
+	}
+	p.votes = make([]vote, p.cfg.WindowRounds*len(p.pairs))
 }
 
 // Start begins heartbeat rounds.
@@ -252,9 +286,8 @@ func (p *Platform) roundFn() {
 		})
 	}
 	p.slot = (p.slot + 1) % p.cfg.WindowRounds
-	for _, lw := range p.windows {
-		lw.bad[p.slot] = 0
-		lw.total[p.slot] = 0
+	if n := len(p.pairs); p.votes != nil {
+		clear(p.votes[p.slot*n : (p.slot+1)*n])
 	}
 	for _, ps := range p.pairs {
 		p.probesSent++
@@ -265,13 +298,13 @@ func (p *Platform) roundFn() {
 		}, ps.done)
 		if err != nil {
 			// Treat an unroutable probe as a loss.
-			p.onResult(ps, fabric.TxRecord{Lost: true})
+			p.onResult(ps, &fabric.TxRecord{Lost: true})
 		}
 	}
 }
 
 // onResult scores one heartbeat outcome.
-func (p *Platform) onResult(ps *pairState, r fabric.TxRecord) {
+func (p *Platform) onResult(ps *pairState, r *fabric.TxRecord) {
 	ps.lastRTT, ps.lastLost = r.RTT, r.Lost
 	inCalibration := p.round <= p.cfg.CalibrationRounds
 	if inCalibration {
@@ -289,19 +322,13 @@ func (p *Platform) onResult(ps *pairState, r fabric.TxRecord) {
 	if !bad && ps.baseline > 0 {
 		bad = float64(r.RTT) > float64(ps.baseline)*p.cfg.LatencyFactor
 	}
-	if ps.windows == nil {
-		ps.windows = make([]*linkWindow, 0, 2*ps.path.Hops())
-		for _, l := range ps.path.Links {
-			ps.windows = append(ps.windows, p.window(l.ID), p.window(l.Reverse))
-		}
+	if p.votes == nil {
+		p.initVotes()
 	}
-	// The outcome counts on every link of the path, both directions:
-	// the response traveled the reverse.
-	for _, lw := range ps.windows {
-		lw.total[p.slot]++
-		if bad {
-			lw.bad[p.slot]++
-		}
+	v := &p.votes[p.slot*len(p.pairs)+ps.idx]
+	v.total++
+	if bad {
+		v.bad++
 	}
 	if !bad {
 		ps.consecBad = 0
@@ -345,20 +372,6 @@ func (p *Platform) onResult(ps *pairState, r fabric.TxRecord) {
 	}
 }
 
-// window returns the link's vote window, creating it on first use.
-func (p *Platform) window(id topology.LinkID) *linkWindow {
-	lw := p.links[id]
-	if lw == nil {
-		lw = &linkWindow{
-			bad:   make([]int, p.cfg.WindowRounds),
-			total: make([]int, p.cfg.WindowRounds),
-		}
-		p.links[id] = lw
-		p.windows = append(p.windows, lw)
-	}
-	return lw
-}
-
 // Suspects returns the current localization ranking: links whose
 // bad-traversal fraction meets the threshold, highest score first,
 // ties broken by ID. Scoring covers only the most recent
@@ -367,30 +380,34 @@ func (p *Platform) window(id topology.LinkID) *linkWindow {
 // undirected link, since a heartbeat response always traverses the
 // reverse direction of its request.
 func (p *Platform) Suspects() []Suspect {
-	var out []Suspect
-	ids := make([]string, 0, len(p.links))
-	for id := range p.links {
-		ids = append(ids, string(id))
+	if p.votes == nil {
+		return nil
 	}
-	sort.Strings(ids)
-	recent := p.cfg.ConsecutiveBad
-	if recent > p.cfg.WindowRounds {
-		recent = p.cfg.WindowRounds
-	}
-	for _, id := range ids {
-		lw := p.links[topology.LinkID(id)]
-		bad, total := 0, 0
-		for off := 0; off < recent; off++ {
-			i := (p.slot - off + p.cfg.WindowRounds) % p.cfg.WindowRounds
-			bad += lw.bad[i]
-			total += lw.total[i]
+	recent := min(p.cfg.ConsecutiveBad, p.cfg.WindowRounds)
+	// Fold the recent slots' pair votes onto the links of each pair's
+	// path, both directions: the response traveled the reverse.
+	links := make([]struct{ bad, total int }, len(p.linkIDs))
+	n := len(p.pairs)
+	for off := 0; off < recent; off++ {
+		s := (p.slot - off + p.cfg.WindowRounds) % p.cfg.WindowRounds
+		for i, v := range p.votes[s*n : (s+1)*n] {
+			if v.total == 0 {
+				continue
+			}
+			for _, li := range p.pairs[i].links {
+				links[li].bad += int(v.bad)
+				links[li].total += int(v.total)
+			}
 		}
-		if total == 0 {
+	}
+	var out []Suspect
+	for li, c := range links {
+		if c.total == 0 {
 			continue
 		}
-		score := float64(bad) / float64(total)
+		score := float64(c.bad) / float64(c.total)
 		if score >= p.cfg.SuspectThreshold {
-			out = append(out, Suspect{Link: topology.LinkID(id), Score: score, Traversals: total})
+			out = append(out, Suspect{Link: p.linkIDs[li], Score: score, Traversals: c.total})
 		}
 	}
 	sort.Slice(out, func(i, j int) bool {

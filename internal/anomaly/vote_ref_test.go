@@ -3,6 +3,7 @@ package anomaly
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/fabric"
@@ -11,12 +12,23 @@ import (
 	"repro/internal/topology"
 )
 
-// refRoundFn is the heartbeat round before routes, completion
-// callbacks and vote windows were pinned per pair: every probe sends
-// over the pair's path with a fresh closure, and every vote looks its
-// windows up by link ID. TestPlatformMatchesReference holds the
+// refPlatform is the platform before routes, completion callbacks and
+// votes were kept per pair: every probe sends over the pair's path
+// with a fresh closure, and every vote lands in a per-link window
+// looked up by link ID. TestPlatformMatchesReference holds the
 // platform to it.
-func (p *Platform) refRoundFn() {
+type refPlatform struct {
+	*Platform
+	links map[topology.LinkID]*linkWindow
+}
+
+// linkWindow is a sliding window of traversal outcomes for one link.
+type linkWindow struct {
+	bad, total []int // per round-slot counters
+}
+
+// refRoundFn is the heartbeat round of refPlatform.
+func (p *refPlatform) refRoundFn() {
 	p.round++
 	p.mRounds.Inc()
 	p.mProbes.Add(uint64(len(p.pairs)))
@@ -46,9 +58,10 @@ func (p *Platform) refRoundFn() {
 	}
 }
 
-// refOnResult is onResult voting through refVote (its trace events
-// left out: the test attaches no tracer).
-func (p *Platform) refOnResult(ps *pairState, r fabric.TxRecord) {
+// refOnResult is onResult voting through refVote and localizing
+// through refSuspects (its trace events left out: the test attaches no
+// tracer).
+func (p *refPlatform) refOnResult(ps *pairState, r fabric.TxRecord) {
 	ps.lastRTT, ps.lastLost = r.RTT, r.Lost
 	if p.round <= p.cfg.CalibrationRounds {
 		if !r.Lost {
@@ -78,7 +91,7 @@ func (p *Platform) refOnResult(ps *pairState, r fabric.TxRecord) {
 	if ps.consecBad >= p.cfg.ConsecutiveBad && !ps.alerted {
 		ps.alerted = true
 		p.detections = append(p.detections, Detection{
-			At: p.fab.Engine().Now(), Pair: ps.pair, Lost: r.Lost, Suspects: p.Suspects(),
+			At: p.fab.Engine().Now(), Pair: ps.pair, Lost: r.Lost, Suspects: p.refSuspects(),
 		})
 		p.mDetections.Inc()
 	}
@@ -86,7 +99,7 @@ func (p *Platform) refOnResult(ps *pairState, r fabric.TxRecord) {
 
 // refVote records a heartbeat outcome on every link of its path (both
 // directions: the response traveled the reverse).
-func (p *Platform) refVote(path topology.Path, bad bool) {
+func (p *refPlatform) refVote(path topology.Path, bad bool) {
 	record := func(id topology.LinkID) {
 		lw := p.links[id]
 		if lw == nil {
@@ -107,13 +120,103 @@ func (p *Platform) refVote(path topology.Path, bad bool) {
 	}
 }
 
+// refSuspects is Suspects scored over the per-link windows.
+func (p *refPlatform) refSuspects() []Suspect {
+	var out []Suspect
+	ids := make([]string, 0, len(p.links))
+	for id := range p.links {
+		ids = append(ids, string(id))
+	}
+	sort.Strings(ids)
+	recent := p.cfg.ConsecutiveBad
+	if recent > p.cfg.WindowRounds {
+		recent = p.cfg.WindowRounds
+	}
+	for _, id := range ids {
+		lw := p.links[topology.LinkID(id)]
+		bad, total := 0, 0
+		for off := 0; off < recent; off++ {
+			i := (p.slot - off + p.cfg.WindowRounds) % p.cfg.WindowRounds
+			bad += lw.bad[i]
+			total += lw.total[i]
+		}
+		if total == 0 {
+			continue
+		}
+		score := float64(bad) / float64(total)
+		if score >= p.cfg.SuspectThreshold {
+			out = append(out, Suspect{Link: topology.LinkID(id), Score: score, Traversals: total})
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].Link < out[j].Link
+	})
+	return out
+}
+
+// zeroWindows returns an empty vote window for each link a pair's path
+// covers in either direction.
+func zeroWindows(p *Platform) map[topology.LinkID]*linkWindow {
+	out := make(map[topology.LinkID]*linkWindow)
+	for _, ps := range p.pairs {
+		for _, l := range ps.path.Links {
+			for _, id := range []topology.LinkID{l.ID, l.Reverse} {
+				out[id] = &linkWindow{bad: make([]int, p.cfg.WindowRounds), total: make([]int, p.cfg.WindowRounds)}
+			}
+		}
+	}
+	return out
+}
+
+// foldedWindows folds every slot of p's pair votes onto per-link
+// windows, one for each link a pair's path covers in either direction.
+func foldedWindows(p *Platform) map[topology.LinkID]*linkWindow {
+	out := zeroWindows(p)
+	n := len(p.pairs)
+	for i, v := range p.votes {
+		ps := p.pairs[i%n]
+		for _, li := range ps.links {
+			lw := out[p.linkIDs[li]]
+			lw.bad[i/n] += int(v.bad)
+			lw.total[i/n] += int(v.total)
+		}
+	}
+	return out
+}
+
 // hbSide is one host of the differential pair.
 type hbSide struct {
 	fab     *fabric.Fabric
 	topo    *topology.Topology
 	p       *Platform
+	ref     *refPlatform // the reference side only
 	flows   []*fabric.Flow
 	sniffed []fabric.TxRecord
+}
+
+// windows returns the side's per-link vote windows: folded from the
+// pair votes, or the reference's own with a zero window for each
+// covered link it has not voted on yet.
+func (s *hbSide) windows() map[topology.LinkID]*linkWindow {
+	if s.ref == nil {
+		return foldedWindows(s.p)
+	}
+	out := zeroWindows(s.p)
+	for id, lw := range s.ref.links {
+		out[id] = lw
+	}
+	return out
+}
+
+// suspects returns the side's localization ranking.
+func (s *hbSide) suspects() []Suspect {
+	if s.ref == nil {
+		return s.p.Suspects()
+	}
+	return s.ref.refSuspects()
 }
 
 func newHBSide(t *testing.T, ref bool) *hbSide {
@@ -124,12 +227,13 @@ func newHBSide(t *testing.T, ref bool) *hbSide {
 	if err != nil {
 		t.Fatal(err)
 	}
+	s := &hbSide{fab: fab, topo: topo, p: p}
 	if ref {
-		p.ticker = fab.Engine().Every(p.cfg.Period, p.refRoundFn)
+		s.ref = &refPlatform{Platform: p, links: make(map[topology.LinkID]*linkWindow)}
+		p.ticker = fab.Engine().Every(p.cfg.Period, s.ref.refRoundFn)
 	} else if err := p.Start(); err != nil {
 		t.Fatal(err)
 	}
-	s := &hbSide{fab: fab, topo: topo, p: p}
 	fab.AttachSniffer(func(r fabric.TxRecord) { s.sniffed = append(s.sniffed, r) })
 	return s
 }
@@ -175,7 +279,8 @@ func (s *hbSide) step(rng *rand.Rand) {
 // reference round (per-probe closures, per-vote map lookups) on two
 // identical two-socket hosts under the same seeded schedule of load,
 // degradations, failures, restores and config changes. After every
-// step both must agree on every probe record, every vote window,
+// step both must agree on every probe record, every per-link vote
+// window (folded from the pair votes on the platform's side),
 // detections with their suspects, and per-pair state.
 func TestPlatformMatchesReference(t *testing.T) {
 	got, want := newHBSide(t, false), newHBSide(t, true)
@@ -189,7 +294,7 @@ func TestPlatformMatchesReference(t *testing.T) {
 		}
 		probes += len(got.sniffed)
 		got.sniffed, want.sniffed = got.sniffed[:0], want.sniffed[:0]
-		if !reflect.DeepEqual(got.p.links, want.p.links) {
+		if !reflect.DeepEqual(got.windows(), want.windows()) {
 			t.Fatalf("step %d: vote windows diverge", i)
 		}
 		if g, w := got.p.Detections(), want.p.Detections(); !reflect.DeepEqual(g, w) {
@@ -198,7 +303,7 @@ func TestPlatformMatchesReference(t *testing.T) {
 		if g, w := got.p.PairStats(), want.p.PairStats(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d: pair stats diverge", i)
 		}
-		if g, w := got.p.Suspects(), want.p.Suspects(); !reflect.DeepEqual(g, w) {
+		if g, w := got.suspects(), want.suspects(); !reflect.DeepEqual(g, w) {
 			t.Fatalf("step %d: suspects diverge:\n got %+v\nwant %+v", i, g, w)
 		}
 		if got.p.Rounds() != want.p.Rounds() || got.p.ProbesSent() != want.p.ProbesSent() {

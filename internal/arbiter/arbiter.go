@@ -150,10 +150,13 @@ func (g *linkGuarantees) set(tenant fabric.TenantID, r topology.Rate) {
 	}
 }
 
-// tenantCap is one installed (link, tenant) cap.
+// tenantCap is one installed (link, tenant) cap. subject is its trace
+// subject, link + "/" + tenant, built once when a traced pass first
+// sets the cap and carried from pass to pass; "" until then.
 type tenantCap struct {
-	tenant fabric.TenantID
-	rate   topology.Rate
+	tenant  fabric.TenantID
+	rate    topology.Rate
+	subject string
 }
 
 func cmpTenantCap(a, b tenantCap) int { return cmp.Compare(a.tenant, b.tenant) }
@@ -444,9 +447,9 @@ func (a *Arbiter) applyLocked() {
 					lend := topology.Rate(float64(slack) * a.cfg.BorrowFraction / float64(n))
 					next = a.rates[j] + lend
 				} else {
-					cur, ok := installedCap(a.installed[i], t)
-					if !ok {
-						cur = base
+					cur := base
+					if c, ok := installedCap(a.installed[i], t); ok {
+						cur = c.rate
 					}
 					next = topology.Rate(float64(cur) * 0.7)
 				}
@@ -475,9 +478,13 @@ func (a *Arbiter) applyLocked() {
 			_ = a.fab.ClearTenantCap(a.links[i], p.tenant)
 			a.mCapsCleared.Inc()
 			if a.tracer.Enabled() {
+				subject := p.subject
+				if subject == "" {
+					subject = string(a.links[i]) + "/" + string(p.tenant)
+				}
 				a.tracer.Emit(obs.Event{
 					Kind: obs.KindCapClear, Virtual: a.fab.Engine().Now(),
-					Subject: string(a.links[i]) + "/" + string(p.tenant),
+					Subject: subject,
 				})
 			}
 		}
@@ -492,24 +499,30 @@ func (a *Arbiter) applyLocked() {
 // pass.
 func (a *Arbiter) setCap(i int, t fabric.TenantID, r topology.Rate) {
 	link := a.links[i]
-	a.desired[i] = append(a.desired[i], tenantCap{t, r})
+	c, emit := tenantCap{tenant: t, rate: r}, false
+	if a.tracer.Enabled() {
+		prev, ok := installedCap(a.installed[i], t)
+		c.subject, emit = prev.subject, !ok || prev.rate != r
+		if c.subject == "" {
+			c.subject = string(link) + "/" + string(t)
+		}
+	}
+	a.desired[i] = append(a.desired[i], c)
 	_ = a.fab.SetTenantCap(link, t, r)
 	a.mCapsSet.Inc()
-	if a.tracer.Enabled() {
-		if prev, ok := installedCap(a.installed[i], t); !ok || prev != r {
-			a.tracer.Emit(obs.Event{
-				Kind: obs.KindCapSet, Virtual: a.fab.Engine().Now(),
-				Subject: string(link) + "/" + string(t), Value: float64(r),
-			})
-		}
+	if emit {
+		a.tracer.Emit(obs.Event{
+			Kind: obs.KindCapSet, Virtual: a.fab.Engine().Now(),
+			Subject: c.subject, Value: float64(r),
+		})
 	}
 }
 
 // installedCap looks tenant up in one link's tenant-sorted caps.
-func installedCap(caps []tenantCap, t fabric.TenantID) (topology.Rate, bool) {
+func installedCap(caps []tenantCap, t fabric.TenantID) (tenantCap, bool) {
 	j, ok := slices.BinarySearchFunc(caps, t, func(c tenantCap, t fabric.TenantID) int { return cmp.Compare(c.tenant, t) })
 	if !ok {
-		return 0, false
+		return tenantCap{}, false
 	}
-	return caps[j].rate, true
+	return caps[j], true
 }

@@ -110,8 +110,9 @@ type linkState struct {
 	// hopLat is hopLatency's value at the link's current inputs, valid
 	// while hopValid holds and, for an inbound root-port link, while
 	// the port's ConfigGen still equals hopGen. hopValid is cleared
-	// where the other inputs move: currentRate in computeRates, and
-	// capacity, extraLatency and failed through markLinkDirty.
+	// where the other inputs move (see latencyMoved): currentRate in
+	// computeRates, capacity and extraLatency in DegradeLink and
+	// RestoreLink.
 	hopLat   simtime.Duration
 	hopGen   uint64
 	hopValid bool
@@ -169,6 +170,13 @@ type Fabric struct {
 	inRecompute  bool
 	batching     bool // Batch() open: defer recomputation
 	txStats      TransactionStats
+
+	// latGen counts moves of any link's hop-latency inputs: a
+	// currentRate, capacity, extraLatency or failed flag. A route's
+	// memoized outcome is valid while latGen and the topology's
+	// ConfigGen stay where they were when it was computed (see
+	// Route.memo).
+	latGen uint64
 
 	// tenantSlots assigns each tenant a dense slot on first use;
 	// tenantList is the inverse mapping. Slots index per-link byte
@@ -407,6 +415,14 @@ func (f *Fabric) hopLatency(ls *linkState) simtime.Duration {
 	}
 	ls.hopLat, ls.hopValid = lat, true
 	return lat
+}
+
+// latencyMoved records that one of ls's hop-latency inputs moved: it
+// drops the link's cached hop latency and every route's memoized
+// outcome.
+func (f *Fabric) latencyMoved(ls *linkState) {
+	ls.hopValid = false
+	f.latGen++
 }
 
 // PathLatency returns the current one-way latency along path for a

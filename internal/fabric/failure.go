@@ -19,6 +19,7 @@ func (f *Fabric) FailLink(id topology.LinkID) error {
 	if !ls.failed {
 		ls.failed = true
 		f.markLinkDirty(ls)
+		f.latencyMoved(ls)
 		if f.met != nil {
 			f.met.linkFails.Inc()
 			if f.met.tracer.Enabled() {
@@ -50,6 +51,7 @@ func (f *Fabric) RestoreLink(id topology.LinkID) error {
 	ls.extraLatency = 0
 	ls.capacity = f.baseEffectiveCapacity(ls.link)
 	f.markLinkDirty(ls)
+	f.latencyMoved(ls)
 	f.capacityChanged()
 	if f.met != nil {
 		f.met.linkRestores.Inc()
@@ -84,6 +86,7 @@ func (f *Fabric) DegradeLink(id topology.LinkID, lossFrac float64, extraLatency 
 	ls.extraLatency = extraLatency
 	ls.capacity = topology.Rate(float64(f.baseEffectiveCapacity(ls.link)) * (1 - lossFrac))
 	f.markLinkDirty(ls)
+	f.latencyMoved(ls)
 	f.capacityChanged()
 	if f.met != nil {
 		f.met.linkDegrades.Inc()

@@ -376,7 +376,7 @@ func (f *Fabric) computeRates() {
 		}
 		if r := topology.Rate(sum); r != ls.currentRate {
 			ls.currentRate = r
-			ls.hopValid = false
+			f.latencyMoved(ls)
 		}
 		ls.memberDirty = false
 		s.changed[i] = nil // release for GC; the scratch slice is long-lived

@@ -93,12 +93,12 @@ func (f *Fabric) maybeRebuildPartition() {
 // markLinkDirty records that a link's constraints (membership,
 // capacity, or cap set) changed, so its component must be re-solved on
 // the next pass. Marks accumulate across batched mutations and are
-// consumed by computeRates. Every change to a link's capacity,
-// extraLatency or failed flag comes through here, so it also drops the
-// link's cached hop latency.
+// consumed by computeRates. It leaves the link's cached hop latency
+// alone: membership, demand and cap changes reach latency only through
+// currentRate, which computeRates checks, and the failure paths that
+// move capacity, extraLatency or failed call latencyMoved themselves.
 func (f *Fabric) markLinkDirty(ls *linkState) {
 	f.linkDirty[ls.idx] = true
-	ls.hopValid = false
 }
 
 // markAllLinksDirty forces a full re-solve (global knobs: tenant

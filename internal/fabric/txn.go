@@ -70,21 +70,30 @@ func (f *Fabric) AttachSniffer(fn func(TxRecord)) func() {
 	}
 }
 
-func (f *Fabric) emitRecord(r TxRecord) {
-	for _, s := range f.sniffers {
-		(*s)(r)
-	}
-}
-
 // Route is a transaction path resolved against the fabric: the forward
-// and reverse link states hop by hop, plus the reverse topology path.
-// Link states live as long as the fabric, so a route resolved once
-// stays valid for every later send; a heartbeat pair keeps one.
+// and reverse link states hop by hop. Link states live as long as the
+// fabric, so a route resolved once stays valid for every later send; a
+// heartbeat pair keeps one.
 type Route struct {
 	src, dst topology.CompID
 	path     topology.Path
 	fwd, rev []*linkState
-	revPath  topology.Path
+	memo     routeMemo
+}
+
+// routeMemo is a route's last send outcome. It stays valid for sends
+// of the same sizes while the fabric's latGen and the topology's
+// ConfigGen are unchanged: every input of traverse is a link's
+// currentRate, capacity, extraLatency or failed flag (latGen), or the
+// configuration of a root port or NIC on the route (ConfigGen).
+type routeMemo struct {
+	valid          bool
+	latGen, cfgGen uint64
+	reqBytes       int64
+	respBytes      int64
+	lat            simtime.Duration
+	lost           bool
+	lostAt         topology.LinkID
 }
 
 // ResolveRoute resolves a transaction's path once: the pinned path
@@ -113,13 +122,12 @@ func (f *Fabric) resolveRoute(r *Route, src, dst topology.CompID, path topology.
 	}
 	n := path.Hops()
 	r.src, r.dst, r.path = src, dst, path
+	r.memo.valid = false
 	r.fwd = slices.Grow(r.fwd[:0], n)[:n]
 	r.rev = slices.Grow(r.rev[:0], n)[:n]
-	r.revPath.Links = slices.Grow(r.revPath.Links[:0], n)[:n]
 	for i, l := range path.Links {
 		r.fwd[i] = f.links[l.ID]
 		r.rev[n-1-i] = f.links[l.Reverse]
-		r.revPath.Links[n-1-i] = f.topo.Link(l.Reverse)
 	}
 	return nil
 }
@@ -149,14 +157,16 @@ func (f *Fabric) newTxn() *txn {
 }
 
 // deliver completes the transaction at its (virtual) completion or
-// loss time. The txn is back on the free list before any callback
-// runs, so a callback may send again.
+// loss time. The record is copied out once and the txn is back on the
+// free list before any callback runs, so a callback may send again;
+// the next send overwrites every field of the stale record.
 func (t *txn) deliver() {
-	f, r, cb := t.f, t.rec, t.cb
-	t.rec, t.cb = TxRecord{}, nil
+	f, cb := t.f, t.cb
+	t.rec.Done = f.engine.Now()
+	t.rec.RTT = t.rec.Done.Sub(t.rec.Sent)
+	r := t.rec
+	t.cb = nil
 	f.txFree = append(f.txFree, t)
-	r.Done = f.engine.Now()
-	r.RTT = r.Done.Sub(r.Sent)
 	if r.Lost {
 		f.txStats.Lost++
 		if f.met != nil {
@@ -168,7 +178,9 @@ func (t *txn) deliver() {
 			f.met.txCompleted.Inc()
 		}
 	}
-	f.emitRecord(r)
+	for _, s := range f.sniffers {
+		(*s)(r)
+	}
 	if cb != nil {
 		cb(r)
 	}
@@ -205,55 +217,75 @@ func (f *Fabric) SendTransaction(opts TxOptions, cb func(TxRecord)) error {
 		f.met.txSent.Inc()
 	}
 	f.nextID++
+	m := f.outcome(rt, opts.ReqBytes, opts.RespBytes)
 	t := f.newTxn()
 	t.cb = cb
-	t.rec = TxRecord{
-		ID: f.nextID, Tenant: opts.Tenant,
-		Src: rt.src, Dst: rt.dst, Path: rt.path,
-		ReqBytes: opts.ReqBytes, RespBytes: opts.RespBytes,
-		Sent: f.engine.Now(),
-	}
-
-	// Walk the forward path accumulating latency until delivery or a
-	// failed hop.
-	lat, failedAt, ok := f.traverse(rt.fwd, rt.path, opts.ReqBytes)
-	if !ok {
-		t.rec.Lost = true
-		t.rec.LostAt = failedAt
-	} else if opts.RespBytes != 0 || rt.src == rt.dst {
-		// Response travels the reverse path; evaluate its hops at
-		// send time (flow-level approximation: utilization is
-		// piecewise constant between recomputations).
-		revLat, revFailedAt, revOK := f.traverse(rt.rev, rt.revPath, opts.RespBytes)
-		lat += revLat
-		if !revOK {
-			t.rec.Lost = true
-			t.rec.LostAt = revFailedAt
-		}
-	}
-	f.engine.After(lat, t.fire)
+	// Field by field: deliver sets Done and RTT, the rest is here.
+	r := &t.rec
+	r.ID, r.Tenant = f.nextID, opts.Tenant
+	r.Src, r.Dst, r.Path = rt.src, rt.dst, rt.path
+	r.ReqBytes, r.RespBytes = opts.ReqBytes, opts.RespBytes
+	r.Sent = f.engine.Now()
+	r.Lost, r.LostAt = m.lost, m.lostAt
+	f.engine.After(m.lat, t.fire)
 	if opts.Route == nil {
 		f.txRoute = rt
 	}
 	return nil
 }
 
-// traverse returns the one-way latency along a resolved path (links,
-// hop for hop with path) for a payload of the given size at current
-// conditions. When a failed link is encountered it returns the latency
-// up to that hop, the failing link, and false.
+// outcome returns the route's send outcome for the given sizes at
+// current conditions, from its memo when nothing it depends on has
+// moved since the memo was filled (see routeMemo).
+func (f *Fabric) outcome(rt *Route, reqBytes, respBytes int64) *routeMemo {
+	m := &rt.memo
+	cfgGen := f.topo.ConfigGen()
+	if m.valid && m.latGen == f.latGen && m.cfgGen == cfgGen &&
+		m.reqBytes == reqBytes && m.respBytes == respBytes {
+		return m
+	}
+	// Walk the forward path accumulating latency until delivery or a
+	// failed hop.
+	lat, at := f.traverse(rt.fwd, reqBytes)
+	lost := at >= 0
+	var lostAt topology.LinkID
+	if lost {
+		lostAt = rt.path.Links[at].ID
+	} else if respBytes != 0 || rt.src == rt.dst {
+		// Response travels the reverse path; evaluate its hops at
+		// send time (flow-level approximation: utilization is
+		// piecewise constant between recomputations).
+		revLat, revAt := f.traverse(rt.rev, respBytes)
+		lat += revLat
+		if lost = revAt >= 0; lost {
+			// Reverse hop j runs back over forward hop n-1-j.
+			lostAt = rt.path.Links[len(rt.rev)-1-revAt].Reverse
+		}
+	}
+	*m = routeMemo{
+		valid: true, latGen: f.latGen, cfgGen: cfgGen,
+		reqBytes: reqBytes, respBytes: respBytes,
+		lat: lat, lost: lost, lostAt: lostAt,
+	}
+	return m
+}
+
+// traverse returns the one-way latency along a resolved path's link
+// states for a payload of the given size at current conditions, and
+// -1. When a failed link is encountered it returns the latency up to
+// that hop and the hop's index.
 //
 // Interrupt moderation (Figure 1's configuration box) is applied where
 // it happens on real hosts: when inter-host traffic enters a NIC whose
 // ConfigIntModeration is set, delivery is delayed by the moderation
 // period — the batching delay the NIC imposes before raising the
 // completion interrupt.
-func (f *Fabric) traverse(links []*linkState, path topology.Path, bytes int64) (simtime.Duration, topology.LinkID, bool) {
+func (f *Fabric) traverse(links []*linkState, bytes int64) (simtime.Duration, int) {
 	var lat simtime.Duration
 	bottleneck := topology.Rate(0)
 	for i, ls := range links {
 		if ls == nil || ls.failed {
-			return lat, path.Links[i].ID, false
+			return lat, i
 		}
 		lat += f.hopLatency(ls)
 		if ls.moderatingNIC != nil {
@@ -270,12 +302,17 @@ func (f *Fabric) traverse(links []*linkState, path topology.Path, bytes int64) (
 	if bytes > 0 && bottleneck > 0 {
 		lat += bottleneck.TimeToSend(bytes)
 	}
-	return lat, "", true
+	return lat, -1
 }
+
+// maxModerationUS bounds the interrupt-moderation period: real NICs
+// moderate for microseconds to a few milliseconds, and a period this
+// long already holds each inbound completion for a full second.
+const maxModerationUS = 1_000_000
 
 // moderationDelay parses a NIC's interrupt-moderation config
 // ("int_moderation_us") into a delivery delay. Unset or malformed
-// values mean no moderation.
+// values, including periods above maxModerationUS, mean no moderation.
 func moderationDelay(nic *topology.Component) simtime.Duration {
 	v, ok := nic.ConfigValue(topology.ConfigIntModeration)
 	if !ok {
@@ -286,7 +323,9 @@ func moderationDelay(nic *topology.Component) simtime.Duration {
 		if c < '0' || c > '9' {
 			return 0
 		}
-		us = us*10 + int(c-'0')
+		if us = us*10 + int(c-'0'); us > maxModerationUS {
+			return 0
+		}
 	}
 	return simtime.Duration(us) * simtime.Microsecond
 }

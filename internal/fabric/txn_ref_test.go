@@ -58,7 +58,9 @@ func (f *Fabric) refSendTransaction(opts TxOptions, cb func(TxRecord)) error {
 				f.met.txCompleted.Inc()
 			}
 		}
-		f.emitRecord(r)
+		for _, s := range f.sniffers {
+			(*s)(r)
+		}
 		if cb != nil {
 			cb(r)
 		}

@@ -189,6 +189,19 @@ func TestInterruptModerationDelaysInboundTraffic(t *testing.T) {
 	if got := measure(); got != base {
 		t.Fatalf("malformed moderation applied: %v vs %v", got, base)
 	}
+	// So is a period out of range: these once overflowed into a
+	// negative delay (a panic) and a wrapped 55,660-hour RTT.
+	for _, v := range []string{"10000000000000000", "99999999999999999999", "1000001"} {
+		topo.Component("nic0").SetConfig(topology.ConfigIntModeration, v)
+		if got := measure(); got != base {
+			t.Fatalf("out-of-range moderation %q applied: %v vs %v", v, got, base)
+		}
+	}
+	// The largest period in range still applies.
+	topo.Component("nic0").SetConfig(topology.ConfigIntModeration, "1000000")
+	if got, want := measure(), base+simtime.Second; got != want {
+		t.Fatalf("1s moderation RTT %v, want %v", got, want)
+	}
 }
 
 func TestSerializationDominatesLargeTransfer(t *testing.T) {

@@ -31,13 +31,17 @@ func benchFleet(b *testing.B, n int) *Fleet {
 // ratio at a given host count is the runner's speedup (the CI
 // acceptance bar is >= 4x at 64 hosts on a multi-core runner). The
 // serial tiers report allocs_per_host_ms, the heap allocations of one
-// host's virtual millisecond, which BENCH_obs.json budgets at 64
-// hosts.
+// host's virtual millisecond at steady state, which BENCH_obs.json
+// budgets at 64 hosts: they first run ringWarmup, so the telemetry and
+// event rings have opened every chunk before the count starts.
 func BenchmarkFleetRunFor(b *testing.B) {
 	for _, hosts := range []int{16, 64, 256} {
 		b.Run(fmt.Sprintf("hosts=%d/serial", hosts), func(b *testing.B) {
 			f := benchFleet(b, hosts)
 			r := newRunner(f, runnerConfig{Workers: 1})
+			if _, err := r.RunFor(context.Background(), ringWarmup); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -80,6 +84,11 @@ func BenchmarkFleetRunFor(b *testing.B) {
 		})
 	}
 }
+
+// ringWarmup is the virtual time after which a benchFleet host's rings
+// stop growing: its telemetry ring opens its last chunk at about 250
+// ms.
+const ringWarmup = 300 * simtime.Millisecond
 
 // BenchmarkFleetRollup measures the steady-state scrape: between two
 // scrapes one host mutated (the worst common case for the dirty-shard

@@ -281,7 +281,7 @@ func (r *runner) RunFor(ctx context.Context, d simtime.Duration) (RunReport, err
 // merged results and how many hosts advanced without error.
 func (r *runner) runEpoch(barrier simtime.Time) ([]HostResult, int) {
 	all := r.fleet.hostsSorted() // name-sorted, not retained
-	live := all[:0:0]
+	live := make([]*Host, 0, len(all))
 	for _, h := range all {
 		if _, bad := r.failed[h.Name]; !bad {
 			live = append(live, h)

@@ -110,8 +110,10 @@ type Component struct {
 	// component's entries again only when ConfigGen has moved.
 	Config map[string]string
 
-	// configGen counts SetConfig calls.
+	// configGen counts SetConfig calls; topoGen, when the component
+	// belongs to a topology, is the topology's count of them.
 	configGen uint64
+	topoGen   *uint64
 }
 
 // SetConfig sets one configuration key, allocating the map if needed.
@@ -121,6 +123,9 @@ func (c *Component) SetConfig(key, value string) {
 	}
 	c.Config[key] = value
 	c.configGen++
+	if c.topoGen != nil {
+		*c.topoGen++
+	}
 }
 
 // ConfigGen returns how many times SetConfig has run on the

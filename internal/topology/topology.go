@@ -33,6 +33,10 @@ type Topology struct {
 	// adjacency are fixed once the topology is built.
 	pathMu    sync.Mutex
 	pathTable map[pathKey]pathEntry
+
+	// configGen counts SetConfig calls on every component of the
+	// topology (see ConfigGen).
+	configGen uint64
 }
 
 // New returns an empty topology with the given name.
@@ -55,7 +59,7 @@ func (t *Topology) AddComponent(id CompID, kind Kind, socket int) (*Component, e
 	if _, ok := t.components[id]; ok {
 		return nil, fmt.Errorf("topology: duplicate component %q", id)
 	}
-	c := &Component{ID: id, Kind: kind, Socket: socket}
+	c := &Component{ID: id, Kind: kind, Socket: socket, topoGen: &t.configGen}
 	t.components[id] = c
 	i, _ := slices.BinarySearchFunc(t.compList, id, func(c *Component, id CompID) int { return cmp.Compare(c.ID, id) })
 	t.compList = slices.Insert(t.compList, i, c)
@@ -147,6 +151,11 @@ func (t *Topology) Outgoing(id CompID) []*Link { return t.out[id] }
 
 // Incoming returns the incoming links of a component in insertion order.
 func (t *Topology) Incoming(id CompID) []*Link { return t.in[id] }
+
+// ConfigGen returns how many times SetConfig has run on any of the
+// topology's components: one read tells a cache keyed on component
+// configuration whether any of it moved.
+func (t *Topology) ConfigGen() uint64 { return t.configGen }
 
 // Components returns all components sorted by ID for deterministic
 // iteration. The slice is the caller's.
